@@ -34,7 +34,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use cr_bench::perf::Json;
 use cr_core::par::par_map_chunked;
 use cr_node::faults::{FaultPlaneConfig, FAULT_SITES};
 use cr_node::integrity::Crc64;
@@ -44,6 +43,7 @@ use cr_node::node::{
 };
 use cr_node::nvm::Region;
 use cr_node::remote::ObjectKey;
+use cr_obs::json::Value;
 use cr_obs::metrics::Metrics;
 use cr_obs::{Bus, RingSink};
 use cr_rand::ChaCha8;
@@ -595,102 +595,102 @@ fn main() {
     }
     println!("invariant violations: {}", violations.len());
 
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::str("chaos/v1")),
+    let doc = Value::Obj(vec![
+        ("schema".into(), Value::str("chaos/v1")),
         (
             "config".into(),
-            Json::Obj(vec![
-                ("episodes".into(), Json::Int(opts.episodes as i64)),
-                ("seed".into(), Json::Int(opts.seed as i64)),
+            Value::Obj(vec![
+                ("episodes".into(), Value::Num(opts.episodes as f64)),
+                ("seed".into(), Value::Num(opts.seed as f64)),
             ]),
         ),
         (
             "faults".into(),
-            Json::Obj(
+            Value::Obj(
                 FAULT_SITES
                     .iter()
                     .enumerate()
                     .map(|(i, s)| {
-                        (s.name().to_string(), Json::Int(site_counts[i] as i64))
+                        (s.name().to_string(), Value::Num(site_counts[i] as f64))
                     })
                     .collect(),
             ),
         ),
-        ("total_faults".into(), Json::Int(total_faults as i64)),
-        ("all_sites_fired".into(), Json::Bool(all_sites_fired)),
+        ("total_faults".into(), Value::Num(total_faults as f64)),
+        ("all_sites_fired".into(), Value::Bool(all_sites_fired)),
         (
             "recoveries".into(),
-            Json::Obj(vec![
+            Value::Obj(vec![
                 (
                     "local".into(),
-                    Json::Int(totals.recoveries_local as i64),
+                    Value::Num(totals.recoveries_local as f64),
                 ),
                 (
                     "partner".into(),
-                    Json::Int(totals.recoveries_partner as i64),
+                    Value::Num(totals.recoveries_partner as f64),
                 ),
                 (
                     "remote".into(),
-                    Json::Int(totals.recoveries_remote as i64),
+                    Value::Num(totals.recoveries_remote as f64),
                 ),
                 (
                     "unsurvivable".into(),
-                    Json::Int(totals.unsurvivable as i64),
+                    Value::Num(totals.unsurvivable as f64),
                 ),
             ]),
         ),
         (
             "degradations".into(),
-            Json::Obj(vec![
+            Value::Obj(vec![
                 (
                     "drains_cancelled".into(),
-                    Json::Int(totals.drains_cancelled as i64),
+                    Value::Num(totals.drains_cancelled as f64),
                 ),
                 (
                     "drains_degraded".into(),
-                    Json::Int(totals.drains_degraded as i64),
+                    Value::Num(totals.drains_degraded as f64),
                 ),
                 (
                     "codec_fallbacks".into(),
-                    Json::Int(totals.codec_fallbacks as i64),
+                    Value::Num(totals.codec_fallbacks as f64),
                 ),
                 (
                     "ndp_crashes".into(),
-                    Json::Int(totals.ndp_crashes as i64),
+                    Value::Num(totals.ndp_crashes as f64),
                 ),
-                ("io_retries".into(), Json::Int(totals.io_retries as i64)),
+                ("io_retries".into(), Value::Num(totals.io_retries as f64)),
                 (
                     "blocks_retransmitted".into(),
-                    Json::Int(totals.blocks_retransmitted as i64),
+                    Value::Num(totals.blocks_retransmitted as f64),
                 ),
             ]),
         ),
         (
             "activity".into(),
-            Json::Obj(vec![
+            Value::Obj(vec![
                 (
                     "checkpoints".into(),
-                    Json::Int(totals.checkpoints as i64),
+                    Value::Num(totals.checkpoints as f64),
                 ),
                 (
                     "checkpoints_skipped".into(),
-                    Json::Int(totals.checkpoints_skipped as i64),
+                    Value::Num(totals.checkpoints_skipped as f64),
                 ),
                 (
                     "mid_episode_failures".into(),
-                    Json::Int(totals.mid_restores as i64),
+                    Value::Num(totals.mid_restores as f64),
                 ),
                 (
                     "drains_completed".into(),
-                    Json::Int(totals.drains_completed as i64),
+                    Value::Num(totals.drains_completed as f64),
                 ),
                 (
                     "incremental_drains".into(),
-                    Json::Int(totals.incremental_drains as i64),
+                    Value::Num(totals.incremental_drains as f64),
                 ),
                 (
                     "corruptions_detected".into(),
-                    Json::Int(totals.corruptions_detected as i64),
+                    Value::Num(totals.corruptions_detected as f64),
                 ),
             ]),
         ),
@@ -699,32 +699,32 @@ fn main() {
         // whether CHAOS_OBS is set or not — a property CI checks).
         (
             "indicators".into(),
-            Json::Obj(vec![
+            Value::Obj(vec![
                 (
                     "drain_completion_fraction".into(),
-                    Json::Num(frac(
+                    Value::Num(frac(
                         totals.drains_completed,
                         totals.drains_completed + totals.drains_cancelled,
                     )),
                 ),
                 (
                     "drain_degrade_fraction".into(),
-                    Json::Num(frac(
+                    Value::Num(frac(
                         totals.drains_degraded,
                         totals.drains_completed + totals.drains_degraded,
                     )),
                 ),
                 (
                     "faults_per_episode".into(),
-                    Json::Num(total_faults as f64 / opts.episodes as f64),
+                    Value::Num(total_faults as f64 / opts.episodes as f64),
                 ),
                 (
                     "io_retries_per_fault".into(),
-                    Json::Num(frac(totals.io_retries, total_faults)),
+                    Value::Num(frac(totals.io_retries, total_faults)),
                 ),
                 (
                     "recovery_success_fraction".into(),
-                    Json::Num(frac(
+                    Value::Num(frac(
                         totals.recoveries_local
                             + totals.recoveries_partner
                             + totals.recoveries_remote,
@@ -738,15 +738,15 @@ fn main() {
         ),
         (
             "fault_log_digest".into(),
-            Json::str(format!("{:016x}", digest.finish())),
+            Value::str(format!("{:016x}", digest.finish())),
         ),
         (
             "invariant_violations".into(),
-            Json::Int(violations.len() as i64),
+            Value::Num(violations.len() as f64),
         ),
         (
             "violations".into(),
-            Json::Arr(violations.iter().map(Json::str).collect()),
+            Value::Arr(violations.iter().map(Value::str).collect()),
         ),
     ]);
 

@@ -23,13 +23,14 @@
 
 use std::path::PathBuf;
 
-use cr_bench::perf::{mb_per_s, time_best, Json};
+use cr_bench::perf::{mb_per_s, time_best};
 use cr_compress::measure::{measure_many, Measurement};
 use cr_compress::parallel::ParallelCodec;
 use cr_compress::registry::{by_name, study_codecs};
 use cr_compress::Codec;
 use cr_node::ndp::StepOutcome;
 use cr_node::node::{ComputeNode, NodeConfig};
+use cr_obs::json::Value;
 use cr_obs::stage;
 use cr_workloads::{all_mini_apps, CheckpointGenerator};
 
@@ -82,7 +83,7 @@ fn measure_best(
     best.expect("reps >= 1")
 }
 
-fn codec_section(opts: &Opts, images: &[(String, Vec<u8>)]) -> Json {
+fn codec_section(opts: &Opts, images: &[(String, Vec<u8>)]) -> Value {
     println!("== per-codec throughput (byte-weighted over all apps) ==");
     let mut rows = Vec::new();
     for codec in study_codecs() {
@@ -101,30 +102,30 @@ fn codec_section(opts: &Opts, images: &[(String, Vec<u8>)]) -> Json {
             m.compress_rate / 1e6,
             m.decompress_rate / 1e6,
         );
-        rows.push(Json::Obj(vec![
-            ("codec".into(), Json::str(codec.label())),
-            ("name".into(), Json::str(codec.name())),
-            ("input_bytes".into(), Json::Int(m.input_bytes as i64)),
+        rows.push(Value::Obj(vec![
+            ("codec".into(), Value::str(codec.label())),
+            ("name".into(), Value::str(codec.name())),
+            ("input_bytes".into(), Value::Num(m.input_bytes as f64)),
             (
                 "compressed_bytes".into(),
-                Json::Int(m.compressed_bytes as i64),
+                Value::Num(m.compressed_bytes as f64),
             ),
-            ("factor".into(), Json::Num(m.factor)),
-            ("compress_mb_s".into(), Json::Num(m.compress_rate / 1e6)),
+            ("factor".into(), Value::Num(m.factor)),
+            ("compress_mb_s".into(), Value::Num(m.compress_rate / 1e6)),
             (
                 "decompress_mb_s".into(),
-                Json::Num(m.decompress_rate / 1e6),
+                Value::Num(m.decompress_rate / 1e6),
             ),
         ]));
     }
-    Json::Arr(rows)
+    Value::Arr(rows)
 }
 
 fn scaling_section(
     opts: &Opts,
     image: &[u8],
     effective_cores: usize,
-) -> Json {
+) -> Value {
     println!(
         "== thread scaling (ParallelCodec, {} MiB image, {} KiB chunks) ==",
         opts.image_mb,
@@ -168,20 +169,20 @@ fn scaling_section(
                 "par({inner_name:3}) x{threads:<2}  {:>9.1} MB/s  speedup {speedup:>5.2}  efficiency {efficiency:>5.2}",
                 mb_per_s(image.len(), secs),
             );
-            rows.push(Json::Obj(vec![
-                ("inner".into(), Json::str(inner_name)),
-                ("threads".into(), Json::Int(threads as i64)),
-                ("secs".into(), Json::Num(secs)),
+            rows.push(Value::Obj(vec![
+                ("inner".into(), Value::str(inner_name)),
+                ("threads".into(), Value::Num(threads as f64)),
+                ("secs".into(), Value::Num(secs)),
                 (
                     "compress_mb_s".into(),
-                    Json::Num(mb_per_s(image.len(), secs)),
+                    Value::Num(mb_per_s(image.len(), secs)),
                 ),
-                ("speedup".into(), Json::Num(speedup)),
-                ("efficiency".into(), Json::Num(efficiency)),
+                ("speedup".into(), Value::Num(speedup)),
+                ("efficiency".into(), Value::Num(efficiency)),
             ]));
         }
     }
-    Json::Arr(rows)
+    Value::Arr(rows)
 }
 
 /// Drives the full drain pipeline (host checkpoint -> NVM -> NDP
@@ -189,7 +190,7 @@ fn scaling_section(
 /// and reports the per-stage tokenize/entropy/frame/ship breakdown,
 /// plus the derived `indicators/v1` values folded from the node's
 /// event stream (drain jobs, stalls, spans).
-fn stages_section(image: &[u8]) -> (Json, Json) {
+fn stages_section(image: &[u8]) -> (Value, Value) {
     println!("== per-stage drain pipeline breakdown ==");
     let cfg = NodeConfig {
         drain_ratio: 1, // drain every checkpoint so all stages fire
@@ -213,11 +214,11 @@ fn stages_section(image: &[u8]) -> (Json, Json) {
     stage::set_enabled(false);
 
     let report = cr_obs::analyze::analyze("bench_hotpath", &bus.drain());
-    let indicators = Json::Obj(
+    let indicators = Value::Obj(
         report
             .values()
             .iter()
-            .map(|(k, v)| (k.clone(), Json::Num(*v)))
+            .map(|(k, v)| (k.clone(), Value::Num(*v)))
             .collect(),
     );
 
@@ -230,16 +231,16 @@ fn stages_section(image: &[u8]) -> (Json, Json) {
             snap.nanos as f64 / 1e6,
             snap.mb_per_s(),
         );
-        rows.push(Json::Obj(vec![
-            ("stage".into(), Json::str(snap.stage.name())),
-            ("calls".into(), Json::Int(snap.calls as i64)),
-            ("nanos".into(), Json::Int(snap.nanos as i64)),
-            ("bytes".into(), Json::Int(snap.bytes as i64)),
-            ("mb_s".into(), Json::Num(snap.mb_per_s())),
+        rows.push(Value::Obj(vec![
+            ("stage".into(), Value::str(snap.stage.name())),
+            ("calls".into(), Value::Num(snap.calls as f64)),
+            ("nanos".into(), Value::Num(snap.nanos as f64)),
+            ("bytes".into(), Value::Num(snap.bytes as f64)),
+            ("mb_s".into(), Value::Num(snap.mb_per_s())),
         ]));
     }
     stage::reset();
-    (Json::Arr(rows), indicators)
+    (Value::Arr(rows), indicators)
 }
 
 fn main() {
@@ -265,33 +266,33 @@ fn main() {
     let scaling = scaling_section(&opts, &scaling_image, effective_cores);
     let (stages, indicators) = stages_section(&scaling_image);
 
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::str("bench_codec/v1")),
+    let doc = Value::Obj(vec![
+        ("schema".into(), Value::str("bench_codec/v1")),
         (
             "config".into(),
-            Json::Obj(vec![
-                ("image_mb".into(), Json::Int(opts.image_mb as i64)),
-                ("per_app_bytes".into(), Json::Int(per_app as i64)),
-                ("reps".into(), Json::Int(opts.reps as i64)),
-                ("max_threads".into(), Json::Int(opts.max_threads as i64)),
+            Value::Obj(vec![
+                ("image_mb".into(), Value::Num(opts.image_mb as f64)),
+                ("per_app_bytes".into(), Value::Num(per_app as f64)),
+                ("reps".into(), Value::Num(opts.reps as f64)),
+                ("max_threads".into(), Value::Num(opts.max_threads as f64)),
                 (
                     "effective_cores".into(),
-                    Json::Int(effective_cores as i64),
+                    Value::Num(effective_cores as f64),
                 ),
-                ("chunk_bytes".into(), Json::Int(CHUNK_BYTES as i64)),
-                ("seed".into(), Json::Int(SEED as i64)),
+                ("chunk_bytes".into(), Value::Num(CHUNK_BYTES as f64)),
+                ("seed".into(), Value::Num(SEED as f64)),
                 (
                     "apps".into(),
-                    Json::Arr(
+                    Value::Arr(
                         images
                             .iter()
-                            .map(|(name, _)| Json::str(name.clone()))
+                            .map(|(name, _)| Value::str(name.clone()))
                             .collect(),
                     ),
                 ),
                 (
                     "efficiency_definition".into(),
-                    Json::str(
+                    Value::str(
                         "speedup / min(threads, effective_cores)",
                     ),
                 ),

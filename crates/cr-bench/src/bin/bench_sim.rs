@@ -3,11 +3,10 @@
 //!
 //! Measures:
 //!
-//! 1. **Engine throughput** — replicas/sec through the pooled
-//!    discrete-event engine at 1..N worker threads on the work-stealing
-//!    executor, asserting that every thread count reproduces the
-//!    1-thread results bit for bit; plus a pooled-vs-cold comparison
-//!    against the construct-per-replica engine the pool replaced.
+//! 1. **Engine throughput** — replicas/sec through the discrete-event
+//!    engine at 1..N worker threads on the work-stealing executor,
+//!    asserting that every thread count reproduces the 1-thread results
+//!    bit for bit.
 //! 2. **Observed fleet** — replicas/sec with per-replica event streams
 //!    attached, again bit-identical (results *and* streams) across
 //!    thread counts.
@@ -32,14 +31,15 @@
 
 use std::path::PathBuf;
 
-use cr_bench::perf::{time_best, time_once, Json};
+use cr_bench::perf::{time_best, time_once};
 use cr_core::cache::{global_cache_stats, solve_cycle_many};
 use cr_core::optimize;
 use cr_core::params::{CompressionSpec, Strategy, SystemParams};
+use cr_obs::json::Value;
 use cr_obs::stage::{self, Stage};
 use cr_sim::{
-    run_engine, run_engine_cold, run_fleet_observed_in, simulate_avg_in,
-    AveragedResult, SimFaults, SimOptions,
+    run_fleet_observed_in, simulate_avg_in, AveragedResult, SimFaults,
+    SimOptions,
 };
 
 const SEED: u64 = 42;
@@ -113,10 +113,10 @@ fn assert_identical(label: &str, a: &AveragedResult, b: &AveragedResult) {
     }
 }
 
-/// Thread sweep over the pooled engine plus the pooled-vs-cold
-/// comparison. Every thread count's output is asserted bit-identical to
-/// the 1-thread run before its timing is reported.
-fn engine_section(opts: &Opts) -> Json {
+/// Thread sweep over the engine. Every thread count's output is
+/// asserted bit-identical to the 1-thread run before its timing is
+/// reported.
+fn engine_section(opts: &Opts) -> Value {
     println!(
         "== engine throughput ({} replicas, quick runs) ==",
         opts.replicas
@@ -160,59 +160,21 @@ fn engine_section(opts: &Opts) -> Json {
         println!(
             "engine x{threads:<2}  {rate:>10.0} replicas/s  speedup {speedup:>5.2}  (bit-identical)"
         );
-        rows.push(Json::Obj(vec![
-            ("threads".into(), Json::Int(threads as i64)),
-            ("secs".into(), Json::Num(secs)),
-            ("replicas_per_s".into(), Json::Num(rate)),
-            ("speedup".into(), Json::Num(speedup)),
-            ("bit_identical".into(), Json::Bool(true)),
+        rows.push(Value::Obj(vec![
+            ("threads".into(), Value::Num(threads as f64)),
+            ("secs".into(), Value::Num(secs)),
+            ("replicas_per_s".into(), Value::Num(rate)),
+            ("speedup".into(), Value::Num(speedup)),
+            ("bit_identical".into(), Value::Bool(true)),
         ]));
     }
 
-    // Pooled vs cold, single-threaded: same replicas through the
-    // thread-local pooled engine vs a freshly built engine each time.
-    let run_all = |cold: bool| {
-        for i in 0..opts.replicas {
-            let o = SimOptions {
-                seed: sim_opts.seed.wrapping_add(i),
-                ..sim_opts
-            };
-            let r = if cold {
-                run_engine_cold(&system, &strat, &o)
-            } else {
-                run_engine(&system, &strat, &o)
-            };
-            std::hint::black_box(r);
-        }
-    };
-    let cold_secs = time_best(opts.reps, || run_all(true));
-    let pooled_secs = time_best(opts.reps, || run_all(false));
-    let pooled_speedup = cold_secs / pooled_secs;
-    println!(
-        "pooled vs cold (1 thread): {:.0} vs {:.0} replicas/s  speedup {pooled_speedup:.2}",
-        opts.replicas as f64 / pooled_secs,
-        opts.replicas as f64 / cold_secs,
-    );
-
-    Json::Obj(vec![
-        ("threads".into(), Json::Arr(rows)),
-        ("cold_secs".into(), Json::Num(cold_secs)),
-        ("pooled_secs".into(), Json::Num(pooled_secs)),
-        (
-            "cold_replicas_per_s".into(),
-            Json::Num(opts.replicas as f64 / cold_secs),
-        ),
-        (
-            "pooled_replicas_per_s".into(),
-            Json::Num(opts.replicas as f64 / pooled_secs),
-        ),
-        ("pooled_speedup".into(), Json::Num(pooled_speedup)),
-    ])
+    Value::Obj(vec![("threads".into(), Value::Arr(rows))])
 }
 
 /// Observed fleet at 1 thread vs the widest thread count: results and
 /// event streams must match exactly; throughput is reported for both.
-fn fleet_section(opts: &Opts) -> Json {
+fn fleet_section(opts: &Opts) -> Value {
     let system = sys();
     let strat = bench_strategy();
     let sim_opts = SimOptions::quick(SEED);
@@ -252,31 +214,31 @@ fn fleet_section(opts: &Opts) -> Json {
             replicas as f64 / secs,
             events_total as f64 / secs,
         );
-        rows.push(Json::Obj(vec![
-            ("threads".into(), Json::Int(threads as i64)),
-            ("secs".into(), Json::Num(secs)),
+        rows.push(Value::Obj(vec![
+            ("threads".into(), Value::Num(threads as f64)),
+            ("secs".into(), Value::Num(secs)),
             (
                 "replicas_per_s".into(),
-                Json::Num(replicas as f64 / secs),
+                Value::Num(replicas as f64 / secs),
             ),
             (
                 "events_per_s".into(),
-                Json::Num(events_total as f64 / secs),
+                Value::Num(events_total as f64 / secs),
             ),
-            ("bit_identical".into(), Json::Bool(true)),
+            ("bit_identical".into(), Value::Bool(true)),
         ]));
     }
-    Json::Obj(vec![
-        ("replicas".into(), Json::Int(replicas as i64)),
-        ("events_total".into(), Json::Int(events_total as i64)),
-        ("threads".into(), Json::Arr(rows)),
+    Value::Obj(vec![
+        ("replicas".into(), Value::Num(replicas as f64)),
+        ("events_total".into(), Value::Num(events_total as f64)),
+        ("threads".into(), Value::Arr(rows)),
     ])
 }
 
 /// Memoized-solver sweep: cold vs warm joint policy search and batched
 /// grid solving. The cold measurement runs on a fresh thread so it sees
 /// an empty thread-local cycle cache.
-fn sweep_section(opts: &Opts) -> Json {
+fn sweep_section(opts: &Opts) -> Value {
     println!("== sweep throughput (memoized cycle solver) ==");
     let system = sys();
 
@@ -328,22 +290,22 @@ fn sweep_section(opts: &Opts) -> Json {
     let (hits, misses) = global_cache_stats();
     println!("cycle cache (this thread): {hits} hits, {misses} misses");
 
-    Json::Obj(vec![
-        ("cold_search_secs".into(), Json::Num(cold_secs)),
-        ("warm_search_secs".into(), Json::Num(warm_secs)),
-        ("warm_speedup".into(), Json::Num(warm_speedup)),
-        ("batch_points".into(), Json::Int(pairs.len() as i64)),
-        ("batch_secs".into(), Json::Num(batch_secs)),
-        ("batch_points_per_s".into(), Json::Num(points_per_s)),
-        ("cache_hits".into(), Json::Int(hits as i64)),
-        ("cache_misses".into(), Json::Int(misses as i64)),
+    Value::Obj(vec![
+        ("cold_search_secs".into(), Value::Num(cold_secs)),
+        ("warm_search_secs".into(), Value::Num(warm_secs)),
+        ("warm_speedup".into(), Value::Num(warm_speedup)),
+        ("batch_points".into(), Value::Num(pairs.len() as f64)),
+        ("batch_secs".into(), Value::Num(batch_secs)),
+        ("batch_points_per_s".into(), Value::Num(points_per_s)),
+        ("cache_hits".into(), Value::Num(hits as f64)),
+        ("cache_misses".into(), Value::Num(misses as f64)),
     ])
 }
 
 /// One profiled pass: a widest-thread replica fan-out (records the
 /// `engine` stage from every worker) and a batched grid solve wrapped
 /// in the `solve` stage.
-fn stages_section(opts: &Opts) -> Json {
+fn stages_section(opts: &Opts) -> Value {
     println!("== per-stage breakdown (profiled pass) ==");
     let system = sys();
     let strat = bench_strategy();
@@ -378,21 +340,21 @@ fn stages_section(opts: &Opts) -> Json {
             snap.calls,
             snap.nanos as f64 / 1e6,
         );
-        rows.push(Json::Obj(vec![
-            ("stage".into(), Json::str(snap.stage.name())),
-            ("calls".into(), Json::Int(snap.calls as i64)),
-            ("nanos".into(), Json::Int(snap.nanos as i64)),
+        rows.push(Value::Obj(vec![
+            ("stage".into(), Value::str(snap.stage.name())),
+            ("calls".into(), Value::Num(snap.calls as f64)),
+            ("nanos".into(), Value::Num(snap.nanos as f64)),
         ]));
     }
     stage::reset();
-    Json::Arr(rows)
+    Value::Arr(rows)
 }
 
 /// Machine-independent pinned-seed values: simulated progress rates,
 /// model divergence, and per-replica event counts. Everything here is
 /// derived from simulated time and event counts — never wall-clock — so
 /// CI diffs it against a checked-in baseline at tight tolerance.
-fn indicators_section() -> Json {
+fn indicators_section() -> Value {
     let system = sys();
     let opts = SimOptions::quick(IND_SEED);
     let configs = [
@@ -405,11 +367,11 @@ fn indicators_section() -> Json {
         let avg = simulate_avg_in(1, &system, strat, &opts, IND_REPLICAS);
         fields.push((
             format!("sim_progress_{name}"),
-            Json::Num(avg.progress_rate()),
+            Value::Num(avg.progress_rate()),
         ));
         fields.push((
             format!("sim_failures_{name}"),
-            Json::Num(
+            Value::Num(
                 avg.replicas
                     .iter()
                     .map(|r| r.stats.failures as f64)
@@ -421,10 +383,10 @@ fn indicators_section() -> Json {
     let analytic = cr_core::analytic::progress_rate(&system, &strat);
     let simulated = simulate_avg_in(1, &system, &strat, &opts, IND_REPLICAS)
         .progress_rate();
-    fields.push(("analytic_progress_ndp".into(), Json::Num(analytic)));
+    fields.push(("analytic_progress_ndp".into(), Value::Num(analytic)));
     fields.push((
         "model_divergence_ndp".into(),
-        Json::Num((simulated - analytic).abs() / analytic),
+        Value::Num((simulated - analytic).abs() / analytic),
     ));
     // Events per replica from a fixed-size observed fleet (independent
     // of the bench knobs, like everything else in this section).
@@ -439,15 +401,15 @@ fn indicators_section() -> Json {
     let events_total: u64 = fleet.iter().map(|(_, e)| e.len() as u64).sum();
     fields.push((
         "fleet_events_per_replica".into(),
-        Json::Num((events_total / IND_REPLICAS) as f64),
+        Value::Num((events_total / IND_REPLICAS) as f64),
     ));
     // The thread-identity asserts ran before this point; reaching here
     // means they held.
-    fields.push(("threads_bit_identical".into(), Json::Num(1.0)));
-    Json::Obj(fields)
+    fields.push(("threads_bit_identical".into(), Value::Num(1.0)));
+    Value::Obj(fields)
 }
 
-fn write_json(path: &PathBuf, doc: &Json) {
+fn write_json(path: &PathBuf, doc: &Value) {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).expect("create results dir");
@@ -469,20 +431,20 @@ fn main() {
     let stages = stages_section(&opts);
     let indicators = indicators_section();
 
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::str("bench_sim/v1")),
+    let doc = Value::Obj(vec![
+        ("schema".into(), Value::str("bench_sim/v1")),
         (
             "config".into(),
-            Json::Obj(vec![
-                ("replicas".into(), Json::Int(opts.replicas as i64)),
-                ("reps".into(), Json::Int(opts.reps as i64)),
-                ("max_threads".into(), Json::Int(opts.max_threads as i64)),
+            Value::Obj(vec![
+                ("replicas".into(), Value::Num(opts.replicas as f64)),
+                ("reps".into(), Value::Num(opts.reps as f64)),
+                ("max_threads".into(), Value::Num(opts.max_threads as f64)),
                 (
                     "effective_cores".into(),
-                    Json::Int(effective_cores as i64),
+                    Value::Num(effective_cores as f64),
                 ),
-                ("seed".into(), Json::Int(SEED as i64)),
-                ("quick".into(), Json::Bool(opts.quick)),
+                ("seed".into(), Value::Num(SEED as f64)),
+                ("quick".into(), Value::Bool(opts.quick)),
             ]),
         ),
         ("engine".into(), engine),
@@ -495,9 +457,9 @@ fn main() {
 
     // The indicators alone, in a small file CI can `crx obs diff`
     // against the checked-in pinned-seed baseline.
-    let ind_doc = Json::Obj(vec![
-        ("schema".into(), Json::str("bench_sim_indicators/v1")),
-        ("source".into(), Json::str("bench_sim")),
+    let ind_doc = Value::Obj(vec![
+        ("schema".into(), Value::str("bench_sim_indicators/v1")),
+        ("source".into(), Value::str("bench_sim")),
         ("indicators".into(), indicators),
     ]);
     write_json(&opts.ind_out, &ind_doc);

@@ -9,7 +9,20 @@
 use cr_bench::table::pct;
 use cr_core::params::{Strategy, SystemParams};
 use cr_core::units::*;
-use cr_sim::{run_engine_traced, SimOptions};
+use cr_obs::{Bus, VecSink};
+use cr_sim::{run_engine, SimFaults, SimOptions, SimResult, Trace};
+
+/// Runs one fault-free replica and rebuilds its timeline from the
+/// event stream.
+fn traced(
+    sys: &SystemParams,
+    strat: &Strategy,
+    opts: &SimOptions,
+) -> (SimResult, Trace) {
+    let bus = Bus::with_sink(VecSink::new());
+    let result = run_engine(sys, strat, opts, &SimFaults::default(), &bus);
+    (result, Trace::from_events(&bus.drain()))
+}
 
 fn main() {
     // A demonstration system: local commits and I/O writes visible at
@@ -30,7 +43,7 @@ fn main() {
     let window = 2800.0;
     println!("(a) two-level checkpointing, host writes to I/O (every 4th ckpt):\n");
     let host = Strategy::local_io_host(4, 0.85, None);
-    let (res_a, trace_a) = run_engine_traced(&sys, &host, &opts);
+    let (res_a, trace_a) = traced(&sys, &host, &opts);
     print!("{}", trace_a.render_ascii(0.0, window, 100));
     println!(
         "progress in window: {} (host blocks on every 'W')\n",
@@ -39,7 +52,7 @@ fn main() {
 
     println!("(b) two-level checkpointing with NDP drains:\n");
     let ndp = Strategy::local_io_ndp(0.85, None);
-    let (res_b, trace_b) = run_engine_traced(&sys, &ndp, &opts);
+    let (res_b, trace_b) = traced(&sys, &ndp, &opts);
     print!("{}", trace_b.render_ascii(0.0, window, 100));
     println!(
         "progress in window: {} (drains 'd' run under compute; '^' marks I/O durability)\n",
@@ -58,7 +71,7 @@ fn main() {
         min_work: 0.0,
         max_wall: 1e12,
     };
-    let (_, trace_c) = run_engine_traced(&sys_f, &ndp, &opts_f);
+    let (_, trace_c) = traced(&sys_f, &ndp, &opts_f);
     let end = trace_c
         .spans
         .iter()

@@ -1,12 +1,7 @@
 //! Std-only performance measurement utilities: wall-clock timing with
-//! best-of-N repetition, throughput formatting, and a minimal JSON
-//! writer for machine-readable results (`results/BENCH_codec.json`).
-//!
-//! Deliberately dependency-free so the perf harness builds in offline
-//! environments; the output format is stable enough for scripts to
-//! diff across commits.
+//! best-of-N repetition and throughput units. Result files are written
+//! with [`cr_obs::json::Value`].
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Times `f` once, returning seconds.
@@ -36,161 +31,6 @@ pub fn mb_per_s(bytes: usize, secs: f64) -> f64 {
     cr_obs::units::mb_per_s(bytes as u64, secs)
 }
 
-/// A label→measurement console reporter with a fixed repetition count.
-pub struct Runner {
-    reps: usize,
-}
-
-impl Runner {
-    /// Creates a runner; `reps` is best-of repetitions per measurement.
-    pub fn new(reps: usize) -> Self {
-        Runner { reps }
-    }
-
-    /// Reads `BENCH_REPS` from the environment (default `default`).
-    pub fn from_env(default: usize) -> Self {
-        let reps = std::env::var("BENCH_REPS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default);
-        Self::new(reps.max(1))
-    }
-
-    /// Best-of repetitions per measurement.
-    pub fn reps(&self) -> usize {
-        self.reps
-    }
-
-    /// Times `f`, prints `label: time (throughput)`, returns seconds.
-    pub fn run(&self, label: &str, bytes: usize, f: impl FnMut()) -> f64 {
-        let secs = time_best(self.reps, f);
-        if bytes > 0 {
-            println!(
-                "{label:40} {:>10.3} ms  {:>9.1} MB/s",
-                secs * 1e3,
-                mb_per_s(bytes, secs)
-            );
-        } else {
-            println!("{label:40} {:>10.3} ms", secs * 1e3);
-        }
-        secs
-    }
-}
-
-/// A minimal JSON value for writing result files without a serde
-/// dependency. Construction is by hand; rendering is stable (object
-/// keys keep insertion order).
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// Integer (kept exact, no float formatting).
-    Int(i64),
-    /// Float; non-finite values render as `null`.
-    Num(f64),
-    /// String (escaped on render).
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object as ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience string constructor.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// Renders with two-space indentation and a trailing newline.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::Num(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    pad(out, indent + 1);
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, indent);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    pad(out, indent + 1);
-                    Json::Str(k.clone()).write(out, indent + 1);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, indent);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn pad(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,33 +55,5 @@ mod tests {
         assert_eq!(mb_per_s(0, 0.0), 0.0);
         // Shared helper: identical semantics to the workspace converter.
         assert_eq!(mb_per_s(123_456, 0.5), cr_obs::units::mb_per_s(123_456, 0.5));
-    }
-
-    #[test]
-    fn json_renders_nested_structures() {
-        let j = Json::Obj(vec![
-            ("schema".into(), Json::str("bench/v1")),
-            ("n".into(), Json::Int(3)),
-            ("rate".into(), Json::Num(12.5)),
-            ("bad".into(), Json::Num(f64::NAN)),
-            (
-                "items".into(),
-                Json::Arr(vec![Json::Bool(true), Json::Null]),
-            ),
-            ("empty".into(), Json::Arr(vec![])),
-        ]);
-        let s = j.render();
-        assert!(s.contains("\"schema\": \"bench/v1\""));
-        assert!(s.contains("\"n\": 3"));
-        assert!(s.contains("\"rate\": 12.5"));
-        assert!(s.contains("\"bad\": null"));
-        assert!(s.contains("\"empty\": []"));
-        assert!(s.ends_with("}\n"));
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        let j = Json::str("a\"b\\c\nd\u{1}");
-        assert_eq!(j.render(), "\"a\\\"b\\\\c\\nd\\u0001\"\n");
     }
 }

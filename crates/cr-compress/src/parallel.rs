@@ -14,8 +14,8 @@
 //!
 //! Workers never queue behind a mutex. Chunks are claimed with an
 //! atomic counter and every result lands in a pre-sized slot owned
-//! exclusively by its claimant (the raw-view idiom also used by
-//! `cr_sim::par::par_map`), so adding workers adds no serialization
+//! exclusively by its claimant (the output-slot idiom also used by
+//! `cr_core::par`), so adding workers adds no serialization
 //! beyond the claim fetch-add. [`ParallelCodec::compress_stream`] goes
 //! further: a consumer emits each framed chunk the moment it (and its
 //! predecessors) are ready, while later chunks are still compressing —

@@ -61,23 +61,38 @@ enum StratKey {
     },
 }
 
+// The key builders destructure every struct without `..` and match
+// every enum variant, so adding a field or variant to the parameter
+// types is a compile error here rather than a silent key collision.
+
 fn comp_key(c: &Option<CompressionSpec>) -> Option<CompKey> {
     c.map(|c| {
+        let CompressionSpec {
+            factor,
+            compress_rate,
+            decompress_rate,
+        } = c;
         [
-            c.factor.to_bits(),
-            c.compress_rate.to_bits(),
-            c.decompress_rate.to_bits(),
+            factor.to_bits(),
+            compress_rate.to_bits(),
+            decompress_rate.to_bits(),
         ]
     })
 }
 
 impl CycleKey {
     fn new(sys: &SystemParams, strat: &Strategy) -> Self {
+        let SystemParams {
+            mtti,
+            checkpoint_bytes,
+            local_bw,
+            io_bw_per_node,
+        } = *sys;
         let sys_key = [
-            sys.mtti.to_bits(),
-            sys.checkpoint_bytes.to_bits(),
-            sys.local_bw.to_bits(),
-            sys.io_bw_per_node.to_bits(),
+            mtti.to_bits(),
+            checkpoint_bytes.to_bits(),
+            local_bw.to_bits(),
+            io_bw_per_node.to_bits(),
         ];
         let strat_key = match *strat {
             Strategy::IoOnly {
@@ -112,7 +127,10 @@ impl CycleKey {
                 ratio,
                 p_local: p_local.to_bits(),
                 compression: comp_key(&compression),
-                pipelined: drain_lag == DrainLagModel::Pipelined,
+                pipelined: match drain_lag {
+                    DrainLagModel::Ignore => false,
+                    DrainLagModel::Pipelined => true,
+                },
             },
         };
         CycleKey {

@@ -1,7 +1,8 @@
-//! Minimal JSON support shared by the observability plane: string
-//! escaping for the hand-rolled writers, and a small recursive-descent
-//! parser used by the regression gate (`crx obs diff`), the exporters'
-//! round-trip tests, and `indicators/v1` loading.
+//! The workspace's one JSON module: string escaping for the hand-rolled
+//! writers, a [`Value`] tree with a pretty renderer for the bench result
+//! files, and a small recursive-descent parser used by the regression
+//! gate (`crx obs diff`), the exporters' round-trip tests, and
+//! `indicators/v1` loading.
 //!
 //! The parser is deliberately small and strict-enough: it accepts the
 //! JSON this workspace writes (objects, arrays, strings with escapes,
@@ -47,6 +48,66 @@ pub enum Value {
 }
 
 impl Value {
+    /// Convenience string constructor.
+    pub fn str(s: impl Into<String>) -> Value {
+        Value::Str(s.into())
+    }
+
+    /// Renders with two-space indentation and a trailing newline.
+    /// Object members keep their order, non-finite numbers render as
+    /// `null`, and numbers use the shortest form that parses back to
+    /// the same `f64`, so integers below 2^53 print without a fraction.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        let pad = |out: &mut String, n: usize| {
+            for _ in 0..n {
+                out.push_str("  ");
+            }
+        };
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(v) if v.is_finite() => out.push_str(&v.to_string()),
+            Value::Num(_) => out.push_str("null"),
+            Value::Str(s) => {
+                out.push('"');
+                escape_into(out, s);
+                out.push('"');
+            }
+            Value::Arr(items) if items.is_empty() => out.push_str("[]"),
+            Value::Obj(members) if members.is_empty() => out.push_str("{}"),
+            Value::Arr(items) => {
+                out.push_str("[\n");
+                for (i, item) in items.iter().enumerate() {
+                    pad(out, indent + 1);
+                    item.write(out, indent + 1);
+                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+                }
+                pad(out, indent);
+                out.push(']');
+            }
+            Value::Obj(members) => {
+                out.push_str("{\n");
+                for (i, (k, v)) in members.iter().enumerate() {
+                    pad(out, indent + 1);
+                    out.push('"');
+                    escape_into(out, k);
+                    out.push_str("\": ");
+                    v.write(out, indent + 1);
+                    out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
+                }
+                pad(out, indent);
+                out.push('}');
+            }
+        }
+    }
+
     /// Member lookup on an object (first match); `None` otherwise.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -357,6 +418,42 @@ mod tests {
             doc.push('"');
             assert_eq!(parse(&doc).unwrap(), Value::Str(raw.to_string()), "{raw:?}");
         }
+    }
+
+    #[test]
+    fn render_pretty_prints_nested_structures() {
+        let v = Value::Obj(vec![
+            ("schema".into(), Value::str("bench/v1")),
+            ("n".into(), Value::Num(3.0)),
+            ("rate".into(), Value::Num(12.5)),
+            ("bad".into(), Value::Num(f64::NAN)),
+            ("items".into(), Value::Arr(vec![Value::Bool(true), Value::Null])),
+            ("empty".into(), Value::Arr(vec![])),
+        ]);
+        assert_eq!(
+            v.render(),
+            "{\n  \"schema\": \"bench/v1\",\n  \"n\": 3,\n  \"rate\": 12.5,\n  \
+             \"bad\": null,\n  \"items\": [\n    true,\n    null\n  ],\n  \
+             \"empty\": []\n}\n"
+        );
+    }
+
+    #[test]
+    fn render_parse_render_round_trips() {
+        let v = Value::Obj(vec![
+            ("k\"ey".into(), Value::str("a\"b\\c\nd\u{1}é")),
+            ("big".into(), Value::Num(9_007_199_254_740_991.0)),
+            ("tiny".into(), Value::Num(-1.25e-7)),
+            ("nested".into(), Value::Arr(vec![
+                Value::Obj(vec![]),
+                Value::Obj(vec![("x".into(), Value::Bool(false))]),
+                Value::Null,
+            ])),
+        ]);
+        let text = v.render();
+        let back = parse(&text).unwrap();
+        assert_eq!(back, v);
+        assert_eq!(back.render(), text);
     }
 
     #[test]

@@ -409,15 +409,6 @@ impl VecSink {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// New empty sink with pre-reserved capacity — fleet runners size
-    /// replicas' sinks from the previous replica's event count so the
-    /// hot path stops paying growth reallocations.
-    pub fn with_capacity(cap: usize) -> Self {
-        VecSink {
-            events: Vec::with_capacity(cap),
-        }
-    }
 }
 
 impl EventSink for VecSink {

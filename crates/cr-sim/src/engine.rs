@@ -22,17 +22,16 @@
 //! work are *rerun*, attributed to the recovery level that caused the
 //! deficit (proportionally, when deficits from both levels overlap).
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use cr_core::breakdown::Breakdown;
 use cr_core::params::{derive_costs, DerivedCosts, Strategy, SystemParams};
 
 use cr_obs::stage::{self, Stage};
-use cr_obs::{Bus, Event, EventKind, Source, VecSink};
+use cr_obs::{Bus, Event, EventKind, Source};
 
 use crate::rng::{Stream, StreamKind};
-use crate::trace::{Lane, MarkKind, SpanKind, Trace};
+use crate::trace::{Lane, MarkKind, SpanKind};
 
 /// Controls simulation length and reproducibility.
 #[derive(Debug, Clone, Copy)]
@@ -81,7 +80,7 @@ impl SimOptions {
 ///
 /// The default is all-zero probabilities, and zero-probability sites draw
 /// **no** random numbers, so a default `SimFaults` run is bit-identical
-/// to [`run_engine`] with the same seed.
+/// to a fault-free [`crate::simulate`] with the same seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimFaults {
     /// Probability that a survivable failure finds its local checkpoint
@@ -175,33 +174,20 @@ struct DrainJob {
     retries: u32,
 }
 
-/// How many draws each batched RNG buffer prefetches per refill.
-///
-/// Each `Stream` is dedicated to a single purpose (failures, recovery
-/// levels), so prefetching a block of draws only moves *when* they are
-/// computed, never their order: batched runs are bit-identical to
-/// draw-on-demand runs (tested below).
-const RNG_BATCH: usize = 64;
-
 struct Engine {
     // Configuration.
-    mtti: f64,
     d: DerivedCosts,
     k: u64,
     ndp: bool,
-    // Clock and failure process.
+    // Clock and failure process. Each stream serves one purpose, so
+    // enabling faults never perturbs the failure or level sequences.
+    mtti: f64,
     now: f64,
     next_failure: f64,
     failures: Stream,
     levels: Stream,
     faults: SimFaults,
     fault_stream: Stream,
-    // Batched RNG draws (refilled in blocks of `RNG_BATCH`; buffers are
-    // retained across pooled reuse).
-    failure_buf: Vec<f64>,
-    failure_idx: usize,
-    level_buf: Vec<f64>,
-    level_idx: usize,
     // Application progress.
     work: f64,
     work_max: f64,
@@ -219,34 +205,30 @@ struct Engine {
 }
 
 impl Engine {
-    /// A dormant engine holding only reusable buffers. Must be
-    /// [`Engine::reset`] before use; every run-dependent field is
-    /// overwritten there.
-    fn fresh() -> Self {
+    fn new(
+        sys: &SystemParams,
+        strat: &Strategy,
+        seed: u64,
+        faults: SimFaults,
+        bus: Bus,
+    ) -> Self {
+        let d = derive_costs(sys, strat);
+        let k = match strat {
+            Strategy::LocalOnly { .. } => u64::MAX,
+            _ => d.ratio as u64,
+        };
+        let mut failures = Stream::new(seed, StreamKind::Failures);
         Engine {
-            mtti: 1.0,
-            d: DerivedCosts {
-                interval: 0.0,
-                delta_local: 0.0,
-                t_io_host: 0.0,
-                restore_local: 0.0,
-                restore_io: 0.0,
-                ndp_drain_time: 0.0,
-                ratio: 1,
-                p_local: 0.0,
-            },
-            k: u64::MAX,
-            ndp: false,
+            d,
+            k,
+            ndp: matches!(strat, Strategy::LocalIoNdp { .. }),
+            mtti: sys.mtti,
             now: 0.0,
-            next_failure: 0.0,
-            failures: Stream::new(0, StreamKind::Failures),
-            levels: Stream::new(0, StreamKind::RecoveryLevel),
-            faults: SimFaults::default(),
-            fault_stream: Stream::new(0, StreamKind::Faults),
-            failure_buf: Vec::with_capacity(RNG_BATCH),
-            failure_idx: 0,
-            level_buf: Vec::with_capacity(RNG_BATCH),
-            level_idx: 0,
+            next_failure: failures.exp(sys.mtti),
+            failures,
+            levels: Stream::new(seed, StreamKind::RecoveryLevel),
+            faults,
+            fault_stream: Stream::new(seed, StreamKind::Faults),
             work: 0.0,
             work_max: 0.0,
             deficit_local: 0.0,
@@ -257,81 +239,8 @@ impl Engine {
             drain_queue: VecDeque::new(),
             acc: Breakdown::zero(),
             stats: SimStats::default(),
-            bus: Bus::disabled(),
+            bus,
         }
-    }
-
-    /// Re-arms the engine for a new replica, reusing the drain queue and
-    /// RNG buffers left by the previous run. Post-`reset` state is
-    /// indistinguishable from a newly built engine, so pooled reuse is
-    /// bit-identical to fresh construction (tested below, interleaved
-    /// across differing configurations).
-    fn reset(&mut self, sys: &SystemParams, strat: &Strategy, seed: u64) {
-        self.mtti = sys.mtti;
-        self.d = derive_costs(sys, strat);
-        self.ndp = matches!(strat, Strategy::LocalIoNdp { .. });
-        self.k = match strat {
-            Strategy::LocalOnly { .. } => u64::MAX,
-            _ => self.d.ratio as u64,
-        };
-        self.now = 0.0;
-        self.failures.reseed(seed, StreamKind::Failures);
-        self.levels.reseed(seed, StreamKind::RecoveryLevel);
-        self.fault_stream.reseed(seed, StreamKind::Faults);
-        self.failure_buf.clear();
-        self.failure_idx = 0;
-        self.level_buf.clear();
-        self.level_idx = 0;
-        self.faults = SimFaults::default();
-        self.work = 0.0;
-        self.work_max = 0.0;
-        self.deficit_local = 0.0;
-        self.deficit_io = 0.0;
-        self.last_local = Some(0.0);
-        self.last_io = 0.0;
-        self.ckpts_since_io = 0;
-        self.drain_queue.clear();
-        self.acc = Breakdown::zero();
-        self.stats = SimStats::default();
-        self.bus = Bus::disabled();
-        // Matches `Stream::new` + first `exp` draw of the old
-        // construct-per-replica path: the first failure delay is the
-        // first value of the (now batched) failure stream.
-        self.next_failure = self.failure_delay();
-    }
-
-    /// Next failure inter-arrival delay, from the batched failure
-    /// stream.
-    #[inline]
-    fn failure_delay(&mut self) -> f64 {
-        if self.failure_idx == self.failure_buf.len() {
-            self.failure_buf.clear();
-            for _ in 0..RNG_BATCH {
-                let x = self.failures.exp(self.mtti);
-                self.failure_buf.push(x);
-            }
-            self.failure_idx = 0;
-        }
-        let x = self.failure_buf[self.failure_idx];
-        self.failure_idx += 1;
-        x
-    }
-
-    /// Next recovery-level uniform draw, from the batched level stream
-    /// (`draw < p_local` is exactly `Stream::bernoulli`).
-    #[inline]
-    fn level_uniform(&mut self) -> f64 {
-        if self.level_idx == self.level_buf.len() {
-            self.level_buf.clear();
-            for _ in 0..RNG_BATCH {
-                let x = self.levels.uniform();
-                self.level_buf.push(x);
-            }
-            self.level_idx = 0;
-        }
-        let x = self.level_buf[self.level_idx];
-        self.level_idx += 1;
-        x
     }
 
     #[inline]
@@ -493,8 +402,8 @@ impl Engine {
     fn sample_failure_level(&mut self) -> bool {
         self.stats.failures += 1;
         self.emit_mark(self.now, MarkKind::Failure);
-        self.next_failure = self.now + self.failure_delay();
-        let mut local_ok = self.level_uniform() < self.d.p_local
+        self.next_failure = self.now + self.failures.exp(self.mtti);
+        let mut local_ok = self.levels.uniform() < self.d.p_local
             && self.last_local.is_some();
         if local_ok
             && self.faults.p_local_corrupt > 0.0
@@ -582,7 +491,7 @@ impl Engine {
             || self.now >= opts.max_wall
     }
 
-    fn run(&mut self, opts: &SimOptions) -> SimResult {
+    fn run(mut self, opts: &SimOptions) -> SimResult {
         let _stage = stage::timer(Stage::Engine);
         let mut replica = self.bus.span(Source::Sim, "replica", 0.0);
         let tau = self.d.interval;
@@ -670,125 +579,22 @@ impl Engine {
     }
 }
 
-thread_local! {
-    /// One pooled engine per thread: replica fan-out workers reset and
-    /// rerun it instead of rebuilding streams, the drain queue and RNG
-    /// buffers for every replica, making a replica run allocation-free
-    /// after warmup.
-    static ENGINE_POOL: RefCell<Option<Box<Engine>>> =
-        const { RefCell::new(None) };
-}
-
-/// Runs `f` against this thread's pooled engine (built on first use).
-/// Falls back to a throwaway engine when the pool is unavailable
-/// (thread teardown, or a re-entrant call from inside `f`); the result
-/// is identical either way because `f` must `reset` before running.
-fn with_pooled_engine<R>(f: impl Fn(&mut Engine) -> R) -> R {
-    let pooled = ENGINE_POOL.try_with(|cell| match cell.try_borrow_mut() {
-        Ok(mut slot) => {
-            let engine = slot.get_or_insert_with(|| Box::new(Engine::fresh()));
-            Some(f(engine))
-        }
-        Err(_) => None,
-    });
-    match pooled {
-        Ok(Some(r)) => r,
-        _ => f(&mut Engine::fresh()),
-    }
-}
-
 /// Runs one simulation replica of a configuration.
-pub fn run_engine(
-    sys: &SystemParams,
-    strat: &Strategy,
-    opts: &SimOptions,
-) -> SimResult {
-    with_pooled_engine(|e| {
-        e.reset(sys, strat, opts.seed);
-        e.run(opts)
-    })
-}
-
-/// Runs one replica on a freshly built engine, bypassing the
-/// thread-local pool — the construct-per-replica behavior pooled reuse
-/// replaced. Kept for the bench harness (pooled-vs-cold comparison) and
-/// for tests asserting pooled reuse is bit-identical to fresh
-/// construction.
-pub fn run_engine_cold(
-    sys: &SystemParams,
-    strat: &Strategy,
-    opts: &SimOptions,
-) -> SimResult {
-    let mut e = Engine::fresh();
-    e.reset(sys, strat, opts.seed);
-    e.run(opts)
-}
-
-/// Runs one replica with fault injection enabled.
 ///
-/// With `SimFaults::default()` (all-zero probabilities) the result is
-/// bit-identical to [`run_engine`] with the same seed: disabled fault
-/// sites draw no random numbers, and the fault stream is independent of
-/// the failure and recovery-level streams.
-pub fn run_engine_faulty(
-    sys: &SystemParams,
-    strat: &Strategy,
-    opts: &SimOptions,
-    faults: &SimFaults,
-) -> SimResult {
-    with_pooled_engine(|e| {
-        e.reset(sys, strat, opts.seed);
-        e.faults = *faults;
-        e.run(opts)
-    })
-}
-
-/// Runs one replica with fault injection and an observability bus.
-///
-/// Every span, mark, failure and recovery-level choice is emitted onto
-/// `bus` (a disabled bus makes this identical to [`run_engine_faulty`]).
+/// `faults` injects local-copy corruption and drain-commit errors; with
+/// [`SimFaults::default`] no fault site draws a random number. Every
+/// span, mark, failure and recovery-level choice is emitted onto `bus`.
 /// Observation never draws random numbers and never perturbs the
-/// simulated timeline: the result is bit-identical for any sink.
-pub fn run_engine_observed(
+/// simulated timeline, so the result is bit-identical for any sink,
+/// including [`Bus::disabled`].
+pub fn run_engine(
     sys: &SystemParams,
     strat: &Strategy,
     opts: &SimOptions,
     faults: &SimFaults,
     bus: &Bus,
 ) -> SimResult {
-    with_pooled_engine(|e| {
-        e.reset(sys, strat, opts.seed);
-        e.faults = *faults;
-        e.bus = bus.clone();
-        let result = e.run(opts);
-        // Release the caller's sink promptly; the pooled engine may sit
-        // idle for a long time.
-        e.bus = Bus::disabled();
-        result
-    })
-}
-
-/// Runs one replica with timeline tracing enabled, returning the trace
-/// alongside the result (Figure 3 rendering; traces grow with run
-/// length, so prefer short runs).
-///
-/// This is a thin wrapper over [`run_engine_observed`] with an
-/// unbounded [`VecSink`]: the timeline is reconstructed from the event
-/// stream via [`Trace::from_events`].
-pub fn run_engine_traced(
-    sys: &SystemParams,
-    strat: &Strategy,
-    opts: &SimOptions,
-) -> (SimResult, Trace) {
-    let bus = Bus::with_sink(VecSink::default());
-    let result = run_engine_observed(
-        sys,
-        strat,
-        opts,
-        &SimFaults::default(),
-        &bus,
-    );
-    (result, Trace::from_events(&bus.drain()))
+    Engine::new(sys, strat, opts.seed, *faults, bus.clone()).run(opts)
 }
 
 #[cfg(test)]
@@ -800,17 +606,27 @@ mod tests {
         SystemParams::exascale_default()
     }
 
+    fn run(strat: &Strategy, opts: &SimOptions) -> SimResult {
+        run_faulty(strat, opts, &SimFaults::default())
+    }
+
+    fn run_faulty(
+        strat: &Strategy,
+        opts: &SimOptions,
+        faults: &SimFaults,
+    ) -> SimResult {
+        run_engine(&sys(), strat, opts, faults, &Bus::disabled())
+    }
+
     #[test]
     fn accounting_is_leak_free() {
-        let r = run_engine(
-            &sys(),
+        let r = run(
             &Strategy::local_io_host(12, 0.8, None),
             &SimOptions::quick(1),
         );
         let b = r.breakdown;
         assert!(
-            (b.total() - r.stats.wall_time).abs()
-                < 1e-6 * r.stats.wall_time
+            (b.total() - r.stats.wall_time).abs() < 1e-6 * r.stats.wall_time
         );
         b.validate().unwrap();
     }
@@ -818,18 +634,17 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let strat = Strategy::local_io_ndp(0.85, None);
-        let a = run_engine(&sys(), &strat, &SimOptions::quick(7));
-        let b = run_engine(&sys(), &strat, &SimOptions::quick(7));
+        let a = run(&strat, &SimOptions::quick(7));
+        let b = run(&strat, &SimOptions::quick(7));
         assert_eq!(a.breakdown, b.breakdown);
         assert_eq!(a.stats, b.stats);
-        let c = run_engine(&sys(), &strat, &SimOptions::quick(8));
+        let c = run(&strat, &SimOptions::quick(8));
         assert_ne!(a.breakdown, c.breakdown);
     }
 
     #[test]
     fn compute_equals_net_work() {
-        let r = run_engine(
-            &sys(),
+        let r = run(
             &Strategy::local_io_host(12, 0.8, None),
             &SimOptions::quick(3),
         );
@@ -844,15 +659,14 @@ mod tests {
     #[test]
     fn failure_count_meets_target() {
         let opts = SimOptions::quick(11);
-        let r = run_engine(&sys(), &Strategy::local_io_ndp(0.85, None), &opts);
+        let r = run(&Strategy::local_io_ndp(0.85, None), &opts);
         assert!(r.stats.failures >= opts.min_failures);
         assert!(!r.stats.truncated);
     }
 
     #[test]
     fn recovery_split_matches_p_local() {
-        let r = run_engine(
-            &sys(),
+        let r = run(
             &Strategy::local_io_host(12, 0.8, None),
             &SimOptions::standard(5),
         );
@@ -868,8 +682,7 @@ mod tests {
 
     #[test]
     fn ndp_has_no_host_io_time() {
-        let r = run_engine(
-            &sys(),
+        let r = run(
             &Strategy::local_io_ndp(0.85, Some(CompressionSpec::gzip1_ndp())),
             &SimOptions::quick(2),
         );
@@ -879,8 +692,7 @@ mod tests {
 
     #[test]
     fn host_mode_pays_io_checkpoint_time() {
-        let r = run_engine(
-            &sys(),
+        let r = run(
             &Strategy::local_io_host(12, 0.8, None),
             &SimOptions::quick(2),
         );
@@ -890,8 +702,7 @@ mod tests {
 
     #[test]
     fn local_only_never_touches_io() {
-        let r = run_engine(
-            &sys(),
+        let r = run(
             &Strategy::LocalOnly { interval: None },
             &SimOptions::quick(4),
         );
@@ -910,7 +721,7 @@ mod tests {
             interval: None,
             compression: None,
         };
-        let r = run_engine(&sys(), &strat, &SimOptions::standard(6));
+        let r = run(&strat, &SimOptions::standard(6));
         let analytic = cr_core::analytic::progress_rate(&sys(), &strat);
         let simulated = r.breakdown.progress_rate();
         assert!(
@@ -921,25 +732,18 @@ mod tests {
 
     #[test]
     fn ndp_beats_host_in_simulation() {
-        let host = run_engine(
-            &sys(),
+        let host = run(
             &Strategy::local_io_host(20, 0.8, None),
             &SimOptions::quick(9),
         );
-        let ndp = run_engine(
-            &sys(),
-            &Strategy::local_io_ndp(0.8, None),
-            &SimOptions::quick(9),
-        );
-        assert!(
-            ndp.breakdown.progress_rate() > host.breakdown.progress_rate()
-        );
+        let ndp =
+            run(&Strategy::local_io_ndp(0.8, None), &SimOptions::quick(9));
+        assert!(ndp.breakdown.progress_rate() > host.breakdown.progress_rate());
     }
 
     #[test]
     fn drain_queue_stays_bounded() {
-        let r = run_engine(
-            &sys(),
+        let r = run(
             &Strategy::local_io_ndp(0.85, Some(CompressionSpec::gzip1_ndp())),
             &SimOptions::standard(10),
         );
@@ -953,23 +757,8 @@ mod tests {
 
     #[test]
     fn io_failures_cancel_drains() {
-        let r = run_engine(
-            &sys(),
-            &Strategy::local_io_ndp(0.5, None),
-            &SimOptions::quick(13),
-        );
+        let r = run(&Strategy::local_io_ndp(0.5, None), &SimOptions::quick(13));
         assert!(r.stats.drains_cancelled > 0);
-    }
-
-    #[test]
-    fn default_faults_are_bit_identical_to_fault_free_runs() {
-        let strat = Strategy::local_io_ndp(0.85, None);
-        let opts = SimOptions::quick(21);
-        let plain = run_engine(&sys(), &strat, &opts);
-        let faulty =
-            run_engine_faulty(&sys(), &strat, &opts, &SimFaults::default());
-        assert_eq!(plain.breakdown, faulty.breakdown);
-        assert_eq!(plain.stats, faulty.stats);
     }
 
     #[test]
@@ -980,7 +769,7 @@ mod tests {
             p_local_corrupt: 0.5,
             ..SimFaults::default()
         };
-        let r = run_engine_faulty(&sys(), &strat, &opts, &faults);
+        let r = run_faulty(&strat, &opts, &faults);
         assert!(r.stats.local_corruptions > 0);
         let total = (r.stats.recoveries_local + r.stats.recoveries_io) as f64;
         let frac_local = r.stats.recoveries_local as f64 / total;
@@ -990,7 +779,7 @@ mod tests {
             "effective local recovery fraction = {frac_local}"
         );
         // The baseline (no injection) sits near the configured 0.8.
-        let base = run_engine(&sys(), &strat, &opts);
+        let base = run(&strat, &opts);
         let base_total =
             (base.stats.recoveries_local + base.stats.recoveries_io) as f64;
         let base_frac = base.stats.recoveries_local as f64 / base_total;
@@ -1007,7 +796,7 @@ mod tests {
             max_drain_retries: 1,
             ..SimFaults::default()
         };
-        let r = run_engine_faulty(&sys(), &strat, &opts, &faults);
+        let r = run_faulty(&strat, &opts, &faults);
         assert!(r.stats.drain_retries > 0, "transient errors must retry");
         assert!(
             r.stats.drains_degraded > 0,
@@ -1029,57 +818,12 @@ mod tests {
             p_drain_error: 0.3,
             ..SimFaults::default()
         };
-        let a =
-            run_engine_faulty(&sys(), &strat, &SimOptions::quick(31), &faults);
-        let b =
-            run_engine_faulty(&sys(), &strat, &SimOptions::quick(31), &faults);
+        let a = run_faulty(&strat, &SimOptions::quick(31), &faults);
+        let b = run_faulty(&strat, &SimOptions::quick(31), &faults);
         assert_eq!(a.breakdown, b.breakdown);
         assert_eq!(a.stats, b.stats);
-        let c =
-            run_engine_faulty(&sys(), &strat, &SimOptions::quick(32), &faults);
+        let c = run_faulty(&strat, &SimOptions::quick(32), &faults);
         assert_ne!(a.stats, c.stats);
-    }
-
-    #[test]
-    fn pooled_reuse_is_bit_identical_to_cold_engines() {
-        // Interleave configurations and seeds on one thread so the
-        // pooled engine is reused across differing strategies, drain
-        // backlogs and RNG buffer fill levels; every run must match a
-        // freshly built engine bit for bit.
-        let strats = [
-            Strategy::local_io_ndp(0.85, Some(CompressionSpec::gzip1_ndp())),
-            Strategy::local_io_host(12, 0.8, None),
-            Strategy::LocalOnly { interval: None },
-            Strategy::local_io_ndp(0.5, None),
-        ];
-        for round in 0..3u64 {
-            for (i, strat) in strats.iter().enumerate() {
-                let opts = SimOptions::quick(100 + round * 10 + i as u64);
-                let pooled = run_engine(&sys(), strat, &opts);
-                let cold = run_engine_cold(&sys(), strat, &opts);
-                assert_eq!(pooled.breakdown, cold.breakdown);
-                assert_eq!(pooled.stats, cold.stats);
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_faulty_runs_leave_no_fault_state_behind() {
-        // A faulty run through the pool must not leak its fault config
-        // into the next pooled run on the same thread.
-        let strat = Strategy::local_io_ndp(0.85, None);
-        let opts = SimOptions::quick(77);
-        let before = run_engine(&sys(), &strat, &opts);
-        let faults = SimFaults {
-            p_local_corrupt: 0.3,
-            p_drain_error: 0.3,
-            ..SimFaults::default()
-        };
-        let faulty = run_engine_faulty(&sys(), &strat, &opts, &faults);
-        let after = run_engine(&sys(), &strat, &opts);
-        assert_eq!(before.breakdown, after.breakdown);
-        assert_eq!(before.stats, after.stats);
-        assert_ne!(faulty.stats, before.stats);
     }
 
     #[test]
@@ -1090,7 +834,7 @@ mod tests {
             min_work: f64::INFINITY,
             max_wall: 500_000.0,
         };
-        let r = run_engine(&sys(), &Strategy::local_io_ndp(0.85, None), &opts);
+        let r = run(&Strategy::local_io_ndp(0.85, None), &opts);
         assert!(r.stats.truncated);
         assert!(r.stats.wall_time >= 500_000.0);
         // Still only modestly past the limit (one activity).

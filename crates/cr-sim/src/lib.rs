@@ -21,6 +21,18 @@
 //! comparable with the analytic model — the workspace integration tests
 //! cross-validate the two backends on every paper configuration.
 //!
+//! ## Entry points
+//!
+//! A replica is run one way: [`run_engine`] builds an engine for one
+//! seed, injects the given [`SimFaults`], emits onto the given
+//! [`cr_obs::Bus`], and returns a [`SimResult`]. [`simulate`] is its
+//! fault-free, unobserved form. [`simulate_avg`] and
+//! [`run_fleet_observed`] fan seeded replicas out over the
+//! work-stealing executor in `cr_core::par`; results are keyed only by
+//! seed, so every thread count gives bit-identical output. A timeline
+//! for rendering is rebuilt from a recorded event stream with
+//! [`Trace::from_events`].
+//!
 //! ## Quick start
 //!
 //! ```
@@ -37,16 +49,11 @@
 #![warn(clippy::all)]
 
 pub mod engine;
-pub mod par;
 pub mod rng;
 pub mod runner;
 pub mod trace;
 
-pub use engine::{
-    run_engine, run_engine_cold, run_engine_faulty, run_engine_observed,
-    run_engine_traced, SimFaults, SimOptions, SimResult, SimStats,
-};
-pub use par::{default_threads, par_map, par_map_in};
+pub use engine::{run_engine, SimFaults, SimOptions, SimResult, SimStats};
 pub use runner::{
     run_fleet_observed, run_fleet_observed_in, simulate, simulate_avg,
     simulate_avg_in, AveragedResult,

@@ -1,24 +1,20 @@
 //! High-level simulation entry points: single runs and averaged
 //! multi-replica runs.
 
-use std::cell::Cell;
-
 use cr_core::breakdown::Breakdown;
+use cr_core::par::{default_threads, par_map_in};
 use cr_core::params::{Strategy, SystemParams};
 use cr_obs::{Bus, Event, VecSink};
 
-use crate::engine::{
-    run_engine, run_engine_observed, SimFaults, SimOptions, SimResult,
-};
-use crate::par::{default_threads, par_map_in};
+use crate::engine::{run_engine, SimFaults, SimOptions, SimResult};
 
-/// Runs one simulation replica.
+/// Runs one fault-free, unobserved simulation replica.
 pub fn simulate(
     sys: &SystemParams,
     strat: &Strategy,
     opts: &SimOptions,
 ) -> SimResult {
-    run_engine(sys, strat, opts)
+    run_engine(sys, strat, opts, &SimFaults::default(), &Bus::disabled())
 }
 
 /// Aggregate of several independent replicas.
@@ -92,8 +88,7 @@ pub fn simulate_avg_in(
     let seeds: Vec<u64> =
         (0..replicas).map(|i| opts.seed.wrapping_add(i)).collect();
     let results = par_map_in(threads, &seeds, |&seed| {
-        let opts = SimOptions { seed, ..*opts };
-        run_engine(sys, strat, &opts)
+        simulate(sys, strat, &SimOptions { seed, ..*opts })
     });
     let mut pooled = Breakdown::zero();
     let mut progress_rates = Vec::with_capacity(results.len());
@@ -131,14 +126,6 @@ pub fn run_fleet_observed(
     run_fleet_observed_in(default_threads(), sys, strat, opts, faults, replicas)
 }
 
-thread_local! {
-    /// High-water event count of this thread's previous observed
-    /// replica. Same-fleet replicas have very similar event counts, so
-    /// sizing the next sink from the last one removes nearly all growth
-    /// reallocations from the observed hot path.
-    static SINK_HIGH_WATER: Cell<usize> = const { Cell::new(0) };
-}
-
 /// [`run_fleet_observed`] with an explicit worker-thread count. Event
 /// streams are private per replica and keyed only by seed, so every
 /// thread count produces bit-identical results and streams.
@@ -155,12 +142,9 @@ pub fn run_fleet_observed_in(
         (0..replicas).map(|i| opts.seed.wrapping_add(i)).collect();
     par_map_in(threads, &seeds, |&seed| {
         let opts = SimOptions { seed, ..*opts };
-        let cap = SINK_HIGH_WATER.with(Cell::get);
-        let bus = Bus::with_sink(VecSink::with_capacity(cap));
-        let result = run_engine_observed(sys, strat, &opts, faults, &bus);
-        let events = bus.drain();
-        SINK_HIGH_WATER.with(|c| c.set(c.get().max(events.len())));
-        (result, events)
+        let bus = Bus::with_sink(VecSink::new());
+        let result = run_engine(sys, strat, &opts, faults, &bus);
+        (result, bus.drain())
     })
 }
 

@@ -3,9 +3,6 @@
 #
 #   build (release)  ->  tests  ->  clippy (deny warnings)
 #
-# The bench harness targets are feature-gated (`bench-harness`) and are
-# compiled — not run — here so they cannot rot.
-#
 # Usage: scripts/tier1.sh   (from the repo root or anywhere inside it)
 
 set -euo pipefail
@@ -16,9 +13,6 @@ cargo build --release --offline --workspace
 
 echo "== tier1: tests =="
 cargo test --offline --workspace --quiet
-
-echo "== tier1: bench harness compiles =="
-cargo build --offline -p cr-bench --features bench-harness --benches
 
 echo "== tier1: clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -403,7 +403,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     use ndp_checkpoint::cr_obs::{
         Bus, EventKind, JsonLinesSink, RingSink, VecSink,
     };
-    use ndp_checkpoint::cr_sim::{run_engine_observed, SimFaults, Trace};
+    use ndp_checkpoint::cr_sim::{run_engine, SimFaults, Trace};
 
     let sys = system_from(flags)?;
     let strat = strategy_from(flags, &sys)?;
@@ -427,8 +427,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
         }
     };
 
-    let result =
-        run_engine_observed(&sys, &strat, &opts, &SimFaults::default(), &bus);
+    let result = run_engine(&sys, &strat, &opts, &SimFaults::default(), &bus);
 
     // The json sink renders eagerly; vec/ring retain events we can
     // rebuild the timeline (and metrics) from. Read the drop count

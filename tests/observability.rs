@@ -8,9 +8,9 @@ use ndp_checkpoint::cr_node::ndp::StepOutcome;
 use ndp_checkpoint::cr_node::node::{ComputeNode, NodeConfig};
 use ndp_checkpoint::cr_obs::metrics::{bucket_bound, bucket_index, Metrics};
 use ndp_checkpoint::cr_obs::{Bus, JsonLinesSink, RingSink, VecSink};
+use ndp_checkpoint::cr_sim::trace::{Lane, MarkKind, SpanKind};
 use ndp_checkpoint::cr_sim::{
-    run_engine_faulty, run_engine_observed, run_engine_traced, SimFaults,
-    SimOptions, Trace,
+    run_engine, simulate, SimFaults, SimOptions, Trace,
 };
 use ndp_checkpoint::prelude::*;
 
@@ -36,7 +36,8 @@ fn faults() -> SimFaults {
 #[test]
 fn sim_results_are_identical_across_all_sinks() {
     let opts = SimOptions::quick(20260807);
-    let baseline = run_engine_faulty(&sys(), &strat(), &opts, &faults());
+    let baseline =
+        run_engine(&sys(), &strat(), &opts, &faults(), &Bus::disabled());
     let buses: Vec<(&str, Bus)> = vec![
         ("off", Bus::disabled()),
         ("vec", Bus::with_sink(VecSink::new())),
@@ -44,7 +45,7 @@ fn sim_results_are_identical_across_all_sinks() {
         ("json", Bus::with_sink(JsonLinesSink::new())),
     ];
     for (name, bus) in buses {
-        let r = run_engine_observed(&sys(), &strat(), &opts, &faults(), &bus);
+        let r = run_engine(&sys(), &strat(), &opts, &faults(), &bus);
         assert_eq!(
             r.breakdown, baseline.breakdown,
             "breakdown drifted under sink {name}"
@@ -68,7 +69,7 @@ fn json_event_stream_is_deterministic() {
     let opts = SimOptions::quick(7);
     let render = |_: u32| {
         let bus = Bus::with_sink(JsonLinesSink::new());
-        run_engine_observed(&sys(), &strat(), &opts, &faults(), &bus);
+        run_engine(&sys(), &strat(), &opts, &faults(), &bus);
         bus.render()
     };
     let a = render(0);
@@ -77,26 +78,47 @@ fn json_event_stream_is_deterministic() {
     assert_eq!(a, b);
 }
 
-/// `run_engine_traced` is now a thin wrapper over the bus: rebuilding
-/// the timeline from the raw event stream must agree with it exactly.
+/// The Figure 3 timeline is rebuilt from the raw event stream: it must
+/// come from a run bit-identical to the unobserved one, and account for
+/// every simulated second and every counted failure and I/O commit.
 #[test]
 fn trace_rebuilt_from_events_matches_traced_run() {
     let opts = SimOptions::quick(11);
-    let (r1, trace) = run_engine_traced(&sys(), &strat(), &opts);
     let bus = Bus::with_sink(VecSink::new());
-    let r2 = run_engine_observed(
-        &sys(),
-        &strat(),
-        &opts,
-        &SimFaults::default(),
-        &bus,
-    );
-    let rebuilt = Trace::from_events(&bus.drain());
-    assert_eq!(r1.breakdown, r2.breakdown);
-    assert_eq!(trace.spans, rebuilt.spans);
-    assert_eq!(trace.marks, rebuilt.marks);
-    assert!(!rebuilt.spans.is_empty());
-    assert!(!rebuilt.marks.is_empty());
+    let r = run_engine(&sys(), &strat(), &opts, &SimFaults::default(), &bus);
+    let trace = Trace::from_events(&bus.drain());
+    let plain = simulate(&sys(), &strat(), &opts);
+    assert_eq!(r.breakdown, plain.breakdown);
+    assert_eq!(r.stats, plain.stats);
+
+    let host_secs = |kind: SpanKind| -> f64 {
+        trace
+            .spans
+            .iter()
+            .filter(|s| s.lane == Lane::Host && s.kind == kind)
+            .map(|s| s.t1 - s.t0)
+            .sum()
+    };
+    let b = r.breakdown;
+    for (kind, want) in [
+        (SpanKind::Compute, b.compute + b.rerun_local + b.rerun_io),
+        (SpanKind::CkptLocal, b.checkpoint_local),
+        (SpanKind::CkptIo, b.checkpoint_io),
+        (SpanKind::RestoreLocal, b.restore_local),
+        (SpanKind::RestoreIo, b.restore_io),
+    ] {
+        let got = host_secs(kind);
+        assert!(
+            (got - want).abs() <= 1e-6 * want.max(1.0),
+            "{kind:?}: spans {got} vs breakdown {want}"
+        );
+    }
+    let marks = |kind: MarkKind| {
+        trace.marks.iter().filter(|m| m.kind == kind).count() as u64
+    };
+    assert_eq!(marks(MarkKind::Failure), r.stats.failures);
+    assert_eq!(marks(MarkKind::IoDurable), r.stats.io_ckpts);
+    assert!(trace.spans.iter().any(|s| s.lane == Lane::Ndp));
 }
 
 fn chaos_node(bus: Option<&Bus>) -> ComputeNode {
@@ -182,7 +204,7 @@ fn histogram_buckets_are_platform_independent() {
 fn metrics_snapshot_is_deterministic() {
     let snapshot = |_: u32| {
         let bus = Bus::with_sink(VecSink::new());
-        run_engine_observed(
+        run_engine(
             &sys(),
             &strat(),
             &SimOptions::quick(3),

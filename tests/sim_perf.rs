@@ -1,15 +1,15 @@
-//! Determinism of the simulation plane under the work-stealing
-//! executor and the pooled engine: every thread count must produce
-//! bit-identical replica results, pooled event streams, and sweep
-//! outputs for a pinned seed — parallelism and buffer reuse are pure
-//! performance changes, never semantic ones.
+//! Determinism of the simulation plane: a pinned seed reproduces the
+//! engine's exact output, and every thread count of the work-stealing
+//! executor produces bit-identical replica results, event streams, and
+//! sweep outputs — parallelism is a pure performance change, never a
+//! semantic one.
 
 use ndp_checkpoint::cr_core::cache::{solve_cycle_cached, solve_cycle_many};
-use ndp_checkpoint::cr_core::par::par_map_in;
 use ndp_checkpoint::cr_core::{analytic, ratio_opt};
+use ndp_checkpoint::cr_obs::Bus;
 use ndp_checkpoint::cr_sim::{
-    run_engine, run_engine_cold, run_fleet_observed_in, simulate_avg_in,
-    SimFaults, SimOptions,
+    run_engine, run_fleet_observed_in, simulate_avg_in, SimFaults,
+    SimOptions, SimResult,
 };
 use ndp_checkpoint::prelude::*;
 
@@ -68,19 +68,110 @@ fn observed_fleet_streams_are_bit_identical_across_thread_counts() {
     }
 }
 
+/// Field names of [`bits`], for mismatch messages.
+const FIELDS: [&str; 21] = [
+    "compute",
+    "checkpoint_local",
+    "checkpoint_io",
+    "restore_local",
+    "restore_io",
+    "rerun_local",
+    "rerun_io",
+    "wall_time",
+    "work_done",
+    "failures",
+    "recoveries_local",
+    "recoveries_io",
+    "restores_interrupted",
+    "local_ckpts",
+    "io_ckpts",
+    "drains_cancelled",
+    "local_corruptions",
+    "drain_retries",
+    "drains_degraded",
+    "max_drain_queue",
+    "truncated",
+];
+
+/// Every `Breakdown` and `SimStats` field as raw bits (`f64` by its
+/// IEEE-754 pattern), in [`FIELDS`] order.
+fn bits(r: &SimResult) -> [u64; 21] {
+    let (b, s) = (r.breakdown, r.stats);
+    [
+        b.compute.to_bits(),
+        b.checkpoint_local.to_bits(),
+        b.checkpoint_io.to_bits(),
+        b.restore_local.to_bits(),
+        b.restore_io.to_bits(),
+        b.rerun_local.to_bits(),
+        b.rerun_io.to_bits(),
+        s.wall_time.to_bits(),
+        s.work_done.to_bits(),
+        s.failures,
+        s.recoveries_local,
+        s.recoveries_io,
+        s.restores_interrupted,
+        s.local_ckpts,
+        s.io_ckpts,
+        s.drains_cancelled,
+        s.local_corruptions,
+        s.drain_retries,
+        s.drains_degraded,
+        s.max_drain_queue as u64,
+        s.truncated as u64,
+    ]
+}
+
+/// The engine's exact output for seed 2024, one strategy of each kind,
+/// with faults off and on. Any change to the order or number of random
+/// draws, or to the accounting arithmetic, moves these bits; such a
+/// change must update them deliberately and regenerate every pinned
+/// artifact in `results/`.
 #[test]
-fn pooled_engine_matches_cold_engine_across_workers() {
-    // Exercise the pool from executor worker threads (each worker
-    // builds its own pooled engine and reuses it across claimed
-    // replicas), then compare against cold per-replica engines.
-    let seeds: Vec<u64> = (0..24).collect();
-    let pooled = par_map_in(4, &seeds, |&s| {
-        run_engine(&sys(), &strat(), &SimOptions::quick(s))
-    });
-    for (s, r) in seeds.iter().zip(&pooled) {
-        let cold = run_engine_cold(&sys(), &strat(), &SimOptions::quick(*s));
-        assert_eq!(r.breakdown, cold.breakdown, "seed {s}");
-        assert_eq!(r.stats, cold.stats, "seed {s}");
+fn engine_output_matches_golden_bits() {
+    #[rustfmt::skip]
+    const GOLDEN: [[u64; 21]; 8] = [
+        // IoOnly, gzip(1) on the host: faults off, then on.
+        [0x410b500a479938e8, 0x0, 0x40f56a4290820114, 0x0, 0x40f44a4228abf02b, 0x0, 0x40fc45a6be91dd5d, 0x411f269001bc90ae, 0x410b500a479938ea, 0x12d, 0x0, 0xf9, 0x34, 0x136, 0x106, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        [0x410b500a479938e8, 0x0, 0x40f56a4290820114, 0x0, 0x40f44a4228abf02b, 0x0, 0x40fc45a6be91dd5d, 0x411f269001bc90ae, 0x410b500a479938ea, 0x12d, 0x0, 0xf9, 0x34, 0x136, 0x106, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        // LocalOnly.
+        [0x411c0ed5b807103f, 0x40d5216bc9bec844, 0x0, 0x40a180000000000d, 0x0, 0x40d8306ed18ddc1d, 0x0, 0x411f06f361bbdbd8, 0x411c0ed5b8071047, 0x12c, 0x12c, 0x0, 0x0, 0xb4b, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        [0x40e32d78a9b43e4c, 0x40e0ab3a4645886d, 0x0, 0x40a7a00000000014, 0x407ceeeeeeeeeee3, 0x40e02c76d5f9e4ca, 0x4125165baecdd062, 0x412871ec290ae8cb, 0x40e32d78a9b43e14, 0x1d3, 0x195, 0x3e, 0x0, 0x11d0, 0x0, 0x0, 0x37, 0x0, 0x0, 0x0, 0x0],
+        // LocalIoHost, ratio 12, p_local 0.8.
+        [0x4106deb000000000, 0x40c810b75bcaea58, 0x41046198e6af899a, 0x409880000000000f, 0x40f2e9a7f07fac17, 0x40c2e4f2654200fe, 0x40ee41526a261db7, 0x411f92e60ac4db80, 0x4106deb000000000, 0x131, 0xd2, 0x34, 0x2b, 0x66e, 0x68, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        [0x4102ea3000000000, 0x40c7471dc23150b0, 0x4100ae0145a6bd0e, 0x40928cccccccccd5, 0x40fcbf23e7367a21, 0x40beb41c38339891, 0x40f53db90992e0b1, 0x411f92e60ac4db80, 0x4102ea3000000000, 0x131, 0x9f, 0x4a, 0x48, 0x638, 0x56, 0x0, 0x19, 0x0, 0x0, 0x0, 0x0],
+        // LocalIoNdp, p_local 0.85, gzip(1) on the NDP.
+        [0x411a33d000000000, 0x40d5cd07ace0a668, 0x0, 0x409d2aaaaaaaaabf, 0x40ccf9ed6a954aba, 0x40d37e32abe6be54, 0x40d4e595b0abd285, 0x411f1bd716968984, 0x411a33d000000000, 0x12d, 0xfa, 0x2e, 0x5, 0xba5, 0x3b9, 0x18, 0x0, 0x0, 0x0, 0x1, 0x0],
+        [0x4119057800000000, 0x40d57513a489ea4a, 0x0, 0x40996eeeeeeeeeff, 0x40d6b32a8c450a77, 0x40d13742957c7f2b, 0x40e137c0da17124d, 0x411f1bd716968984, 0x4119057800000000, 0x12d, 0xda, 0x46, 0xd, 0xb75, 0x38c, 0x2d, 0x1a, 0x103, 0x2, 0x1, 0x0],
+    ];
+    let strats = [
+        Strategy::IoOnly {
+            interval: None,
+            compression: Some(CompressionSpec::gzip1_host()),
+        },
+        Strategy::LocalOnly { interval: None },
+        Strategy::local_io_host(12, 0.8, None),
+        Strategy::local_io_ndp(0.85, Some(CompressionSpec::gzip1_ndp())),
+    ];
+    let faults = [
+        SimFaults::default(),
+        SimFaults {
+            p_local_corrupt: 0.1,
+            p_drain_error: 0.2,
+            ..SimFaults::default()
+        },
+    ];
+    let opts = SimOptions::quick(2024);
+    let cases = strats.iter().flat_map(|s| faults.iter().map(move |f| (s, f)));
+    for ((strat, f), want) in cases.zip(&GOLDEN) {
+        let got = bits(&run_engine(&sys(), strat, &opts, f, &Bus::disabled()));
+        for ((name, g), w) in FIELDS.iter().zip(got).zip(want) {
+            assert_eq!(
+                g, *w,
+                "{} faults={f:?}: {name} is {g:#x}, pinned {w:#x}",
+                strat.label()
+            );
+        }
     }
 }
 
