@@ -124,10 +124,17 @@ impl<'a> RangeDecoder<'a> {
         })
     }
 
+    /// True once the decoder has read past the end of its input. The
+    /// encoder's flush emits every byte the decoder's normalisation will
+    /// ask for, so an intact stream never gets here.
+    fn exhausted(&self) -> bool {
+        self.pos > self.data.len()
+    }
+
     #[inline]
     fn next_byte(&mut self) -> u8 {
-        // Reading past the end yields zeros; corruption is caught by the
-        // framing checks of the caller.
+        // Reading past the end yields zeros; the caller turns that into
+        // an error through `exhausted`.
         let b = self.data.get(self.pos).copied().unwrap_or(0);
         self.pos += 1;
         b
@@ -350,6 +357,11 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
     let mut prev_byte = 0u8;
 
     while out.len() < total {
+        // A corrupted length header must not make the decoder run on
+        // zeros towards an arbitrary size.
+        if dec.exhausted() {
+            return Err(CodecError::new("rz stream truncated"));
+        }
         if dec.decode_bit(&mut model.is_match[0]) == 0 {
             let b = model.literals[prev_byte as usize].decode(&mut dec) as u8;
             out.push(b);
@@ -565,5 +577,15 @@ mod tests {
             let _ = c.decompress_to_vec(&compressed);
             compressed[i] ^= 0xA5;
         }
+    }
+
+    #[test]
+    fn inflated_length_header_is_an_error() {
+        let c = Rangez::new(6);
+        let data = b"checkpoint restart ".repeat(64);
+        let mut compressed = c.compress_to_vec(&data);
+        let huge = (data.len() as u64) << 22;
+        compressed[2..10].copy_from_slice(&huge.to_le_bytes());
+        assert!(c.decompress_to_vec(&compressed).is_err());
     }
 }
