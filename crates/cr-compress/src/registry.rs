@@ -19,6 +19,15 @@ pub fn by_name(name: &str, level: u32) -> Option<Box<dyn Codec>> {
     }
 }
 
+/// The inverse of [`Codec::label`] for the codecs [`by_name`] builds:
+/// `"gz(1)"` yields gz level 1. `None` for malformed labels and unknown
+/// codecs.
+pub fn by_label(label: &str) -> Option<Box<dyn Codec>> {
+    let (name, rest) = label.split_once('(')?;
+    let level = rest.strip_suffix(')')?.parse().ok()?;
+    by_name(name, level).filter(|c| c.label() == label)
+}
+
 /// The study's seven codec/level combinations, in the column order of
 /// Table 2, with each paper utility mapped to its in-crate family:
 /// gzip→gz, bzip2→bwz, xz→rz, lz4→lzf.
@@ -70,6 +79,20 @@ mod tests {
         assert!(by_name("gz", 0).is_none());
         assert!(by_name("gz", 10).is_none());
         assert!(by_name("lzf", 2).is_none());
+    }
+
+    #[test]
+    fn labels_round_trip_through_by_label() {
+        for c in study_codecs() {
+            let back = by_label(&c.label()).unwrap();
+            assert_eq!(back.label(), c.label());
+        }
+        for bad in [
+            "", "gz", "gz(", "gz()", "gz(1", "gz 1)", "(1)", "gz(x)",
+            "gz(+1)", "gz(01)", "gz(1))", "zip(1)", "gz(0)", "par2x-gz(1)",
+        ] {
+            assert!(by_label(bad).is_none(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -8,13 +8,8 @@
 //! the plane with [`FaultPlane::fire`]; the plane draws from its stream,
 //! records every fault it injects (site + logical step), and is fully
 //! deterministic in its seed — a chaos episode replays bit-exactly.
-//!
-//! Alongside the injector live the two policies the drain engine uses to
-//! *survive* the injected faults: [`RetryPolicy`] (bounded retries with
-//! deterministic exponential backoff measured in engine steps) and
-//! [`DegradePolicy`] (what to do when retries are exhausted or the codec
-//! fails — degrade gracefully, never panic, never lose committed data
-//! silently).
+//! How the drain engine survives the injected faults (bounded retries,
+//! backoff, degradation) lives with the engine in [`crate::ndp`].
 
 use std::fmt;
 
@@ -49,7 +44,7 @@ pub enum FaultSite {
     /// A partner-replication transfer is silently lost.
     PartnerLoss,
     /// The NDP codec fails on a block; the engine degrades to an
-    /// uncompressed drain (per [`DegradePolicy`]).
+    /// uncompressed drain.
     CodecFault,
 }
 
@@ -288,62 +283,6 @@ impl FaultPlane {
     }
 }
 
-/// Bounded-retry policy with deterministic exponential backoff, measured
-/// in NDP engine steps (the engine's only clock).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries allowed per drain job before escalating to
-    /// [`DegradePolicy`]. `attempts > max_attempts` escalates.
-    pub max_attempts: u32,
-    /// Backoff after the first failed attempt, in engine steps.
-    pub backoff_base: u64,
-    /// Backoff ceiling, in engine steps.
-    pub backoff_cap: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base: 2,
-            backoff_cap: 64,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based): `base * 2^(a-1)`
-    /// capped at `backoff_cap`. Deterministic — no jitter, by design.
-    pub fn backoff_steps(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(16);
-        (self.backoff_base << shift).min(self.backoff_cap.max(1))
-    }
-}
-
-/// Graceful-degradation policy: what the engine does when a drain cannot
-/// complete within its retry budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradePolicy {
-    /// On a codec fault, restart the drain uncompressed instead of
-    /// cancelling it.
-    pub codec_fallback_uncompressed: bool,
-    /// On retry exhaustion, cancel the drain (the checkpoint stays
-    /// recoverable at the local/partner levels — remote-level coverage
-    /// degrades for that checkpoint, which is recorded in
-    /// `NdpStats::drains_degraded`). When false the engine retries
-    /// forever.
-    pub cancel_on_exhaustion: bool,
-}
-
-impl Default for DegradePolicy {
-    fn default() -> Self {
-        DegradePolicy {
-            codec_fallback_uncompressed: true,
-            cancel_on_exhaustion: true,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,21 +348,6 @@ mod tests {
         let hits = (0..n).filter(|_| p.fire(FaultSite::IoAppend)).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.25).abs() < 0.01, "freq {freq}");
-    }
-
-    #[test]
-    fn backoff_grows_and_caps() {
-        let r = RetryPolicy {
-            max_attempts: 10,
-            backoff_base: 2,
-            backoff_cap: 16,
-        };
-        assert_eq!(r.backoff_steps(1), 2);
-        assert_eq!(r.backoff_steps(2), 4);
-        assert_eq!(r.backoff_steps(3), 8);
-        assert_eq!(r.backoff_steps(4), 16);
-        assert_eq!(r.backoff_steps(5), 16, "capped");
-        assert_eq!(r.backoff_steps(40), 16, "shift clamped, no overflow");
     }
 
     #[test]

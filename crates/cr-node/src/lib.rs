@@ -34,6 +34,7 @@
 
 pub mod background;
 pub mod faults;
+pub mod frame;
 pub mod incremental;
 pub mod integrity;
 pub mod metadata;

@@ -1,23 +1,26 @@
 //! The NDP drain engine (§4.2.2, §4.3).
 //!
-//! A deterministic state machine: each [`NdpEngine::step`] performs one
-//! unit of work — ship one block from the NIC buffer to the remote I/O
-//! node, or compress one block of the checkpoint at the head of the
-//! drain queue. The engine:
+//! Each queued checkpoint is a drain job in one of four phases:
+//! `Prepare` (under incremental drains, diff the slot against the rank's
+//! previous drain, §7), `Begin` (announce the remote object),
+//! `Compress { offset }` (frame one block with [`crate::frame`] and hand
+//! it to the NIC; reading the last block unlocks the slot) and `Flush`
+//! (wait for the job's blocks to ship, then finalize). Each
+//! [`NdpEngine::step`] does one unit of work, in priority order:
+//! finalize a fully shipped object, ship the NIC's head block, move a
+//! spilled block into the NIC, or compress one block (prepare and begin
+//! ride along with a job's first block). Shipping thus overlaps
+//! compression block by block (§4.2.2's pipelined DMA transactions).
+//! Under NIC backpressure the engine either stalls (`Pause`) or spills
+//! blocks to the NVM's compressed region (`Spill`), the two §4.2.2
+//! options. It pauses while the host owns the NVM (§4.2.1) and during
+//! recoveries (§4.2.3).
 //!
-//! * **pauses** while the host owns the NVM (§4.2.1 — the host calls
-//!   [`NdpEngine::pause`]/[`NdpEngine::resume`] around its commits) and
-//!   during recoveries (§4.2.3);
-//! * compresses and ships **block-by-block**, overlapping compression
-//!   with the transfer (§4.2.2's pipelined DMA transactions);
-//! * under NIC backpressure either **stalls** (`Pause` policy) or
-//!   **spills** compressed blocks to the NVM's compressed region
-//!   (`Spill` policy) — the two §4.2.2 options;
-//! * **locks** the source checkpoint in NVM for the duration of its
-//!   drain and unlocks it when done.
-//!
-//! Blocks are framed `[u32 raw_len][u32 comp_len][payload]` so the
-//! restore path can decompress incrementally (pipelined restore, §4.3).
+//! A delta is finalized only once its base has left the queue, so the
+//! remote store never holds a sealed delta without its base. Transient
+//! faults back a job off for `backoff_steps`; after `MAX_ATTEMPTS`
+//! failures in a row the drain is cancelled. A codec fault re-drives the
+//! drain uncompressed; an NDP or I/O-node crash rewinds it to `Begin`.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -25,12 +28,31 @@ use cr_compress::{Codec, CodecError};
 use cr_obs::stage::{self, Stage};
 use cr_obs::{Bus, Event, EventKind, Source, SpanGuard};
 
-use crate::faults::{DegradePolicy, FaultPlane, FaultSite, RetryPolicy};
+use crate::faults::{FaultPlane, FaultSite};
+use crate::frame;
 use crate::incremental::IncrementalEncoder;
 use crate::metadata::CheckpointMeta;
 use crate::nvm::{NvmStore, Region, SlotId};
 use crate::remote::{IoNode, ObjectKey};
 use crate::vclock::VClock;
+
+/// Consecutive transient failures a drain job absorbs; one more cancels
+/// it.
+const MAX_ATTEMPTS: u32 = 4;
+
+/// Backoff after the first failed attempt, in engine steps.
+const BACKOFF_BASE: u64 = 2;
+
+/// Backoff ceiling, in engine steps.
+const BACKOFF_CAP: u64 = 64;
+
+/// Backoff before retry number `attempt` (1-based), in engine steps:
+/// `BACKOFF_BASE * 2^(attempt-1)`, capped at `BACKOFF_CAP`.
+/// Deterministic — no jitter, by design.
+fn backoff_steps(attempt: u32) -> u64 {
+    let shift = attempt.saturating_sub(1).min(16);
+    (BACKOFF_BASE << shift).min(BACKOFF_CAP)
+}
 
 /// What the NDP does when the NIC buffer is full (§4.2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,6 +129,19 @@ struct IncrState {
     chain_len: u32,
 }
 
+/// Where a drain job is in the protocol (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Source not yet diffed against the rank's previous drain.
+    Prepare,
+    /// Source prepared; the remote object is not announced yet.
+    Begin,
+    /// Compressing; `offset` is the next uncompressed byte to read.
+    Compress { offset: usize },
+    /// All input compressed; blocks ship, then the object is finalized.
+    Flush,
+}
+
 /// One checkpoint being drained.
 #[derive(Debug)]
 struct DrainJob {
@@ -116,16 +151,9 @@ struct DrainJob {
     /// Delta payload when shipping an incremental; `None` streams the
     /// slot's full data.
     delta: Option<Vec<u8>>,
-    /// Source preparation (diffing) done.
-    prepared: bool,
-    /// Next uncompressed offset to compress.
-    offset: usize,
-    /// Object announced to the remote store.
-    begun: bool,
+    phase: Phase,
     /// Spilled compressed blocks awaiting shipment, in order.
     spilled: VecDeque<SlotId>,
-    /// All input compressed; only shipping remains.
-    compression_done: bool,
     /// Number of blocks handed to NIC/spill but not yet shipped.
     unshipped: usize,
     /// Compressed bytes durably appended to the remote object so far
@@ -146,12 +174,30 @@ struct DrainJob {
 
 impl DrainJob {
     /// All blocks durable remotely; only `finalize` remains.
-    fn ready_to_finalize(&self) -> bool {
-        self.begun
-            && self.compression_done
+    fn fully_shipped(&self) -> bool {
+        self.phase == Phase::Flush
             && self.spilled.is_empty()
             && self.unshipped == 0
     }
+
+    /// Whether the job sits out engine step `now` on a backoff.
+    fn backing_off(&self, now: u64) -> bool {
+        self.blocked_until > now
+    }
+}
+
+/// The unit of work one engine step performs, by queue position.
+enum Work {
+    /// Seal the fully shipped object of a job.
+    Finalize(usize),
+    /// Ship the NIC's head block, which belongs to this job.
+    Ship(usize),
+    /// Move this job's oldest spilled block into the NIC.
+    Unspill(usize),
+    /// Advance this job to `Compress` and compress one block.
+    Compress(usize),
+    /// Nothing runnable this step.
+    Wait,
 }
 
 /// Result of one engine step.
@@ -210,6 +256,11 @@ pub struct NdpStats {
 /// Upper bound on recycled framed-block buffers kept by the engine.
 const FRAME_POOL_CAP: usize = 32;
 
+/// Maps a storage-layer error into the engine's error type.
+fn io_err(e: impl std::fmt::Display) -> CodecError {
+    CodecError::new(e.to_string())
+}
+
 /// The drain engine.
 pub struct NdpEngine {
     codec: Option<Box<dyn Codec>>,
@@ -231,10 +282,6 @@ pub struct NdpEngine {
     pub compress_bw: f64,
     /// Event counters.
     pub stats: NdpStats,
-    /// Retry/backoff budget for transient remote failures.
-    retry: RetryPolicy,
-    /// What to do when a drain exhausts its retries or the codec fails.
-    degrade: DegradePolicy,
     /// Monotonic step counter (the engine's clock; backoff deadlines are
     /// measured against it).
     steps: u64,
@@ -244,21 +291,27 @@ pub struct NdpEngine {
 }
 
 impl NdpEngine {
-    /// Creates an engine. `codec: None` drains uncompressed.
+    /// Creates an engine. `codec: None` drains uncompressed;
+    /// `incremental: Some(policy)` makes the NDP diff each drained
+    /// checkpoint against the previous one of the same rank and ship
+    /// only changed blocks, forcing a full image every
+    /// `policy.max_chain` deltas (§7 future work).
     pub fn new(
         codec: Option<Box<dyn Codec>>,
         policy: BackpressurePolicy,
         block_size: usize,
         nic_capacity: usize,
         compress_bw: f64,
+        incremental: Option<IncrementalPolicy>,
     ) -> Self {
         assert!(block_size >= 1024, "block size unreasonably small");
         assert!(nic_capacity >= 1);
+        assert!(incremental.is_none_or(|p| p.diff_block >= 64));
         NdpEngine {
             codec,
             policy,
             block_size,
-            incremental: None,
+            incremental,
             incr_state: HashMap::new(),
             nic: NicBuffer::new(nic_capacity),
             queue: VecDeque::new(),
@@ -267,8 +320,6 @@ impl NdpEngine {
             frame_pool: Vec::new(),
             compress_bw,
             stats: NdpStats::default(),
-            retry: RetryPolicy::default(),
-            degrade: DegradePolicy::default(),
             steps: 0,
             bus: Bus::disabled(),
         }
@@ -280,27 +331,6 @@ impl NdpEngine {
     /// default.
     pub fn set_bus(&mut self, bus: Bus) {
         self.bus = bus;
-    }
-
-    /// Installs the retry and degradation policies (defaults are sane;
-    /// chaos configs tighten or loosen them).
-    pub fn set_policies(&mut self, retry: RetryPolicy, degrade: DegradePolicy) {
-        self.retry = retry;
-        self.degrade = degrade;
-    }
-
-    /// Enables incremental drains (§7 future work): the NDP diffs each
-    /// drained checkpoint against the previous one of the same rank and
-    /// ships only changed blocks, forcing a full image every
-    /// `policy.max_chain` deltas.
-    pub fn enable_incremental(&mut self, policy: IncrementalPolicy) {
-        assert!(policy.diff_block >= 64);
-        self.incremental = Some(policy);
-    }
-
-    /// Codec label used for drained objects (`None` = uncompressed).
-    pub fn codec_label(&self) -> Option<String> {
-        self.codec.as_ref().map(|c| c.label())
     }
 
     /// Host is about to use the NVM: suspend drain work (§4.2.1).
@@ -328,11 +358,6 @@ impl NdpEngine {
         });
     }
 
-    /// Whether the engine is paused.
-    pub fn is_paused(&self) -> bool {
-        self.paused
-    }
-
     /// Queues a checkpoint slot for draining. The caller must have
     /// locked the slot in NVM.
     pub fn enqueue(&mut self, slot: SlotId, meta: CheckpointMeta) {
@@ -355,11 +380,8 @@ impl NdpEngine {
             key: ObjectKey::of(&meta),
             meta: drained_meta,
             delta: None,
-            prepared: false,
-            offset: 0,
-            begun: false,
+            phase: Phase::Prepare,
             spilled: VecDeque::new(),
-            compression_done: false,
             unshipped: 0,
             shipped_bytes: 0,
             attempts: 0,
@@ -392,21 +414,10 @@ impl NdpEngine {
         self.paused = false;
     }
 
-    /// Performs one unit of drain work with no fault injection.
-    pub fn step(
-        &mut self,
-        nvm: &mut NvmStore,
-        io: &mut IoNode,
-        clock: &mut VClock,
-    ) -> Result<StepOutcome, CodecError> {
-        let mut plane = FaultPlane::disabled();
-        self.step_faulty(nvm, io, clock, &mut plane)
-    }
-
     /// Performs one unit of drain work, consulting the fault plane at
-    /// every injection site. With a disabled plane this is exactly
-    /// [`NdpEngine::step`].
-    pub fn step_faulty(
+    /// every injection site (pass [`FaultPlane::disabled`] for a
+    /// fault-free step).
+    pub fn step(
         &mut self,
         nvm: &mut NvmStore,
         io: &mut IoNode,
@@ -418,154 +429,180 @@ impl NdpEngine {
         }
         self.steps += 1;
         faults.tick();
+        match self.select() {
+            Work::Finalize(pos) => self.finalize(pos, nvm, io, faults),
+            Work::Ship(pos) => self.ship(pos, nvm, io, clock, faults),
+            Work::Unspill(pos) => self.unspill(pos, nvm),
+            Work::Compress(pos) => self.compress(pos, nvm, io, clock, faults),
+            Work::Wait => Ok(self.wait()),
+        }
+    }
 
-        // 0. Finalize a fully-shipped object. Finalization is its own
-        // step (and its own fault site): the remote may crash before the
-        // object is sealed, in which case the whole drain is re-driven
-        // idempotently from the still-locked slot.
+    /// Picks this step's work, in priority order: finalize, ship,
+    /// unspill, compress. Jobs backing off are skipped; the NIC's head
+    /// block waits while its job backs off (blocks ship in order).
+    fn select(&self) -> Work {
+        let now = self.steps;
         if let Some(pos) = self.queue.iter().position(|j| {
-            j.ready_to_finalize() && j.blocked_until <= self.steps
+            j.fully_shipped() && !j.backing_off(now) && !self.base_queued(j)
         }) {
-            if faults.fire(FaultSite::IoCrash) {
-                // Crash-before-finalize: the partial remote object is
-                // gone; rewind and re-drive the drain.
-                return Ok(self.transient_failure(pos, nvm, io, true, "io_crash"));
-            }
-            if faults.fire(FaultSite::IoFinalize) {
-                self.stats.io_retries += 1;
-                return Ok(
-                    self.transient_failure(pos, nvm, io, false, "io_finalize")
-                );
-            }
-            let job = &self.queue[pos];
-            let key = job.key.clone();
-            let slot = job.slot;
-            let bytes_out = job.shipped_bytes;
-            io.finalize(&key)
-                .map_err(|e| CodecError::new(e.to_string()))?;
-            self.stats.drains_completed += 1;
-            let mut job =
-                self.queue.remove(pos).expect("finalize position valid");
-            self.emit(EventKind::DrainComplete {
-                job: slot.0,
-                bytes_out,
-            });
-            if let Some(mut sp) = job.span.take() {
-                sp.close(self.steps as f64);
-            }
-            return Ok(StepOutcome::CompletedDrain(slot));
+            return Work::Finalize(pos);
         }
-
-        // 1. Ship a block from the NIC if the network accepts traffic.
-        if !self.nic.blocked {
-            let front = self.nic.queue.front().map(|b| b.key.clone());
-            if let Some(front_key) = front {
-                let jpos =
-                    self.queue.iter().position(|j| j.key == front_key);
-                // Head-of-line wait while the owning job backs off.
-                let gated = jpos
-                    .is_some_and(|p| self.queue[p].blocked_until > self.steps);
-                if !gated {
-                    if faults.fire(FaultSite::NicStall) {
-                        return Ok(StepOutcome::Retrying);
-                    }
-                    if faults.fire(FaultSite::NicDrop) {
-                        // The transfer was lost in flight: the block
-                        // stays queued for retransmission, but the link
-                        // time is spent.
-                        let len = self
-                            .nic
-                            .queue
-                            .front()
-                            .map_or(0, |b| b.data.len());
-                        VClock::charge(&mut clock.io_link, len, io.bandwidth);
-                        self.stats.blocks_retransmitted += 1;
-                        return Ok(StepOutcome::Retrying);
-                    }
-                    if let Some(pos) = jpos {
-                        if faults.fire(FaultSite::IoAppend) {
-                            self.stats.io_retries += 1;
-                            return Ok(self.transient_failure(
-                                pos, nvm, io, false, "io_append",
-                            ));
-                        }
-                    }
-                    let mut ship_t = stage::timer(Stage::Ship);
-                    let block =
-                        self.nic.queue.pop_front().expect("front checked");
-                    let block_len = block.data.len() as u64;
-                    VClock::charge(
-                        &mut clock.io_link,
-                        block.data.len(),
-                        io.bandwidth,
-                    );
-                    io.append_block(&block.key, &block.data)
-                        .map_err(|e| CodecError::new(e.to_string()))?;
-                    if let Some(t) = ship_t.as_mut() {
-                        t.add_bytes(block_len);
-                    }
-                    drop(ship_t);
-                    self.stats.blocks_shipped += 1;
-                    // The shipped block's allocation goes back to the
-                    // pool for the next compression.
-                    self.recycle(block.data);
-                    if let Some(job) =
-                        self.queue.iter_mut().find(|j| j.key == block.key)
-                    {
-                        job.unshipped -= 1;
-                        job.shipped_bytes += block_len;
-                        job.attempts = 0;
-                    }
-                    return Ok(StepOutcome::Progress);
-                }
-            }
-        }
-
-        // 2. Move a spilled block into the NIC when there is room.
-        if !self.nic.full() {
-            let spill_info = self.queue.iter_mut().find_map(|job| {
-                job.spilled
-                    .pop_front()
-                    .map(|sid| (sid, job.key.clone(), job))
-            });
-            if let Some((sid, key, job)) = spill_info {
-                let slot = nvm
-                    .remove(sid)
-                    .map_err(|e| CodecError::new(e.to_string()))?;
-                job.unshipped += 1;
-                self.nic.queue.push_back(NicBlock {
-                    key,
-                    data: slot.data,
-                });
-                return Ok(StepOutcome::Progress);
-            }
-        }
-
-        // 3. Compress the next block of the first non-backing-off job.
-        let Some(jpos) = self
-            .queue
-            .iter()
-            .position(|j| !j.compression_done && j.blocked_until <= self.steps)
-        else {
-            // Jobs may still be waiting on shipment, finalize, or a
-            // backoff deadline; if the NIC is blocked that is a stall,
-            // otherwise nothing to do.
-            return Ok(if self.queue.is_empty() {
-                StepOutcome::Idle
-            } else if self
+        let head = self.nic.queue.front().filter(|_| !self.nic.blocked);
+        if let Some(head) = head {
+            let pos = self
                 .queue
                 .iter()
-                .any(|j| j.blocked_until > self.steps)
+                .position(|j| j.key == head.key)
+                .expect("every NIC block belongs to a queued drain");
+            if !self.queue[pos].backing_off(now) {
+                return Work::Ship(pos);
+            }
+        }
+        if !self.nic.full() {
+            if let Some(pos) =
+                self.queue.iter().position(|j| !j.spilled.is_empty())
             {
-                StepOutcome::Retrying
-            } else {
-                self.emit(EventKind::DrainStall {
-                    cause: "nic_backpressure",
-                });
-                StepOutcome::Stalled
-            });
-        };
+                return Work::Unspill(pos);
+            }
+        }
+        match self
+            .queue
+            .iter()
+            .position(|j| j.phase != Phase::Flush && !j.backing_off(now))
+        {
+            Some(pos) => Work::Compress(pos),
+            None => Work::Wait,
+        }
+    }
 
+    /// Seal-order rule: a delta's base is still queued (not yet sealed
+    /// remotely), so the delta must not be sealed before it.
+    fn base_queued(&self, job: &DrainJob) -> bool {
+        job.meta.base.is_some_and(|base| {
+            self.queue.iter().any(|b| {
+                b.meta.ckpt_id == base
+                    && b.meta.rank == job.meta.rank
+                    && b.meta.app_id == job.meta.app_id
+            })
+        })
+    }
+
+    /// Nothing runnable: idle, waiting out a backoff, or stalled on the
+    /// NIC.
+    fn wait(&self) -> StepOutcome {
+        if self.queue.is_empty() {
+            StepOutcome::Idle
+        } else if self.queue.iter().any(|j| j.backing_off(self.steps)) {
+            StepOutcome::Retrying
+        } else {
+            self.emit(EventKind::DrainStall {
+                cause: "nic_backpressure",
+            });
+            StepOutcome::Stalled
+        }
+    }
+
+    /// Seals a fully shipped object. Finalization is its own step (and
+    /// its own fault site): the remote may crash before the object is
+    /// sealed, in which case the whole drain is re-driven idempotently
+    /// from the still-locked slot.
+    fn finalize(
+        &mut self,
+        pos: usize,
+        nvm: &mut NvmStore,
+        io: &mut IoNode,
+        faults: &mut FaultPlane,
+    ) -> Result<StepOutcome, CodecError> {
+        for site in [FaultSite::IoCrash, FaultSite::IoFinalize] {
+            if faults.fire(site) {
+                return Ok(self.transient_failure(pos, nvm, io, site));
+            }
+        }
+        io.finalize(&self.queue[pos].key).map_err(io_err)?;
+        self.stats.drains_completed += 1;
+        let mut job = self.queue.remove(pos).expect("finalize position valid");
+        self.emit(EventKind::DrainComplete {
+            job: job.slot.0,
+            bytes_out: job.shipped_bytes,
+        });
+        if let Some(mut sp) = job.span.take() {
+            sp.close(self.steps as f64);
+        }
+        Ok(StepOutcome::CompletedDrain(job.slot))
+    }
+
+    /// Ships the NIC's head block, owned by the job at `pos`.
+    fn ship(
+        &mut self,
+        pos: usize,
+        nvm: &mut NvmStore,
+        io: &mut IoNode,
+        clock: &mut VClock,
+        faults: &mut FaultPlane,
+    ) -> Result<StepOutcome, CodecError> {
+        if faults.fire(FaultSite::NicStall) {
+            return Ok(StepOutcome::Retrying);
+        }
+        if faults.fire(FaultSite::NicDrop) {
+            // The transfer was lost in flight: the block stays queued for
+            // retransmission, but the link time is spent.
+            let len = self.nic.queue.front().map_or(0, |b| b.data.len());
+            VClock::charge(&mut clock.io_link, len, io.bandwidth);
+            self.stats.blocks_retransmitted += 1;
+            return Ok(StepOutcome::Retrying);
+        }
+        if faults.fire(FaultSite::IoAppend) {
+            let site = FaultSite::IoAppend;
+            return Ok(self.transient_failure(pos, nvm, io, site));
+        }
+        let mut ship_t = stage::timer(Stage::Ship);
+        let block = self.nic.queue.pop_front().expect("selected head block");
+        let block_len = block.data.len() as u64;
+        VClock::charge(&mut clock.io_link, block.data.len(), io.bandwidth);
+        io.append_block(&block.key, &block.data).map_err(io_err)?;
+        if let Some(t) = ship_t.as_mut() {
+            t.add_bytes(block_len);
+        }
+        drop(ship_t);
+        self.stats.blocks_shipped += 1;
+        // The shipped block's allocation goes back to the pool for the
+        // next compression.
+        self.recycle(block.data);
+        let job = &mut self.queue[pos];
+        job.unshipped -= 1;
+        job.shipped_bytes += block_len;
+        job.attempts = 0;
+        Ok(StepOutcome::Progress)
+    }
+
+    /// Moves the job's oldest spilled block into the NIC.
+    fn unspill(
+        &mut self,
+        pos: usize,
+        nvm: &mut NvmStore,
+    ) -> Result<StepOutcome, CodecError> {
+        let job = &mut self.queue[pos];
+        let sid = job.spilled.pop_front().expect("selected a spilled block");
+        let slot = nvm.remove(sid).map_err(io_err)?;
+        job.unshipped += 1;
+        self.nic.queue.push_back(NicBlock {
+            key: job.key.clone(),
+            data: slot.data,
+        });
+        Ok(StepOutcome::Progress)
+    }
+
+    /// Advances the job at `pos` through `Prepare` and `Begin` (both ride
+    /// along with its first block) and compresses one block.
+    fn compress(
+        &mut self,
+        pos: usize,
+        nvm: &mut NvmStore,
+        io: &mut IoNode,
+        clock: &mut VClock,
+        faults: &mut FaultPlane,
+    ) -> Result<StepOutcome, CodecError> {
         let nic_available = !self.nic.full();
         if !nic_available && self.policy == BackpressurePolicy::Pause {
             self.emit(EventKind::DrainStall {
@@ -590,135 +627,71 @@ impl NdpEngine {
         // read cannot affect the shipped bytes. (Delta jobs snapshot
         // their payload at prepare time, so only the pre-prepare check
         // applies to them.)
-        if self.queue[jpos].delta.is_none() {
-            let intact = nvm
-                .get(self.queue[jpos].slot)
-                .is_some_and(|slot| slot.verify());
-            if !intact {
-                self.stats.drains_source_corrupt += 1;
-                self.cancel_job(jpos, nvm, io);
-                return Ok(StepOutcome::Retrying);
-            }
+        if self.queue[pos].delta.is_none()
+            && !nvm.get(self.queue[pos].slot).is_some_and(|s| s.verify())
+        {
+            self.stats.drains_source_corrupt += 1;
+            self.cancel_job(pos, nvm, io);
+            return Ok(StepOutcome::Retrying);
         }
 
-        let job = &mut self.queue[jpos];
-
-        // Source preparation: under incremental drains, diff against
-        // the previous drained checkpoint of this rank (§7) before the
-        // first block is compressed.
-        if !job.prepared {
-            if let Some(policy) = self.incremental {
-                let slot_data = &nvm
-                    .get(job.slot)
-                    .ok_or_else(|| CodecError::new("drain source vanished"))?
-                    .data;
-                let state = self
-                    .incr_state
-                    .entry((job.meta.app_id.clone(), job.meta.rank))
-                    .or_insert_with(|| IncrState {
-                        encoder: IncrementalEncoder::new(policy.diff_block),
-                        last_drained_id: 0,
-                        chain_len: 0,
-                    });
-                let want_delta = state.chain_len < policy.max_chain
-                    && state.encoder.has_base(slot_data.len());
-                let delta = state.encoder.encode(slot_data);
-                match (want_delta, delta) {
-                    (true, Some(incr)) => {
-                        job.meta =
-                            job.meta.incremental_over(state.last_drained_id);
-                        job.delta = Some(incr.encode());
-                        state.chain_len += 1;
-                        self.stats.incremental_drains += 1;
-                    }
-                    _ => state.chain_len = 0,
-                }
-                state.last_drained_id = job.meta.ckpt_id;
-            }
-            job.prepared = true;
+        if self.queue[pos].phase == Phase::Prepare {
+            self.prepare(pos, nvm)?;
         }
-
-        if !self.queue[jpos].begun {
+        if self.queue[pos].phase == Phase::Begin {
             if faults.fire(FaultSite::IoBegin) {
-                self.stats.io_retries += 1;
-                return Ok(
-                    self.transient_failure(jpos, nvm, io, false, "io_begin")
-                );
+                let site = FaultSite::IoBegin;
+                return Ok(self.transient_failure(pos, nvm, io, site));
             }
-            let job = &mut self.queue[jpos];
-            io.begin(job.meta.clone())
-                .map_err(|e| CodecError::new(e.to_string()))?;
-            job.begun = true;
+            let job = &mut self.queue[pos];
+            io.begin(job.meta.clone()).map_err(io_err)?;
+            job.phase = Phase::Compress { offset: 0 };
             job.attempts = 0;
         }
+        let Phase::Compress { offset } = self.queue[pos].phase else {
+            unreachable!("compress selected a {:?} job", self.queue[pos].phase)
+        };
 
-        // Codec fault: degrade this drain to uncompressed (re-driven
-        // from scratch so the remote object is never mixed-codec), or
-        // cancel it outright per policy.
+        // Codec fault: degrade this drain to uncompressed, re-driven
+        // from scratch so the remote object is never mixed-codec.
         let use_codec =
-            self.codec.is_some() && !self.queue[jpos].force_uncompressed;
+            self.codec.is_some() && !self.queue[pos].force_uncompressed;
         if use_codec && faults.fire(FaultSite::CodecFault) {
-            self.degrade_codec(jpos, nvm, io);
+            self.degrade_codec(pos, nvm, io);
             return Ok(StepOutcome::Retrying);
         }
 
         // Acquire the output buffer before borrowing the source slot:
         // recycled from shipped blocks, else from the NVM's spare pool.
-        let mut framed = self
-            .frame_pool
-            .pop()
-            .unwrap_or_else(|| nvm.take_buffer());
-        let codec_for_job =
-            if use_codec { self.codec.as_deref() } else { None };
-        let job = &mut self.queue[jpos];
-
-        let source_data: &[u8] = match &job.delta {
+        let mut framed =
+            self.frame_pool.pop().unwrap_or_else(|| nvm.take_buffer());
+        let codec = if use_codec { self.codec.as_deref() } else { None };
+        let job = &mut self.queue[pos];
+        let source: &[u8] = match &job.delta {
             Some(d) => d,
             None => {
-                &nvm.get(job.slot)
-                    .ok_or_else(|| {
-                        CodecError::new("drain source slot vanished")
-                    })?
-                    .data
+                let slot = nvm.get(job.slot).ok_or_else(|| {
+                    CodecError::new("drain source slot vanished")
+                })?;
+                &slot.data
             }
         };
-        let raw_len = source_data.len();
-        let start = job.offset;
-        let end = (start + self.block_size).min(raw_len);
-        let chunk = &source_data[start..end];
-        let chunk_len = chunk.len();
-
-        // Frame: [u32 raw][u32 comp][payload], built in place — the
-        // codec appends its container directly after the header (via
-        // `compress_append`), then the comp_len placeholder is patched.
-        // No intermediate per-block `Vec`; the buffer itself is recycled
-        // from previously shipped blocks.
-        //
-        // The frame stage timer covers the whole block production
-        // (header + codec + patch); the codec's own tokenize/entropy
-        // sub-stages nest inside it and are reported separately.
+        let end = (offset + self.block_size).min(source.len());
+        let next = if end == source.len() {
+            Phase::Flush
+        } else {
+            Phase::Compress { offset: end }
+        };
+        // The frame stage timer covers the whole block production; the
+        // codec's own tokenize/entropy sub-stages nest inside it.
+        let chunk_len = end - offset;
         let mut frame_t = stage::timer(Stage::Frame);
-        framed.extend_from_slice(&(chunk_len as u32).to_le_bytes());
-        framed.extend_from_slice(&[0u8; 4]); // comp_len, patched below
-        match codec_for_job {
-            Some(c) => c.compress_append(chunk, &mut framed),
-            None => framed.extend_from_slice(chunk),
-        }
-        let comp_len = framed.len() - 8;
-        framed[4..8].copy_from_slice(&(comp_len as u32).to_le_bytes());
+        frame::append(&mut framed, &source[offset..end], codec);
         if let Some(t) = frame_t.as_mut() {
             t.add_bytes(chunk_len as u64);
         }
         drop(frame_t);
         VClock::charge(&mut clock.ndp_compute, chunk_len, self.compress_bw);
-        self.stats.blocks_compressed += 1;
-
-        job.offset = end;
-        let is_last_block = end == raw_len;
-        if is_last_block {
-            job.compression_done = true;
-        }
-        let slot_to_unlock = if is_last_block { Some(job.slot) } else { None };
 
         // Blocks must ship in order: once any block of this job has been
         // spilled, later blocks go to the spill queue too.
@@ -728,7 +701,8 @@ impl NdpEngine {
             self.nic.queue.push_back(NicBlock { key, data: framed });
         } else {
             // Spill policy: park the compressed block in the NVM's
-            // compressed region.
+            // compressed region, locked so later spills cannot evict it
+            // before it ships.
             self.next_spill_id += 1;
             let spill_meta = CheckpointMeta {
                 app_id: format!("__spill__/{}", job.meta.app_id),
@@ -743,29 +717,69 @@ impl NdpEngine {
             let spill_bytes = framed.len() as u64;
             match nvm.write(Region::Compressed, spill_meta, framed) {
                 Ok(sid) => {
+                    nvm.lock(sid).map_err(io_err)?;
                     job.spilled.push_back(sid);
                     self.stats.blocks_spilled += 1;
                     self.emit(EventKind::DrainSpill { bytes: spill_bytes });
                 }
                 Err(_) => {
-                    // Compressed region full too: genuine stall. Undo
-                    // the offset advance so the block is recompressed.
-                    job.offset = start;
-                    job.compression_done = false;
-                    self.stats.blocks_compressed -= 1;
+                    // Compressed region full too: genuine stall. The
+                    // phase stays put, so the block is recompressed.
                     self.emit(EventKind::DrainStall { cause: "spill_full" });
                     return Ok(StepOutcome::Stalled);
                 }
             }
         }
+        self.stats.blocks_compressed += 1;
+        let job = &mut self.queue[pos];
+        job.phase = next;
 
         // Input fully read: the uncompressed slot may be reused
         // (§4.2.2's unlock arrow) even while blocks remain in flight.
-        if let Some(slot) = slot_to_unlock {
-            nvm.unlock(slot)
-                .map_err(|e| CodecError::new(e.to_string()))?;
+        if next == Phase::Flush {
+            nvm.unlock(job.slot).map_err(io_err)?;
         }
         Ok(StepOutcome::Progress)
+    }
+
+    /// `Prepare` → `Begin`: under incremental drains, diffs the slot
+    /// against the previous drained checkpoint of this rank (§7) and
+    /// keeps the delta when the chain may grow.
+    fn prepare(
+        &mut self,
+        pos: usize,
+        nvm: &NvmStore,
+    ) -> Result<(), CodecError> {
+        let job = &mut self.queue[pos];
+        if let Some(policy) = self.incremental {
+            let slot_data = &nvm
+                .get(job.slot)
+                .ok_or_else(|| CodecError::new("drain source vanished"))?
+                .data;
+            let state = self
+                .incr_state
+                .entry((job.meta.app_id.clone(), job.meta.rank))
+                .or_insert_with(|| IncrState {
+                    encoder: IncrementalEncoder::new(policy.diff_block),
+                    last_drained_id: 0,
+                    chain_len: 0,
+                });
+            let want_delta = state.chain_len < policy.max_chain
+                && state.encoder.has_base(slot_data.len());
+            let delta = state.encoder.encode(slot_data);
+            match (want_delta, delta) {
+                (true, Some(incr)) => {
+                    job.meta = job.meta.incremental_over(state.last_drained_id);
+                    job.delta = Some(incr.encode());
+                    state.chain_len += 1;
+                    self.stats.incremental_drains += 1;
+                }
+                _ => state.chain_len = 0,
+            }
+            state.last_drained_id = job.meta.ckpt_id;
+        }
+        job.phase = Phase::Begin;
+        Ok(())
     }
 
     /// Returns a framed-block allocation to the pool.
@@ -789,45 +803,44 @@ impl NdpEngine {
         self.nic.queue = kept;
     }
 
-    /// Charges one transient failure to a job: bounded retry with
-    /// deterministic exponential backoff, escalating to cancellation
-    /// when the budget is exhausted. `rewind` additionally re-drives the
-    /// drain from scratch (crash-before-finalize semantics).
+    /// Charges one transient remote failure at `site` to a job: it backs
+    /// off for `backoff_steps`, and is cancelled once it has failed
+    /// more than `MAX_ATTEMPTS` times in a row. An I/O-node crash lost
+    /// the partial object, so the drain is also re-driven from scratch;
+    /// every other site is a retried I/O error.
     fn transient_failure(
         &mut self,
         pos: usize,
         nvm: &mut NvmStore,
         io: &mut IoNode,
-        rewind: bool,
-        site: &'static str,
+        site: FaultSite,
     ) -> StepOutcome {
+        let rewind = site == FaultSite::IoCrash;
+        if !rewind {
+            self.stats.io_retries += 1;
+        }
         let job = &mut self.queue[pos];
         job.attempts += 1;
-        let attempts = job.attempts;
-        let backoff = self.retry.backoff_steps(attempts);
+        let attempt = job.attempts;
+        let backoff = backoff_steps(attempt);
         job.blocked_until = self.steps + backoff;
         self.emit(EventKind::DrainRetry {
-            site,
-            attempt: attempts,
+            site: site.name(),
+            attempt,
             backoff_steps: backoff,
         });
-        if attempts > self.retry.max_attempts
-            && self.degrade.cancel_on_exhaustion
+        if attempt > MAX_ATTEMPTS || (rewind && !self.rewind_job(pos, nvm, io))
         {
-            self.cancel_job(pos, nvm, io);
-            return StepOutcome::Retrying;
-        }
-        if rewind && !self.rewind_job(pos, nvm, io) {
             self.cancel_job(pos, nvm, io);
         }
         StepOutcome::Retrying
     }
 
-    /// Rewinds a job so a re-driven drain is idempotent: aborts the
-    /// partial remote object, discards its NIC and spilled blocks, and
-    /// resets all progress. Returns false when the drain source is gone
-    /// (slot evicted after unlock, no retained delta) — the caller must
-    /// cancel instead.
+    /// Rewinds a job to `Begin` so a re-driven drain is idempotent:
+    /// aborts the partial remote object and discards its NIC and spilled
+    /// blocks (a job still in `Prepare` stays there). Returns false when
+    /// the drain source is gone (slot evicted after unlock, no retained
+    /// delta) — the caller must cancel instead.
     fn rewind_job(
         &mut self,
         pos: usize,
@@ -845,18 +858,18 @@ impl NdpEngine {
             }
         }
         let job = &mut self.queue[pos];
-        job.offset = 0;
-        job.begun = false;
-        job.compression_done = false;
+        if job.phase != Phase::Prepare {
+            job.phase = Phase::Begin;
+        }
         job.unshipped = 0;
         job.shipped_bytes = 0;
         if job.delta.is_some() {
             return true;
         }
         if nvm.get(job.slot).is_some() {
-            // The slot may have been unlocked at compression-done;
-            // re-lock it so FIFO eviction cannot take the source out
-            // from under the re-drive.
+            // The slot may have been unlocked at `Flush`; re-lock it so
+            // FIFO eviction cannot take the source out from under the
+            // re-drive.
             let _ = nvm.lock(job.slot);
             true
         } else {
@@ -885,17 +898,15 @@ impl NdpEngine {
         }
     }
 
-    /// Codec fault handling per [`DegradePolicy`]: restart the drain
-    /// uncompressed, or cancel it.
+    /// Codec fault: restart the drain uncompressed, or cancel it when
+    /// its source is gone.
     fn degrade_codec(
         &mut self,
         pos: usize,
         nvm: &mut NvmStore,
         io: &mut IoNode,
     ) {
-        if self.degrade.codec_fallback_uncompressed
-            && self.rewind_job(pos, nvm, io)
-        {
+        if self.rewind_job(pos, nvm, io) {
             self.stats.codec_fallbacks += 1;
             let job = &mut self.queue[pos];
             job.force_uncompressed = true;
@@ -924,7 +935,6 @@ impl NdpEngine {
         while let Some(dep) = self.queue.iter().position(|j| {
             j.meta.app_id == job.meta.app_id
                 && j.meta.rank == job.meta.rank
-                && j.prepared
                 && j.meta.base.is_some()
                 && j.meta.ckpt_id > job.meta.ckpt_id
         }) {
@@ -960,501 +970,446 @@ impl NdpEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlaneConfig;
     use cr_compress::registry;
 
-    fn setup(
-        policy: BackpressurePolicy,
-        codec: bool,
-        nic_cap: usize,
-    ) -> (NdpEngine, NvmStore, IoNode, VClock) {
-        let codec = if codec {
-            Some(registry::by_name("gz", 1).unwrap())
-        } else {
-            None
-        };
-        (
-            NdpEngine::new(codec, policy, 4096, nic_cap, 440e6),
-            NvmStore::new(1 << 22, 1 << 20),
-            IoNode::new(100e6),
-            VClock::default(),
-        )
+    /// An engine wired to its NVM, I/O node, clock and fault plane
+    /// (disabled unless a test installs one).
+    struct Rig {
+        engine: NdpEngine,
+        nvm: NvmStore,
+        io: IoNode,
+        clock: VClock,
+        plane: FaultPlane,
     }
 
-    fn store_and_enqueue(
-        engine: &mut NdpEngine,
-        nvm: &mut NvmStore,
-        ckpt_id: u64,
-        data: Vec<u8>,
-    ) -> (SlotId, CheckpointMeta) {
-        let meta =
-            CheckpointMeta::new("app", 0, ckpt_id, data.len() as u64, ckpt_id);
-        let slot = nvm
-            .write(Region::Uncompressed, meta.clone(), data)
-            .unwrap();
-        nvm.lock(slot).unwrap();
-        engine.enqueue(slot, meta.clone());
-        (slot, meta)
-    }
-
-    fn drain_to_idle(
-        engine: &mut NdpEngine,
-        nvm: &mut NvmStore,
-        io: &mut IoNode,
-        clock: &mut VClock,
-    ) {
-        for _ in 0..1_000_000 {
-            match engine.step(nvm, io, clock).unwrap() {
-                StepOutcome::Idle => return,
-                StepOutcome::Stalled => panic!("unexpected stall"),
-                _ => {}
+    impl Rig {
+        fn new(
+            policy: BackpressurePolicy,
+            codec: bool,
+            nic_cap: usize,
+        ) -> Self {
+            let codec = codec.then(|| registry::by_name("gz", 1).unwrap());
+            Rig {
+                engine: NdpEngine::new(
+                    codec, policy, 4096, nic_cap, 440e6, None,
+                ),
+                nvm: NvmStore::new(1 << 22, 1 << 20),
+                io: IoNode::new(100e6),
+                clock: VClock::default(),
+                plane: FaultPlane::disabled(),
             }
         }
-        panic!("drain did not converge");
+
+        fn with_faults(mut self, cfg: FaultPlaneConfig) -> Self {
+            self.plane = FaultPlane::new(cfg);
+            self
+        }
+
+        fn enqueue(
+            &mut self,
+            ckpt_id: u64,
+            data: Vec<u8>,
+        ) -> (SlotId, CheckpointMeta) {
+            let meta = CheckpointMeta::new(
+                "app",
+                0,
+                ckpt_id,
+                data.len() as u64,
+                ckpt_id,
+            );
+            let slot = self
+                .nvm
+                .write(Region::Uncompressed, meta.clone(), data)
+                .unwrap();
+            self.nvm.lock(slot).unwrap();
+            self.engine.enqueue(slot, meta.clone());
+            (slot, meta)
+        }
+
+        fn step(&mut self) -> StepOutcome {
+            let Rig {
+                engine,
+                nvm,
+                io,
+                clock,
+                plane,
+            } = self;
+            engine.step(nvm, io, clock, plane).unwrap()
+        }
+
+        /// Steps until `site` has fired once, within a step budget.
+        fn step_until_fired(&mut self, site: FaultSite, budget: usize) {
+            for _ in 0..budget {
+                self.step();
+                if self.plane.count(site) >= 1 {
+                    return;
+                }
+            }
+        }
+
+        /// Pumps until idle; a stall is a test failure.
+        fn drain(&mut self) {
+            for _ in 0..1_000_000 {
+                match self.step() {
+                    StepOutcome::Idle => return,
+                    StepOutcome::Stalled => panic!("unexpected stall"),
+                    _ => {}
+                }
+            }
+            panic!("drain did not converge");
+        }
+
+        /// The sealed remote object of a drained checkpoint.
+        fn object(
+            &mut self,
+            meta: &CheckpointMeta,
+        ) -> (CheckpointMeta, Vec<u8>) {
+            self.io.read(&ObjectKey::of(meta)).unwrap()
+        }
+    }
+
+    /// A plane that fires at `site` whenever consulted.
+    fn armed(seed: u64, site: FaultSite) -> FaultPlaneConfig {
+        FaultPlaneConfig::disabled(seed).with(site, 1.0)
+    }
+
+    /// Remote object bytes of a fault-free drain of `data`.
+    fn reference_blob(policy: BackpressurePolicy, data: Vec<u8>) -> Vec<u8> {
+        let mut rig = Rig::new(policy, true, 4);
+        let (_, meta) = rig.enqueue(1, data);
+        rig.drain();
+        rig.object(&meta).1
+    }
+
+    #[test]
+    fn backoff_grows_and_caps() {
+        let steps: Vec<u64> = (1..=7).map(backoff_steps).collect();
+        assert_eq!(steps, [2, 4, 8, 16, 32, 64, 64]);
+        assert_eq!(backoff_steps(40), 64, "shift clamped, no overflow");
     }
 
     #[test]
     fn drains_compressed_checkpoint_end_to_end() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 4);
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4);
         let data = b"checkpoint payload ".repeat(3000);
-        let (slot, meta) =
-            store_and_enqueue(&mut engine, &mut nvm, 1, data.clone());
-        drain_to_idle(&mut engine, &mut nvm, &mut io, &mut clock);
+        let (slot, meta) = rig.enqueue(1, data.clone());
+        rig.drain();
 
-        assert_eq!(engine.stats.drains_completed, 1);
-        assert!(!nvm.get(slot).unwrap().locked, "slot must unlock");
-        let key = ObjectKey::of(&meta);
-        let (rmeta, blob) = io.read(&key).unwrap();
+        assert_eq!(rig.engine.stats.drains_completed, 1);
+        assert!(!rig.nvm.get(slot).unwrap().locked, "slot must unlock");
+        let (rmeta, blob) = rig.object(&meta);
         assert_eq!(rmeta.codec.as_deref(), Some("gz(1)"));
         // Framed blocks decompress back to the original bytes.
         let gz = registry::by_name("gz", 1).unwrap();
-        let mut restored = Vec::new();
-        let mut pos = 0;
-        while pos < blob.len() {
-            let raw =
-                u32::from_le_bytes(blob[pos..pos + 4].try_into().unwrap())
-                    as usize;
-            let comp =
-                u32::from_le_bytes(blob[pos + 4..pos + 8].try_into().unwrap())
-                    as usize;
-            pos += 8;
-            let part =
-                gz.decompress_to_vec(&blob[pos..pos + comp]).unwrap();
-            assert_eq!(part.len(), raw);
-            restored.extend_from_slice(&part);
-            pos += comp;
-        }
-        assert_eq!(restored, data);
+        assert_eq!(frame::decode(&blob, Some(gz.as_ref()), 0).unwrap(), data);
         // Compressible payload: remote object smaller than input.
         assert!(blob.len() < data.len() / 2);
-        assert!(clock.ndp_compute > 0.0 && clock.io_link > 0.0);
+        assert!(rig.clock.ndp_compute > 0.0 && rig.clock.io_link > 0.0);
     }
 
     #[test]
     fn uncompressed_drain_preserves_bytes() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, false, 4);
+        let mut rig = Rig::new(BackpressurePolicy::Pause, false, 4);
         let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        let (_, meta) =
-            store_and_enqueue(&mut engine, &mut nvm, 1, data.clone());
-        drain_to_idle(&mut engine, &mut nvm, &mut io, &mut clock);
-        let (rmeta, blob) = io.read(&ObjectKey::of(&meta)).unwrap();
+        let (_, meta) = rig.enqueue(1, data.clone());
+        rig.drain();
+        let (rmeta, blob) = rig.object(&meta);
         assert!(rmeta.codec.is_none());
-        // Strip frames.
-        let mut restored = Vec::new();
-        let mut pos = 0;
-        while pos < blob.len() {
-            let raw =
-                u32::from_le_bytes(blob[pos..pos + 4].try_into().unwrap())
-                    as usize;
-            pos += 8;
-            restored.extend_from_slice(&blob[pos..pos + raw]);
-            pos += raw;
-        }
-        assert_eq!(restored, data);
+        assert_eq!(frame::decode(&blob, None, 0).unwrap(), data);
     }
 
     #[test]
     fn pause_blocks_all_progress() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 4);
-        store_and_enqueue(&mut engine, &mut nvm, 1, vec![1u8; 10_000]);
-        engine.pause();
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4);
+        rig.enqueue(1, vec![1u8; 10_000]);
+        rig.engine.pause();
         for _ in 0..10 {
-            assert_eq!(
-                engine.step(&mut nvm, &mut io, &mut clock).unwrap(),
-                StepOutcome::Paused
-            );
+            assert_eq!(rig.step(), StepOutcome::Paused);
         }
-        assert_eq!(engine.stats.blocks_compressed, 0);
-        engine.resume();
-        assert_eq!(
-            engine.step(&mut nvm, &mut io, &mut clock).unwrap(),
-            StepOutcome::Progress
-        );
+        assert_eq!(rig.engine.stats.blocks_compressed, 0);
+        rig.engine.resume();
+        assert_eq!(rig.step(), StepOutcome::Progress);
     }
 
     #[test]
     fn nic_blockage_stalls_under_pause_policy() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 2);
-        store_and_enqueue(&mut engine, &mut nvm, 1, vec![7u8; 100_000]);
-        engine.nic.blocked = true;
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 2);
+        rig.enqueue(1, vec![7u8; 100_000]);
+        rig.engine.nic.blocked = true;
         // Fill the NIC, then stall.
         let mut stalls = 0;
         for _ in 0..50 {
-            match engine.step(&mut nvm, &mut io, &mut clock).unwrap() {
+            match rig.step() {
                 StepOutcome::Stalled => stalls += 1,
                 StepOutcome::Progress => {}
                 o => panic!("unexpected {o:?}"),
             }
         }
         assert!(stalls > 0);
-        assert_eq!(engine.nic.depth(), 2);
-        assert_eq!(engine.stats.blocks_spilled, 0);
+        assert_eq!(rig.engine.nic.depth(), 2);
+        assert_eq!(rig.engine.stats.blocks_spilled, 0);
         // Unblock: everything drains.
-        engine.nic.blocked = false;
-        drain_to_idle(&mut engine, &mut nvm, &mut io, &mut clock);
-        assert_eq!(engine.stats.drains_completed, 1);
+        rig.engine.nic.blocked = false;
+        rig.drain();
+        assert_eq!(rig.engine.stats.drains_completed, 1);
     }
 
     #[test]
     fn nic_blockage_spills_under_spill_policy() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Spill, true, 2);
-        let data = vec![3u8; 100_000];
-        let (_, meta) =
-            store_and_enqueue(&mut engine, &mut nvm, 1, data.clone());
-        engine.nic.blocked = true;
+        let mut rig = Rig::new(BackpressurePolicy::Spill, true, 2);
+        let (_, meta) = rig.enqueue(1, vec![3u8; 100_000]);
+        rig.engine.nic.blocked = true;
         // Compression continues past the NIC capacity by spilling.
         for _ in 0..100 {
-            let o = engine.step(&mut nvm, &mut io, &mut clock).unwrap();
-            if o == StepOutcome::Stalled {
+            if rig.step() == StepOutcome::Stalled {
                 break;
             }
         }
-        assert!(engine.stats.blocks_spilled > 0, "no spills happened");
-        assert!(nvm.used(Region::Compressed) > 0);
+        assert!(rig.engine.stats.blocks_spilled > 0, "no spills happened");
+        assert!(rig.nvm.used(Region::Compressed) > 0);
         // Unblock: spilled blocks ship in order and the drain finishes.
-        engine.nic.blocked = false;
-        drain_to_idle(&mut engine, &mut nvm, &mut io, &mut clock);
-        assert_eq!(engine.stats.drains_completed, 1);
-        assert_eq!(nvm.used(Region::Compressed), 0, "spills reclaimed");
-        assert!(io.read(&ObjectKey::of(&meta)).is_some());
+        rig.engine.nic.blocked = false;
+        rig.drain();
+        assert_eq!(rig.engine.stats.drains_completed, 1);
+        assert_eq!(rig.nvm.used(Region::Compressed), 0, "spills reclaimed");
+        assert!(rig.io.read(&ObjectKey::of(&meta)).is_some());
+    }
+
+    #[test]
+    fn full_spill_region_stalls_without_losing_the_block() {
+        let mut rig = Rig::new(BackpressurePolicy::Spill, false, 1);
+        // A spill region smaller than one framed block.
+        rig.nvm = NvmStore::new(1 << 22, 4000);
+        let data: Vec<u8> = (0..40_000u32).map(|i| (i % 239) as u8).collect();
+        let (_, meta) = rig.enqueue(1, data.clone());
+        rig.engine.nic.blocked = true;
+        // The first block fills the NIC; the second cannot spill, so the
+        // step stalls and the job stays at the second block.
+        assert_eq!(rig.step(), StepOutcome::Progress);
+        assert_eq!(rig.step(), StepOutcome::Stalled);
+        assert_eq!(rig.engine.stats.blocks_compressed, 1);
+        assert_eq!(rig.engine.queue[0].phase, Phase::Compress { offset: 4096 });
+        rig.engine.nic.blocked = false;
+        rig.drain();
+        assert_eq!(rig.engine.stats.blocks_compressed, 10);
+        assert_eq!(frame::decode(&rig.object(&meta).1, None, 0).unwrap(), data);
+    }
+
+    #[test]
+    fn spilled_blocks_are_never_evicted_by_later_spills() {
+        let mut rig = Rig::new(BackpressurePolicy::Spill, false, 1);
+        // Room for two framed blocks, not three.
+        rig.nvm = NvmStore::new(1 << 22, 10_000);
+        let data: Vec<u8> = (0..40_000u32).map(|i| (i % 233) as u8).collect();
+        let (_, meta) = rig.enqueue(1, data.clone());
+        rig.engine.nic.blocked = true;
+        let outcomes: Vec<StepOutcome> = (0..4).map(|_| rig.step()).collect();
+        assert_eq!(outcomes[3], StepOutcome::Stalled, "{outcomes:?}");
+        assert_eq!(rig.engine.stats.blocks_spilled, 2);
+        rig.engine.nic.blocked = false;
+        rig.drain();
+        assert_eq!(frame::decode(&rig.object(&meta).1, None, 0).unwrap(), data);
+        assert_eq!(rig.nvm.used(Region::Compressed), 0);
     }
 
     #[test]
     fn multiple_queued_drains_complete_in_order() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 4);
-        let mut metas = Vec::new();
-        for id in 1..=3 {
-            let data = vec![id as u8; 30_000];
-            let (_, meta) = store_and_enqueue(&mut engine, &mut nvm, id, data);
-            metas.push(meta);
-        }
-        assert_eq!(engine.backlog(), 3);
-        drain_to_idle(&mut engine, &mut nvm, &mut io, &mut clock);
-        assert_eq!(engine.stats.drains_completed, 3);
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4);
+        let metas: Vec<CheckpointMeta> = (1..=3)
+            .map(|id| rig.enqueue(id, vec![id as u8; 30_000]).1)
+            .collect();
+        assert_eq!(rig.engine.backlog(), 3);
+        rig.drain();
+        assert_eq!(rig.engine.stats.drains_completed, 3);
         for meta in &metas {
-            assert!(io.read(&ObjectKey::of(meta)).is_some());
+            assert!(rig.io.read(&ObjectKey::of(meta)).is_some());
         }
     }
 
     #[test]
     fn reset_cancels_pending_drains() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 4);
-        store_and_enqueue(&mut engine, &mut nvm, 1, vec![5u8; 50_000]);
-        store_and_enqueue(&mut engine, &mut nvm, 2, vec![6u8; 50_000]);
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4);
+        rig.enqueue(1, vec![5u8; 50_000]);
+        rig.enqueue(2, vec![6u8; 50_000]);
         // A little progress, then node loss.
         for _ in 0..3 {
-            engine.step(&mut nvm, &mut io, &mut clock).unwrap();
+            rig.step();
         }
-        engine.reset();
-        nvm.wipe();
-        io.abort_incomplete();
-        assert_eq!(engine.backlog(), 0);
-        assert_eq!(engine.stats.drains_cancelled, 2);
-        assert_eq!(
-            engine.step(&mut nvm, &mut io, &mut clock).unwrap(),
-            StepOutcome::Idle
-        );
-        assert_eq!(io.object_count(), 0);
+        rig.engine.reset();
+        rig.nvm.wipe();
+        rig.io.abort_incomplete();
+        assert_eq!(rig.engine.backlog(), 0);
+        assert_eq!(rig.engine.stats.drains_cancelled, 2);
+        assert_eq!(rig.step(), StepOutcome::Idle);
+        assert_eq!(rig.io.object_count(), 0);
     }
 
     #[test]
     fn idle_engine_reports_idle() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, false, 1);
-        assert_eq!(
-            engine.step(&mut nvm, &mut io, &mut clock).unwrap(),
-            StepOutcome::Idle
-        );
-    }
-
-    use crate::faults::{FaultPlane, FaultPlaneConfig, FaultSite};
-
-    /// Pumps with a fault plane until idle (or stall/step budget).
-    fn drain_faulty(
-        engine: &mut NdpEngine,
-        nvm: &mut NvmStore,
-        io: &mut IoNode,
-        clock: &mut VClock,
-        plane: &mut FaultPlane,
-    ) {
-        for _ in 0..1_000_000 {
-            match engine.step_faulty(nvm, io, clock, plane).unwrap() {
-                StepOutcome::Idle => return,
-                StepOutcome::Stalled => panic!("unexpected stall"),
-                _ => {}
-            }
-        }
-        panic!("faulty drain did not converge");
-    }
-
-    /// Reference drain of the same payload on a clean engine; returns
-    /// the remote object bytes.
-    fn reference_blob(
-        policy: BackpressurePolicy,
-        codec: bool,
-        data: Vec<u8>,
-    ) -> Vec<u8> {
-        let (mut engine, mut nvm, mut io, mut clock) = setup(policy, codec, 4);
-        let (_, meta) = store_and_enqueue(&mut engine, &mut nvm, 1, data);
-        drain_to_idle(&mut engine, &mut nvm, &mut io, &mut clock);
-        io.read(&ObjectKey::of(&meta)).unwrap().1
+        let mut rig = Rig::new(BackpressurePolicy::Pause, false, 1);
+        assert_eq!(rig.step(), StepOutcome::Idle);
     }
 
     #[test]
     fn io_crash_before_finalize_is_redriven_idempotently() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 4);
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4)
+            .with_faults(armed(1, FaultSite::IoCrash));
         let data = b"crashy checkpoint ".repeat(4000);
-        let (slot, meta) =
-            store_and_enqueue(&mut engine, &mut nvm, 1, data.clone());
-        let mut plane = FaultPlane::new(
-            FaultPlaneConfig::disabled(1).with(FaultSite::IoCrash, 1.0),
-        );
+        let (slot, meta) = rig.enqueue(1, data.clone());
         // Pump until the crash-before-finalize fires (the whole drain is
         // rewound), then let the re-drive run clean.
-        for _ in 0..100_000 {
-            engine.step_faulty(&mut nvm, &mut io, &mut clock, &mut plane)
-                .unwrap();
-            if plane.count(FaultSite::IoCrash) >= 1 {
-                break;
-            }
-        }
-        assert_eq!(plane.count(FaultSite::IoCrash), 1, "crash must fire");
-        assert_eq!(io.incomplete_count(), 0, "partial object aborted");
-        plane.set_active(false);
-        drain_faulty(&mut engine, &mut nvm, &mut io, &mut clock, &mut plane);
-        assert_eq!(engine.stats.drains_completed, 1);
-        assert_eq!(engine.stats.drains_cancelled, 0);
-        assert!(!nvm.get(slot).unwrap().locked);
+        rig.step_until_fired(FaultSite::IoCrash, 100_000);
+        assert_eq!(rig.plane.count(FaultSite::IoCrash), 1, "crash must fire");
+        assert_eq!(rig.io.incomplete_count(), 0, "partial object aborted");
+        rig.plane.set_active(false);
+        rig.drain();
+        assert_eq!(rig.engine.stats.drains_completed, 1);
+        assert_eq!(rig.engine.stats.drains_cancelled, 0);
+        assert!(!rig.nvm.get(slot).unwrap().locked);
         // The re-driven object is bit-identical to a fault-free drain —
         // no duplicate, torn, or double-appended frames.
-        let blob = io.read(&ObjectKey::of(&meta)).unwrap().1;
         assert_eq!(
-            blob,
-            reference_blob(BackpressurePolicy::Pause, true, data)
+            rig.object(&meta).1,
+            reference_blob(BackpressurePolicy::Pause, data)
         );
     }
 
     #[test]
     fn ndp_crash_mid_drain_redrives_idempotently() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 4);
-        let data: Vec<u8> =
-            (0..90_000u32).map(|i| (i % 241) as u8).collect();
-        let (slot, meta) =
-            store_and_enqueue(&mut engine, &mut nvm, 1, data.clone());
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4);
+        let data: Vec<u8> = (0..90_000u32).map(|i| (i % 241) as u8).collect();
+        let (slot, meta) = rig.enqueue(1, data.clone());
         // A few clean steps so real progress exists to lose...
-        let mut clean = FaultPlane::disabled();
         for _ in 0..7 {
-            engine
-                .step_faulty(&mut nvm, &mut io, &mut clock, &mut clean)
-                .unwrap();
+            rig.step();
         }
-        assert!(engine.stats.blocks_compressed > 0);
+        assert!(rig.engine.stats.blocks_compressed > 0);
         // ...then the engine crashes (the fault fires on the next step
         // that reaches the compress phase; earlier steps may be busy
         // shipping already-compressed blocks).
-        let mut crash = FaultPlane::new(
-            FaultPlaneConfig::disabled(2).with(FaultSite::NdpCrash, 1.0),
-        );
-        for _ in 0..100 {
-            engine
-                .step_faulty(&mut nvm, &mut io, &mut clock, &mut crash)
-                .unwrap();
-            if crash.count(FaultSite::NdpCrash) >= 1 {
-                break;
-            }
-        }
-        assert_eq!(crash.count(FaultSite::NdpCrash), 1);
-        assert_eq!(engine.stats.ndp_crashes, 1);
-        assert_eq!(io.incomplete_count(), 0, "in-flight object aborted");
-        assert_eq!(engine.nic.depth(), 0, "in-flight NIC blocks lost");
-        assert!(nvm.get(slot).unwrap().locked, "slot stays locked");
+        rig.plane = FaultPlane::new(armed(2, FaultSite::NdpCrash));
+        rig.step_until_fired(FaultSite::NdpCrash, 100);
+        assert_eq!(rig.plane.count(FaultSite::NdpCrash), 1);
+        assert_eq!(rig.engine.stats.ndp_crashes, 1);
+        assert_eq!(rig.io.incomplete_count(), 0, "in-flight object aborted");
+        assert_eq!(rig.engine.nic.depth(), 0, "in-flight NIC blocks lost");
+        assert!(rig.nvm.get(slot).unwrap().locked, "slot stays locked");
         // Re-driven drain converges to the exact fault-free object.
-        drain_faulty(&mut engine, &mut nvm, &mut io, &mut clock, &mut clean);
-        assert_eq!(engine.stats.drains_completed, 1);
-        let blob = io.read(&ObjectKey::of(&meta)).unwrap().1;
+        rig.plane = FaultPlane::disabled();
+        rig.drain();
+        assert_eq!(rig.engine.stats.drains_completed, 1);
         assert_eq!(
-            blob,
-            reference_blob(BackpressurePolicy::Pause, true, data)
+            rig.object(&meta).1,
+            reference_blob(BackpressurePolicy::Pause, data)
         );
     }
 
     #[test]
     fn append_retry_exhaustion_cancels_gracefully() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 4);
-        let (slot, meta) =
-            store_and_enqueue(&mut engine, &mut nvm, 1, vec![9u8; 40_000]);
-        let mut plane = FaultPlane::new(
-            FaultPlaneConfig::disabled(3).with(FaultSite::IoAppend, 1.0),
-        );
-        let mut idle = false;
-        for _ in 0..200_000 {
-            match engine
-                .step_faulty(&mut nvm, &mut io, &mut clock, &mut plane)
-                .unwrap()
-            {
-                StepOutcome::Idle => {
-                    idle = true;
-                    break;
-                }
-                StepOutcome::Stalled => panic!("must degrade, not stall"),
-                _ => {}
-            }
-        }
-        assert!(idle, "engine must reach idle after degrading");
-        assert_eq!(engine.stats.drains_completed, 0);
-        assert_eq!(engine.stats.drains_cancelled, 1);
-        assert_eq!(engine.stats.drains_degraded, 1);
-        assert!(engine.stats.io_retries > 0);
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4)
+            .with_faults(armed(3, FaultSite::IoAppend));
+        let (slot, meta) = rig.enqueue(1, vec![9u8; 40_000]);
+        // Must degrade, not stall: the pump panics on a stall.
+        rig.drain();
+        assert_eq!(rig.engine.stats.drains_completed, 0);
+        assert_eq!(rig.engine.stats.drains_cancelled, 1);
+        assert_eq!(rig.engine.stats.drains_degraded, 1);
+        assert_eq!(rig.engine.stats.io_retries, u64::from(MAX_ATTEMPTS) + 1);
         // Graceful: slot unlocked and intact locally, nothing partial
         // left remotely, NIC and spill space reclaimed.
-        let s = nvm.get(slot).unwrap();
+        let s = rig.nvm.get(slot).unwrap();
         assert!(!s.locked);
         assert!(s.verify(), "local copy still pristine");
-        assert_eq!(io.incomplete_count(), 0);
-        assert!(io.read(&ObjectKey::of(&meta)).is_none());
-        assert_eq!(engine.nic.depth(), 0);
-        assert_eq!(nvm.used(Region::Compressed), 0);
+        assert_eq!(rig.io.incomplete_count(), 0);
+        assert!(rig.io.read(&ObjectKey::of(&meta)).is_none());
+        assert_eq!(rig.engine.nic.depth(), 0);
+        assert_eq!(rig.nvm.used(Region::Compressed), 0);
     }
 
     #[test]
     fn codec_fault_degrades_to_uncompressed_drain() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 4);
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4)
+            .with_faults(armed(4, FaultSite::CodecFault));
         let data = b"degradable payload ".repeat(2500);
-        let (_, meta) =
-            store_and_enqueue(&mut engine, &mut nvm, 1, data.clone());
-        let mut plane = FaultPlane::new(
-            FaultPlaneConfig::disabled(4).with(FaultSite::CodecFault, 1.0),
-        );
+        let (_, meta) = rig.enqueue(1, data.clone());
         // The codec faults once; the drain restarts uncompressed and,
         // with the codec out of the path, completes even though the
         // plane stays armed.
-        drain_faulty(&mut engine, &mut nvm, &mut io, &mut clock, &mut plane);
-        assert_eq!(engine.stats.codec_fallbacks, 1);
-        assert_eq!(engine.stats.drains_completed, 1);
-        assert_eq!(engine.stats.drains_cancelled, 0);
-        let (rmeta, blob) = io.read(&ObjectKey::of(&meta)).unwrap();
+        rig.drain();
+        assert_eq!(rig.engine.stats.codec_fallbacks, 1);
+        assert_eq!(rig.engine.stats.drains_completed, 1);
+        assert_eq!(rig.engine.stats.drains_cancelled, 0);
+        let (rmeta, blob) = rig.object(&meta);
         assert!(rmeta.codec.is_none(), "degraded object is uncompressed");
-        // Uncompressed frames reassemble to the original bytes.
-        let mut restored = Vec::new();
-        let mut pos = 0;
-        while pos < blob.len() {
-            let raw =
-                u32::from_le_bytes(blob[pos..pos + 4].try_into().unwrap())
-                    as usize;
-            pos += 8;
-            restored.extend_from_slice(&blob[pos..pos + raw]);
-            pos += raw;
-        }
-        assert_eq!(restored, data);
+        assert_eq!(frame::decode(&blob, None, 0).unwrap(), data);
     }
 
     #[test]
     fn nic_drops_force_retransmits_but_bytes_survive() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 4);
-        let data = b"lossy link payload ".repeat(3000);
-        let (_, meta) =
-            store_and_enqueue(&mut engine, &mut nvm, 1, data.clone());
-        let mut plane = FaultPlane::new(
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4).with_faults(
             FaultPlaneConfig::disabled(5)
                 .with(FaultSite::NicDrop, 0.4)
                 .with(FaultSite::NicStall, 0.2),
         );
-        drain_faulty(&mut engine, &mut nvm, &mut io, &mut clock, &mut plane);
-        assert!(engine.stats.blocks_retransmitted > 0, "drops must fire");
-        assert_eq!(engine.stats.drains_completed, 1);
-        let blob = io.read(&ObjectKey::of(&meta)).unwrap().1;
+        let data = b"lossy link payload ".repeat(3000);
+        let (_, meta) = rig.enqueue(1, data.clone());
+        rig.drain();
+        assert!(rig.engine.stats.blocks_retransmitted > 0, "drops must fire");
+        assert_eq!(rig.engine.stats.drains_completed, 1);
         assert_eq!(
-            blob,
-            reference_blob(BackpressurePolicy::Pause, true, data)
+            rig.object(&meta).1,
+            reference_blob(BackpressurePolicy::Pause, data)
         );
     }
 
     #[test]
     fn rotten_source_slot_is_never_drained_to_remote() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 4);
-        let (slot, meta) =
-            store_and_enqueue(&mut engine, &mut nvm, 1, vec![3u8; 50_000]);
-        nvm.tamper(slot, 1234).unwrap();
-        drain_to_idle(&mut engine, &mut nvm, &mut io, &mut clock);
-        assert_eq!(engine.stats.drains_source_corrupt, 1);
-        assert_eq!(engine.stats.drains_completed, 0);
-        assert!(io.read(&ObjectKey::of(&meta)).is_none());
-        assert_eq!(io.incomplete_count(), 0);
-        assert!(!nvm.get(slot).unwrap().locked);
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4);
+        let (slot, meta) = rig.enqueue(1, vec![3u8; 50_000]);
+        rig.nvm.tamper(slot, 1234).unwrap();
+        rig.drain();
+        assert_eq!(rig.engine.stats.drains_source_corrupt, 1);
+        assert_eq!(rig.engine.stats.drains_completed, 0);
+        assert!(rig.io.read(&ObjectKey::of(&meta)).is_none());
+        assert_eq!(rig.io.incomplete_count(), 0);
+        assert!(!rig.nvm.get(slot).unwrap().locked);
     }
 
     #[test]
     fn mid_drain_rot_aborts_instead_of_shipping_torn_object() {
-        let (mut engine, mut nvm, mut io, mut clock) =
-            setup(BackpressurePolicy::Pause, true, 4);
-        let (slot, meta) =
-            store_and_enqueue(&mut engine, &mut nvm, 1, vec![7u8; 90_000]);
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4);
+        let (slot, meta) = rig.enqueue(1, vec![7u8; 90_000]);
         // Let real progress happen, then rot the source mid-drain.
-        let mut clean = FaultPlane::disabled();
         for _ in 0..5 {
-            engine
-                .step_faulty(&mut nvm, &mut io, &mut clock, &mut clean)
-                .unwrap();
+            rig.step();
         }
-        assert!(engine.stats.blocks_compressed > 0);
-        assert!(!engine.queue[0].compression_done, "rot must strike mid-read");
-        nvm.tamper(slot, 80_000).unwrap();
-        drain_to_idle(&mut engine, &mut nvm, &mut io, &mut clock);
-        assert_eq!(engine.stats.drains_source_corrupt, 1);
-        assert!(io.read(&ObjectKey::of(&meta)).is_none(), "no torn object");
-        assert_eq!(io.incomplete_count(), 0);
+        assert!(rig.engine.stats.blocks_compressed > 0);
+        assert!(
+            matches!(rig.engine.queue[0].phase, Phase::Compress { .. }),
+            "rot must strike mid-read"
+        );
+        rig.nvm.tamper(slot, 80_000).unwrap();
+        rig.drain();
+        assert_eq!(rig.engine.stats.drains_source_corrupt, 1);
+        assert!(rig.io.read(&ObjectKey::of(&meta)).is_none(), "no torn object");
+        assert_eq!(rig.io.incomplete_count(), 0);
     }
 
     #[test]
     fn faulty_drains_are_deterministic_in_the_seed() {
         let run = |seed: u64| {
-            let (mut engine, mut nvm, mut io, mut clock) =
-                setup(BackpressurePolicy::Spill, true, 2);
+            let mut rig = Rig::new(BackpressurePolicy::Spill, true, 2)
+                .with_faults(FaultPlaneConfig::uniform(seed, 0.05));
             let data = b"deterministic chaos ".repeat(2000);
-            let (_, meta) =
-                store_and_enqueue(&mut engine, &mut nvm, 1, data);
-            let mut plane =
-                FaultPlane::new(FaultPlaneConfig::uniform(seed, 0.05));
-            drain_faulty(
-                &mut engine, &mut nvm, &mut io, &mut clock, &mut plane,
-            );
-            let blob = io
+            let (_, meta) = rig.enqueue(1, data);
+            rig.drain();
+            let blob = rig
+                .io
                 .read(&ObjectKey::of(&meta))
                 .map(|(_, b)| b)
                 .unwrap_or_default();
-            (plane.render_log(), engine.stats, blob)
+            (rig.plane.render_log(), rig.engine.stats, blob)
         };
         let a = run(77);
         let b = run(77);

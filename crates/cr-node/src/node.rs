@@ -6,9 +6,8 @@ use std::fmt;
 
 use cr_compress::{registry, CodecError};
 
-use crate::faults::{
-    DegradePolicy, FaultPlane, FaultPlaneConfig, FaultSite, RetryPolicy,
-};
+use crate::faults::{FaultPlane, FaultPlaneConfig, FaultSite};
+use crate::frame;
 use crate::metadata::CheckpointMeta;
 use crate::ndp::{BackpressurePolicy, NdpEngine, StepOutcome};
 use crate::nvm::{NvmError, NvmStore, Region, SlotId};
@@ -56,11 +55,6 @@ pub struct NodeConfig {
     /// replication, the NDP drain engine, the NIC and the remote I/O
     /// path.
     pub faults: Option<FaultPlaneConfig>,
-    /// Retry/backoff budget for transient drain failures.
-    pub retry: RetryPolicy,
-    /// Degradation policy once retries are exhausted or the codec
-    /// fails.
-    pub degrade: DegradePolicy,
 }
 
 impl NodeConfig {
@@ -84,8 +78,6 @@ impl NodeConfig {
             ndp_compress_bw: 440.4e6,
             host_decompress_bw: 16e9,
             faults: None,
-            retry: RetryPolicy::default(),
-            degrade: DegradePolicy::default(),
         }
     }
 }
@@ -211,17 +203,14 @@ impl ComputeNode {
                 registry::by_name(name, level)
                     .unwrap_or_else(|| panic!("unknown codec {name}({level})"))
             });
-        let mut ndp = NdpEngine::new(
+        let ndp = NdpEngine::new(
             codec,
             cfg.policy,
             cfg.block_size,
             cfg.nic_blocks,
             cfg.ndp_compress_bw,
+            cfg.incremental,
         );
-        if let Some(policy) = cfg.incremental {
-            ndp.enable_incremental(policy);
-        }
-        ndp.set_policies(cfg.retry, cfg.degrade);
         let partner = (cfg.partner_ratio > 0)
             .then(|| NvmStore::new(cfg.nvm_uncompressed, 0));
         let faults = cfg
@@ -356,7 +345,7 @@ impl ComputeNode {
 
     /// Performs one unit of NDP drain work, consulting the fault plane.
     pub fn ndp_step(&mut self) -> Result<StepOutcome, NodeError> {
-        Ok(self.ndp.step_faulty(
+        Ok(self.ndp.step(
             &mut self.nvm,
             &mut self.io,
             &mut self.clock,
@@ -611,55 +600,11 @@ impl ComputeNode {
         );
         let codec = match &meta.codec {
             None => None,
-            Some(label) => {
-                // Parse "name(level)".
-                let (name, rest) = label
-                    .split_once('(')
-                    .ok_or_else(|| CodecError::new("bad codec label"))?;
-                let level: u32 = rest
-                    .trim_end_matches(')')
-                    .parse()
-                    .map_err(|_| CodecError::new("bad codec level"))?;
-                Some(registry::by_name(name, level).ok_or_else(|| {
-                    CodecError::new(format!("unknown codec {label}"))
-                })?)
-            }
+            Some(label) => Some(registry::by_label(label).ok_or_else(|| {
+                CodecError::new(format!("unknown codec {label}"))
+            })?),
         };
-        let mut data = Vec::with_capacity(meta.size as usize);
-        let mut pos = 0usize;
-        while pos < blob.len() {
-            if pos + 8 > blob.len() {
-                return Err(CodecError::new("truncated block frame").into());
-            }
-            let raw_len =
-                u32::from_le_bytes(blob[pos..pos + 4].try_into().unwrap())
-                    as usize;
-            let comp_len = u32::from_le_bytes(
-                blob[pos + 4..pos + 8].try_into().unwrap(),
-            ) as usize;
-            pos += 8;
-            if pos + comp_len > blob.len() {
-                return Err(
-                    CodecError::new("block frame overruns blob").into()
-                );
-            }
-            let payload = &blob[pos..pos + comp_len];
-            pos += comp_len;
-            match &codec {
-                Some(c) => {
-                    let mut part = Vec::with_capacity(raw_len);
-                    c.decompress(payload, &mut part)?;
-                    if part.len() != raw_len {
-                        return Err(CodecError::new(
-                            "block length mismatch",
-                        )
-                        .into());
-                    }
-                    data.extend_from_slice(&part);
-                }
-                None => data.extend_from_slice(payload),
-            }
-        }
+        let data = frame::decode(&blob, codec.as_deref(), meta.size as usize)?;
         Ok((meta, data))
     }
 
@@ -716,6 +661,11 @@ impl ComputeNode {
     /// blocking the network emulates application traffic contention).
     pub fn nic_blocked(&mut self, blocked: bool) {
         self.ndp.nic.blocked = blocked;
+    }
+
+    /// Blocks waiting in the NDP's NIC transmit buffer.
+    pub fn nic_depth(&self) -> usize {
+        self.ndp.nic.depth()
     }
 
     /// Immutable access to the remote I/O node.

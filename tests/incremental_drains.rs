@@ -3,11 +3,13 @@
 //! blocks) and their interaction with compression, failures and chain
 //! limits.
 
+use ndp_checkpoint::cr_node::faults::{FaultPlaneConfig, FaultSite};
 use ndp_checkpoint::cr_node::incremental::DedupStore;
 use ndp_checkpoint::cr_node::ndp::IncrementalPolicy;
 use ndp_checkpoint::cr_node::node::{
     ComputeNode, FailureKind, NodeConfig, NodeError, RestoreSource,
 };
+use ndp_checkpoint::cr_node::remote::ObjectKey;
 use ndp_checkpoint::cr_workloads::{by_name, CheckpointGenerator};
 
 fn incr_cfg(max_chain: u32) -> NodeConfig {
@@ -206,6 +208,70 @@ fn missing_base_after_manual_tampering_is_detected() {
         node.restore_rank("a", 9).unwrap_err(),
         NodeError::NoCheckpoint
     ));
+}
+
+/// Whether checkpoint `ckpt_id` of app `a`, rank 0, is sealed remotely.
+fn sealed(node: &ComputeNode, ckpt_id: u64) -> bool {
+    let key = ObjectKey {
+        app_id: "a".into(),
+        rank: 0,
+        ckpt_id,
+    };
+    node.io().peek_verified(&key).is_some()
+}
+
+#[test]
+fn deltas_are_sealed_after_their_base() {
+    // The I/O node crashes before sealing delta 1, which is rewound and
+    // backs off while delta 2 (based on 1) ships. Sealing 2 first would
+    // leave a window in which a node loss finds a newest remote object
+    // whose base does not exist.
+    let mut node = ComputeNode::new(NodeConfig {
+        drain_ratio: 1,
+        block_size: 4096,
+        incremental: Some(IncrementalPolicy {
+            max_chain: 4,
+            diff_block: 1024,
+        }),
+        faults: Some(
+            FaultPlaneConfig::disabled(1).with(FaultSite::IoCrash, 1.0),
+        ),
+        ..NodeConfig::small_test()
+    });
+    node.register_app("a");
+    node.faults_mut().set_active(false);
+    let mut state: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
+    node.checkpoint("a", &state).unwrap();
+    node.drain_all().unwrap();
+    state[100] ^= 1;
+    node.checkpoint("a", &state).unwrap();
+    state[5000] ^= 1;
+    node.checkpoint("a", &state).unwrap();
+
+    node.faults_mut().set_active(true);
+    for _ in 0..100 {
+        node.ndp_step().unwrap();
+        if node.faults().count(FaultSite::IoCrash) == 1 {
+            break;
+        }
+    }
+    assert_eq!(node.faults().count(FaultSite::IoCrash), 1);
+    assert!(!sealed(&node, 1), "the crash hit delta 1's finalize");
+    node.faults_mut().set_active(false);
+
+    for _ in 0..100 {
+        node.ndp_step().unwrap();
+        if sealed(&node, 2) {
+            break;
+        }
+    }
+    assert!(sealed(&node, 2), "delta 2 must drain");
+    assert!(sealed(&node, 1), "delta 2 was sealed before its base");
+    assert_eq!(node.ndp_stats().incremental_drains, 2);
+    node.inject_failure(FailureKind::NodeLoss);
+    let r = node.restore("a").unwrap();
+    assert_eq!(r.meta.ckpt_id, 2);
+    assert_eq!(r.data, state);
 }
 
 #[test]
