@@ -17,7 +17,7 @@
 //! fault plane quiesced so the prediction itself cannot be perturbed).
 //!
 //! Episodes are seeded independently (`splitmix(seed ^ splitmix(index))`)
-//! and run in parallel on the workspace work-stealing executor; their
+//! and run in parallel on the workspace executor (`cr_core::par`); their
 //! outputs are folded in episode order, so everything is derived from
 //! `CHAOS_SEED` and two runs with the same seed produce byte-identical
 //! reports at any worker count — including the CRC-64 digest of all
@@ -30,11 +30,10 @@
 //! Exit status is nonzero on any invariant violation, or — for full-size
 //! sweeps (≥ 500 episodes) — if any fault site never fired.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use cr_core::par::par_map_chunked;
+use cr_core::par::par_map;
 use cr_node::faults::{FaultPlaneConfig, FAULT_SITES};
 use cr_node::integrity::Crc64;
 use cr_node::ndp::{BackpressurePolicy, IncrementalPolicy, StepOutcome};
@@ -406,28 +405,8 @@ impl Episode<'_> {
     }
 }
 
-thread_local! {
-    /// Per-worker shadow-copy map, reused (cleared, capacity kept)
-    /// across the hundreds of episodes a worker runs, so steady-state
-    /// episodes stop paying hash-table growth.
-    static SHADOW_POOL: RefCell<HashMap<u64, Vec<u8>>> =
-        RefCell::new(HashMap::new());
-}
-
 fn run_episode(index: u64, seed: u64, obs: bool) -> EpisodeOutput {
-    SHADOW_POOL.with(|cell| {
-        let mut shadow = cell.borrow_mut();
-        shadow.clear();
-        run_episode_with(index, seed, obs, &mut shadow)
-    })
-}
-
-fn run_episode_with(
-    index: u64,
-    seed: u64,
-    obs: bool,
-    shadow: &mut HashMap<u64, Vec<u8>>,
-) -> EpisodeOutput {
+    let mut shadow = HashMap::new();
     let mut totals = Totals::default();
     let mut violations = Vec::new();
     let mut site_counts = vec![0u64; FAULT_SITES.len()];
@@ -478,7 +457,7 @@ fn run_episode_with(
     let mut ep = Episode {
         node,
         rng,
-        shadow,
+        shadow: &mut shadow,
         next_id: 0,
         totals: &mut totals,
         violations: &mut violations,
@@ -537,8 +516,7 @@ fn main() {
     // drained-per-episode ring did when episodes ran sequentially.
     let obs = opts.obs.is_some();
     let indices: Vec<u64> = (0..opts.episodes).collect();
-    let outputs =
-        par_map_chunked(&indices, |&e| run_episode(e, opts.seed, obs));
+    let outputs = par_map(&indices, |&e| run_episode(e, opts.seed, obs));
     let mut metrics = Metrics::new();
     for (e, out) in outputs.iter().enumerate() {
         totals.add(&out.totals);

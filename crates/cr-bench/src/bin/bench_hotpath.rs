@@ -245,9 +245,7 @@ fn stages_section(image: &[u8]) -> (Value, Value) {
 
 fn main() {
     let opts = Opts::from_env();
-    let effective_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let effective_cores = cr_core::par::default_threads();
 
     let apps = all_mini_apps();
     // Per-codec inputs: one image per mini-app, splitting the requested

@@ -4,7 +4,7 @@
 //! Measures:
 //!
 //! 1. **Engine throughput** — replicas/sec through the discrete-event
-//!    engine at 1..N worker threads on the work-stealing executor,
+//!    engine at 1..N worker threads on the workspace executor,
 //!    asserting that every thread count reproduces the 1-thread results
 //!    bit for bit.
 //! 2. **Observed fleet** — replicas/sec with per-replica event streams
@@ -421,9 +421,7 @@ fn write_json(path: &PathBuf, doc: &Value) {
 
 fn main() {
     let opts = Opts::from_env();
-    let effective_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let effective_cores = cr_core::par::default_threads();
 
     let engine = engine_section(&opts);
     let fleet = fleet_section(&opts);

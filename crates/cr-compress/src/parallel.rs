@@ -4,36 +4,22 @@
 //! I/O write).
 //!
 //! [`ParallelCodec`] wraps any [`Codec`]: the input is split into
-//! fixed-size chunks, each chunk is compressed independently on a
-//! worker thread, and the results are concatenated into a framed
-//! container. Decompression is likewise chunk-parallel. The wrapper is
-//! itself a `Codec`, so it can be measured by the §5 harness or plugged
-//! into the NDP engine.
+//! fixed-size chunks, each chunk is compressed independently on the
+//! workspace executor ([`cr_core::par`]), and the framed results are
+//! concatenated in chunk order into a container. Decompression is
+//! likewise chunk-parallel. The wrapper is itself a `Codec`, so it can
+//! be measured by the §5 harness or plugged into the NDP engine.
 //!
-//! ## Lock-free pipeline
-//!
-//! Workers never queue behind a mutex. Chunks are claimed with an
-//! atomic counter and every result lands in a pre-sized slot owned
-//! exclusively by its claimant (the output-slot idiom also used by
-//! `cr_core::par`), so adding workers adds no serialization
-//! beyond the claim fetch-add. [`ParallelCodec::compress_stream`] goes
-//! further: a consumer emits each framed chunk the moment it (and its
-//! predecessors) are ready, while later chunks are still compressing —
-//! the shape an NDP drain wants, where frames leave for the NIC as they
-//! finish. Chunk output buffers are recycled through a small pool, so a
-//! steady-state drain performs no per-chunk allocation.
+//! Container: `PAR1`, the input length (`u64`), the chunk size (`u32`),
+//! then one `[u32 len][payload]` frame per chunk. The bytes do not
+//! depend on the worker count.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
+use cr_core::par::{default_threads, par_map_in};
 use cr_obs::{Bus, Source};
 
 use crate::{Codec, CodecError};
 
 const MAGIC: &[u8; 4] = b"PAR1";
-/// Upper bound on pooled chunk buffers kept across calls.
-const POOL_CAP: usize = 64;
 
 /// A block-parallel wrapper around any codec.
 pub struct ParallelCodec {
@@ -45,8 +31,6 @@ pub struct ParallelCodec {
     /// cap is pure win.
     workers: usize,
     chunk_size: usize,
-    /// Recycled per-chunk output buffers (cleared, capacity kept).
-    pool: Mutex<Vec<Vec<u8>>>,
     /// Observability bus; disabled by default. Codec work is unclocked
     /// (`t = 0.0`) — spans mark structure, not duration.
     bus: Bus,
@@ -58,32 +42,25 @@ impl ParallelCodec {
     pub fn new(inner: Box<dyn Codec>, threads: usize, chunk_size: usize) -> Self {
         assert!(threads >= 1);
         assert!(chunk_size >= 4096, "chunks too small to be worthwhile");
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
         ParallelCodec {
             inner,
             threads,
-            workers: threads.min(cores),
+            workers: threads.min(default_threads()),
             chunk_size,
-            pool: Mutex::new(Vec::new()),
             bus: Bus::disabled(),
         }
     }
 
-    /// Attaches an observability bus: each `compress_stream` /
-    /// `decompress` call emits a causal span. Observation never changes
-    /// the container bytes.
+    /// Attaches an observability bus: each `compress` / `decompress`
+    /// call emits a causal span. Observation never changes the
+    /// container bytes.
     pub fn set_bus(&mut self, bus: &Bus) {
         self.bus = bus.clone();
     }
 
     /// Wraps with one worker per available core.
     pub fn with_available_parallelism(inner: Box<dyn Codec>) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        Self::new(inner, threads, 1 << 20)
+        Self::new(inner, default_threads(), 1 << 20)
     }
 
     /// Configured worker count.
@@ -95,210 +72,7 @@ impl ParallelCodec {
     pub fn chunk_size(&self) -> usize {
         self.chunk_size
     }
-
-    fn take_buf(&self) -> Vec<u8> {
-        self.pool.lock().unwrap().pop().unwrap_or_default()
-    }
-
-    fn recycle_buf(&self, mut buf: Vec<u8>) {
-        buf.clear();
-        let mut pool = self.pool.lock().unwrap();
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
-        }
-    }
-
-    /// Runs `f` over `jobs` on up to `self.threads` workers, preserving
-    /// order, without any locking: an atomic counter hands out indices
-    /// and each worker writes the uniquely-claimed input and output
-    /// slots through raw views.
-    fn run_jobs<J, R, F>(&self, jobs: Vec<J>, f: F) -> Vec<R>
-    where
-        J: Send,
-        R: Send,
-        F: Fn(J) -> R + Sync,
-    {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(n);
-        if workers <= 1 {
-            return jobs.into_iter().map(f).collect();
-        }
-        let mut jobs: Vec<Option<J>> = jobs.into_iter().map(Some).collect();
-        let next = AtomicUsize::new(0);
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-
-        {
-            let jobs_view = SendPtr(jobs.as_mut_ptr());
-            let out_view = SendPtr(out.as_mut_ptr());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let f = &f;
-                    let next = &next;
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        // SAFETY: index i is claimed exactly once across
-                        // all workers and is in-bounds; both vectors
-                        // outlive the scope and the main thread does not
-                        // touch them until the scope joins.
-                        let job = unsafe {
-                            (*jobs_view.get().add(i)).take().expect("job")
-                        };
-                        let r = f(job);
-                        unsafe {
-                            *out_view.get().add(i) = Some(r);
-                        }
-                    });
-                }
-            });
-        }
-
-        out.into_iter().map(|r| r.expect("slot filled")).collect()
-    }
-
-    /// Compresses `input` chunk-parallel, handing each framed chunk
-    /// (`[u32 len][payload]`) to `emit` in order *as soon as it and its
-    /// predecessors are done* — the framed prefix of the container is
-    /// streaming out while the tail is still being compressed.
-    ///
-    /// `emit` receives exactly the container body: concatenating the
-    /// header written by [`Codec::compress`] with every emitted frame
-    /// reproduces `compress`'s output byte for byte.
-    pub fn compress_stream(
-        &self,
-        input: &[u8],
-        emit: &mut dyn FnMut(&[u8]),
-    ) {
-        // Codec work is unclocked; the guard's drop closes the span on
-        // every return path.
-        let _span = self.bus.span(Source::Codec, "parallel_compress", 0.0);
-        let chunks: Vec<&[u8]> = input.chunks(self.chunk_size).collect();
-        let n = chunks.len();
-        if n == 0 {
-            return;
-        }
-        let workers = self.workers.min(n);
-        if workers <= 1 {
-            // Sequential fast path: one reused buffer, zero coordination.
-            let mut buf = self.take_buf();
-            for chunk in chunks {
-                self.inner.compress(chunk, &mut buf);
-                let mut t = cr_obs::stage::timer(cr_obs::stage::Stage::Frame);
-                emit(&(buf.len() as u32).to_le_bytes());
-                emit(&buf);
-                if let Some(t) = t.as_mut() {
-                    t.add_bytes(4 + buf.len() as u64);
-                }
-            }
-            self.recycle_buf(buf);
-            return;
-        }
-
-        let slots: Vec<Slot> = (0..n).map(|_| Slot::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let slots = &slots;
-                let next = &next;
-                let chunks = &chunks;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let mut buf = self.take_buf();
-                    self.inner.compress(chunks[i], &mut buf);
-                    slots[i].fill(buf);
-                });
-            }
-
-            // This thread is the consumer: emit frames in order as they
-            // become ready, overlapping with the workers still running.
-            for slot in &slots {
-                let buf = slot.wait_take();
-                let mut t = cr_obs::stage::timer(cr_obs::stage::Stage::Frame);
-                emit(&(buf.len() as u32).to_le_bytes());
-                emit(&buf);
-                if let Some(t) = t.as_mut() {
-                    t.add_bytes(4 + buf.len() as u64);
-                }
-                self.recycle_buf(buf);
-            }
-        });
-    }
 }
-
-/// A single-producer single-consumer result slot: the claiming worker
-/// stores the buffer then flips `ready` (release); the consumer
-/// observes `ready` (acquire) before taking the buffer.
-struct Slot {
-    ready: AtomicBool,
-    buf: UnsafeCell<Option<Vec<u8>>>,
-}
-
-// SAFETY: the release/acquire pair on `ready` orders the single write
-// of `buf` before the single read; no other access exists.
-unsafe impl Sync for Slot {}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            ready: AtomicBool::new(false),
-            buf: UnsafeCell::new(None),
-        }
-    }
-
-    fn fill(&self, buf: Vec<u8>) {
-        // SAFETY: exactly one worker claims this slot's index, and the
-        // consumer does not read until `ready` is set below.
-        unsafe {
-            *self.buf.get() = Some(buf);
-        }
-        self.ready.store(true, Ordering::Release);
-    }
-
-    fn wait_take(&self) -> Vec<u8> {
-        let mut spins = 0u32;
-        while !self.ready.load(Ordering::Acquire) {
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                // Oversubscribed (e.g. single-core machines): give the
-                // producer the CPU instead of burning it.
-                std::thread::yield_now();
-            }
-        }
-        // SAFETY: `ready` is set exactly once, after the buffer write.
-        unsafe { (*self.buf.get()).take().expect("slot filled") }
-    }
-}
-
-/// A `Send + Copy` wrapper for raw slot pointers shared across workers;
-/// soundness argument at the use sites in `run_jobs`.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> SendPtr<T> {
-    /// Accessor (rather than direct field use) so closures capture the
-    /// whole `SendPtr` — edition-2021 disjoint capture would otherwise
-    /// capture the raw pointer field, which is not `Send`.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
 
 impl Codec for ParallelCodec {
     fn name(&self) -> &'static str {
@@ -319,12 +93,23 @@ impl Codec for ParallelCodec {
     }
 
     fn compress_append(&self, input: &[u8], out: &mut Vec<u8>) {
+        // Codec work is unclocked; the guard's drop closes the span.
+        let _span = self.bus.span(Source::Codec, "parallel_compress", 0.0);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(input.len() as u64).to_le_bytes());
         out.extend_from_slice(&(self.chunk_size as u32).to_le_bytes());
-        self.compress_stream(input, &mut |frame| {
-            out.extend_from_slice(frame);
+        let chunks: Vec<&[u8]> = input.chunks(self.chunk_size).collect();
+        let payloads = par_map_in(self.workers, &chunks, |chunk| {
+            self.inner.compress_to_vec(chunk)
         });
+        for payload in payloads {
+            let mut t = cr_obs::stage::timer(cr_obs::stage::Stage::Frame);
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(&payload);
+            if let Some(t) = t.as_mut() {
+                t.add_bytes(4 + payload.len() as u64);
+            }
+        }
     }
 
     fn decompress(
@@ -363,14 +148,16 @@ impl Codec for ParallelCodec {
             pos += len;
         }
         let expected_chunks = total.div_ceil(chunk_size);
-        if total > 0 && frames.len() != expected_chunks {
+        // Always checked, even for `total == 0`: the per-frame length
+        // check below relies on `i * chunk_size < total`.
+        if frames.len() != expected_chunks {
             return Err(CodecError::new(format!(
                 "expected {expected_chunks} chunks, found {}",
                 frames.len()
             )));
         }
 
-        let results = self.run_jobs(frames, |frame| {
+        let results = par_map_in(self.workers, &frames, |frame| {
             self.inner.decompress_to_vec(frame)
         });
         for (i, r) in results.into_iter().enumerate() {
@@ -428,8 +215,8 @@ mod tests {
         // Regression test for the old mutex-serialized job runner: every
         // thread count must produce the single-thread container for
         // chunk counts around the worker count (0, 1, n-1, n, n+1, and a
-        // remainder chunk), and repeated calls (warm buffer pool, warm
-        // thread-local codec state) must not perturb the bytes.
+        // remainder chunk), and repeated calls (warm thread-local codec
+        // state) must not perturb the bytes.
         let chunk = 4096usize;
         for nchunks in [1usize, 2, 3, 7, 8, 9, 16, 33] {
             for tail in [0usize, 1, chunk - 1] {
@@ -465,24 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn compress_stream_frames_match_container_body() {
-        let data = sample(123_456);
-        for threads in [1, 4] {
-            let c = par(threads);
-            let mut streamed = Vec::new();
-            let mut frames = 0usize;
-            c.compress_stream(&data, &mut |part| {
-                streamed.extend_from_slice(part);
-                frames += 1;
-            });
-            // Each chunk emits a length frame and a payload frame.
-            assert_eq!(frames, 2 * data.len().div_ceil(16 << 10));
-            let container = c.compress_to_vec(&data);
-            assert_eq!(&container[16..], &streamed[..], "threads {threads}");
-        }
-    }
-
-    #[test]
     fn observed_codec_emits_spans_without_changing_bytes() {
         let data = sample(100_000);
         let plain = par(4).compress_to_vec(&data);
@@ -511,14 +280,6 @@ mod tests {
             })
             .count();
         assert_eq!(closes, 2);
-    }
-
-    #[test]
-    fn compress_stream_empty_input_emits_nothing() {
-        let c = par(4);
-        let mut calls = 0usize;
-        c.compress_stream(b"", &mut |_| calls += 1);
-        assert_eq!(calls, 0);
     }
 
     #[test]

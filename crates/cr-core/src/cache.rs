@@ -10,7 +10,7 @@
 //! bit-identical to an uncached solve (a property test holds this over a
 //! seeded parameter grid). [`solve_cycle_many`] batches grid evaluation:
 //! duplicates are solved once and large unique sets fan out over the
-//! work-stealing executor ([`crate::par`]).
+//! workspace executor ([`crate::par`]).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -243,7 +243,7 @@ const PAR_SOLVE_THRESHOLD: usize = 256;
 ///
 /// Duplicate configurations (bit-identical, per [`CycleCache`] keying)
 /// are solved once. Large unique sets are solved in parallel on the
-/// work-stealing executor; the output is index-addressed either way, so
+/// workspace executor; the output is index-addressed either way, so
 /// the result order is deterministic.
 pub fn solve_cycle_many(
     pairs: &[(SystemParams, Strategy)],
@@ -261,7 +261,7 @@ pub fn solve_cycle_many(
     }
     let solved: Vec<CycleSolution> = if unique.len() >= PAR_SOLVE_THRESHOLD
     {
-        crate::par::par_map_chunked(&unique, |&i| {
+        crate::par::par_map(&unique, |&i| {
             solve_cycle(&pairs[i].0, &pairs[i].1)
         })
     } else {

@@ -75,7 +75,7 @@ pub mod prelude {
         solve_cycle_cached, solve_cycle_many, CycleCache,
     };
     pub use crate::daly;
-    pub use crate::par::{par_map_chunked, par_map_in};
+    pub use crate::par::{par_map, par_map_in};
     pub use crate::ndp_sizing::{self, NdpSizing};
     pub use crate::params::{
         CompressionSpec, DrainLagModel, Strategy, SystemParams,

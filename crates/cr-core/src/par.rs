@@ -1,31 +1,15 @@
-//! Chunk-claiming, work-stealing parallel map with deterministic output
-//! order.
+//! Parallel map with deterministic output order.
 //!
-//! This is the fan-out primitive for every sweep in the workspace:
-//! simulator replicas, chaos episodes, and analytic parameter grids. A
-//! flat atomic-counter queue (the previous design) is fine when every
-//! item costs the same, but chaos episodes and mixed-length sweeps are
-//! heavily skewed — a worker that draws a long item stalls the tail
-//! while the counter runs dry. Here each worker is dealt a contiguous
-//! range up front and **claims small chunks from its own front**; an
-//! idle worker **steals the back half** of a victim's remaining range.
-//! Results always land at their input index, so output order — and
-//! therefore every downstream fold — is deterministic regardless of
-//! scheduling.
-//!
-//! ## Memory safety
-//!
-//! Output slots are `MaybeUninit<R>` cells written exactly once: every
-//! index is claimed by exactly one worker (ranges are disjoint by
-//! construction and only ever split, never duplicated). A completion
-//! bitmap records which slots were initialized; if a worker panics, the
-//! panic propagates out of [`std::thread::scope`] and a drop guard frees
-//! exactly the initialized slots — no leaks, no double drops, and the
-//! `Vec<Option<R>>`-with-raw-pointer pattern this replaces is gone.
+//! This is the one executor of the workspace: simulator replicas, chaos
+//! episodes, analytic solver batches and the chunk-parallel codec all
+//! fan out through [`par_map_in`]. Scoped workers claim one index at a
+//! time from a shared counter, so a long item never strands the rest of
+//! a skewed sweep behind it. Each worker returns its `(index, result)`
+//! pairs through its join handle and the caller places them by index,
+//! so the output order, and therefore every downstream fold, does not
+//! depend on scheduling.
 
-use std::cell::UnsafeCell;
-use std::mem::{ManuallyDrop, MaybeUninit};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default worker count: one per available core.
 pub fn default_threads() -> usize {
@@ -34,14 +18,13 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Applies `f` to every item in parallel with work stealing, preserving
-/// input order in the output. Spawns up to
-/// `min(items.len(), available_parallelism)` workers.
+/// Applies `f` to every item in parallel, preserving input order in the
+/// output. Spawns up to `min(items.len(), available_parallelism)`
+/// workers.
 ///
-/// Panics in `f` propagate to the caller after all workers stop (the
-/// remaining workers abandon unclaimed work as soon as they observe the
-/// abort flag).
-pub fn par_map_chunked<T, R, F>(items: &[T], f: F) -> Vec<R>
+/// A panic in `f` propagates to the caller once every worker has
+/// stopped.
+pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -50,9 +33,10 @@ where
     par_map_in(default_threads(), items, f)
 }
 
-/// [`par_map_chunked`] with an explicit worker count (used by the bench
-/// harness thread sweeps and the N-thread-vs-1-thread determinism
-/// tests). `threads <= 1` runs inline on the caller's thread.
+/// [`par_map`] with an explicit worker count (used by the bench harness
+/// thread sweeps, the chunk-parallel codec and the
+/// N-thread-vs-1-thread determinism tests). `threads <= 1` runs inline
+/// on the caller's thread.
 pub fn par_map_in<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -60,243 +44,57 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let threads = threads.min(n);
     if threads <= 1 {
-        return items.iter().map(&f).collect();
+        return items.iter().map(f).collect();
     }
-    assert!(
-        n <= u32::MAX as usize,
-        "par_map_in supports at most u32::MAX items"
-    );
 
-    // Per-worker range deques, packed (start, end) half-open in one
-    // atomic word so claim and steal are single CAS operations.
-    let queues: Vec<AtomicU64> = (0..threads)
-        .map(|w| {
-            let lo = (n * w / threads) as u32;
-            let hi = (n * (w + 1) / threads) as u32;
-            AtomicU64::new(pack(lo, hi))
-        })
-        .collect();
-
-    let mut slots: Vec<UnsafeCell<MaybeUninit<R>>> =
-        (0..n).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect();
-    let done: Vec<AtomicU64> =
-        (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-    let abort = AtomicBool::new(false);
-
-    // Frees initialized-but-unharvested slots if a worker panic unwinds
-    // through the caller. Disarmed on the success path.
-    let mut guard = CleanupGuard {
-        slots: &mut slots,
-        done: &done,
-        armed: true,
+    // `Relaxed` suffices: the counter only hands out indices, and the
+    // results reach the caller through the join handles.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(&items[i])));
+        }
     };
+    let parts: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            (0..threads).map(|_| scope.spawn(work)).collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
 
-    {
-        let shared = Shared {
-            queues: &queues,
-            slots: SlotView(guard.slots),
-            done: &done,
-            abort: &abort,
-        };
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let f = &f;
-                let shared = &shared;
-                scope.spawn(move || shared.work(w, items, f));
-            }
-        });
-    }
-
-    // All workers joined without panicking: every slot is initialized.
-    guard.armed = false;
-    debug_assert!(done
-        .iter()
-        .enumerate()
-        .all(|(i, w)| w.load(Ordering::Relaxed)
-            == full_mask(n - i * 64)));
-    let slots = std::mem::take(guard.slots);
-    // SAFETY: `UnsafeCell<MaybeUninit<R>>` has the same layout as `R`
-    // and every element was initialized exactly once by a worker.
-    unsafe {
-        let mut slots = ManuallyDrop::new(slots);
-        Vec::from_raw_parts(
-            slots.as_mut_ptr() as *mut R,
-            slots.len(),
-            slots.capacity(),
-        )
-    }
-}
-
-#[inline]
-fn pack(start: u32, end: u32) -> u64 {
-    ((start as u64) << 32) | end as u64
-}
-
-#[inline]
-fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-fn full_mask(remaining: usize) -> u64 {
-    if remaining >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << remaining) - 1
-    }
-}
-
-/// Shared view of the output buffer. Sound because range bookkeeping
-/// guarantees each index is claimed — and therefore written — exactly
-/// once, and workers only read foreign queue words, never foreign slots.
-struct SlotView<'a, R>(&'a [UnsafeCell<MaybeUninit<R>>]);
-unsafe impl<R: Send> Sync for SlotView<'_, R> {}
-
-struct Shared<'a, R> {
-    queues: &'a [AtomicU64],
-    slots: SlotView<'a, R>,
-    done: &'a [AtomicU64],
-    abort: &'a AtomicBool,
-}
-
-impl<R> Shared<'_, R> {
-    fn work<T, F>(&self, w: usize, items: &[T], f: &F)
-    where
-        F: Fn(&T) -> R,
-    {
-        // If `f` panics, tell the other workers to stop claiming work so
-        // the panic surfaces promptly instead of after the whole sweep.
-        let _abort_guard = AbortOnPanic(self.abort);
-        loop {
-            if self.abort.load(Ordering::Relaxed) {
-                return;
-            }
-            let Some((lo, hi)) = self.claim_front(w) else {
-                if !self.steal_into(w) {
-                    return;
-                }
-                continue;
-            };
-            for i in lo..hi {
-                let i = i as usize;
-                let r = f(&items[i]);
-                // SAFETY: index `i` was claimed exactly once (by this
-                // worker); the slot buffer outlives the scope.
-                unsafe { (*self.slots.0[i].get()).write(r) };
-                self.done[i / 64]
-                    .fetch_or(1u64 << (i % 64), Ordering::Release);
-            }
-        }
-    }
-
-    /// Claims a chunk from the front of worker `w`'s own range:
-    /// 1/8th of what remains (min 1), so granularity tightens toward the
-    /// tail and stealers always find meaningful back halves early on.
-    fn claim_front(&self, w: usize) -> Option<(u32, u32)> {
-        let q = &self.queues[w];
-        let mut cur = q.load(Ordering::Acquire);
-        loop {
-            let (start, end) = unpack(cur);
-            if start >= end {
-                return None;
-            }
-            let len = end - start;
-            let take = (len / 8).max(1);
-            match q.compare_exchange_weak(
-                cur,
-                pack(start + take, end),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((start, start + take)),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Steals the back half of some victim's range into worker `w`'s
-    /// (empty) queue. Returns false when every queue is empty — the
-    /// only termination condition, so no claimed index is ever dropped.
-    fn steal_into(&self, w: usize) -> bool {
-        let n = self.queues.len();
-        for off in 1..n {
-            let v = (w + off) % n;
-            let q = &self.queues[v];
-            let mut cur = q.load(Ordering::Acquire);
-            loop {
-                let (start, end) = unpack(cur);
-                if start >= end {
-                    break; // victim empty, try next
-                }
-                let len = end - start;
-                let mid = start + len / 2; // thief takes [mid, end)
-                match q.compare_exchange_weak(
-                    cur,
-                    pack(start, mid),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        // Only the owner installs into its own queue,
-                        // and it is empty here, so a plain store is
-                        // race-free (thieves CAS against stale values).
-                        self.queues[w]
-                            .store(pack(mid, end), Ordering::Release);
-                        return true;
-                    }
-                    Err(seen) => cur = seen,
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for part in parts {
+        match part {
+            Ok(done) => {
+                for (i, r) in done {
+                    out[i] = Some(r);
                 }
             }
-        }
-        false
-    }
-}
-
-struct AbortOnPanic<'a>(&'a AtomicBool);
-impl Drop for AbortOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Release);
+            // Results already placed and the unvisited parts drop as
+            // this unwinds, so nothing leaks.
+            Err(panic) => std::panic::resume_unwind(panic),
         }
     }
-}
-
-struct CleanupGuard<'a, R> {
-    slots: &'a mut Vec<UnsafeCell<MaybeUninit<R>>>,
-    done: &'a [AtomicU64],
-    armed: bool,
-}
-
-impl<R> Drop for CleanupGuard<'_, R> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        for (i, cell) in self.slots.iter_mut().enumerate() {
-            let bit = self.done[i / 64].load(Ordering::Acquire);
-            if bit & (1u64 << (i % 64)) != 0 {
-                // SAFETY: the completion bit is set only after the slot
-                // was fully written, and no worker is still running
-                // (scope joined before the unwind reached us).
-                unsafe { cell.get_mut().assume_init_drop() };
-            }
-        }
-    }
+    out.into_iter()
+        .map(|r| r.expect("every index is claimed exactly once"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::AtomicU32;
 
     #[test]
     fn maps_in_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = par_map_chunked(&items, |&x| x * x);
+        let out = par_map(&items, |&x| x * x);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, (i as u64) * (i as u64));
         }
@@ -304,13 +102,13 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let out: Vec<u32> = par_map_chunked(&[] as &[u32], |&x| x);
+        let out: Vec<u32> = par_map(&[] as &[u32], |&x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_item() {
-        let out = par_map_chunked(&[41], |&x| x + 1);
+        let out = par_map(&[41], |&x| x + 1);
         assert_eq!(out, vec![42]);
     }
 
@@ -326,8 +124,7 @@ mod tests {
 
     #[test]
     fn uneven_work_is_still_complete() {
-        // Heavily skewed cost: the last items are ~1000x the first, so
-        // completion requires stealing to visit every range.
+        // Heavily skewed cost: the last items are ~1000x the first.
         let items: Vec<usize> = (0..64).collect();
         let out = par_map_in(4, &items, |&x| {
             let mut acc = 0u64;
@@ -376,14 +173,38 @@ mod tests {
             })
         });
         assert!(result.is_err(), "worker panic must propagate");
-        // Every constructed result was dropped exactly once by the
-        // cleanup guard — the old Vec<Option<R>> pattern would instead
-        // die on `expect("slot not filled")` or leak.
+        // Every constructed result was dropped exactly once, whether it
+        // was still in a worker or already placed by the caller.
         assert_eq!(
             CREATED.load(Ordering::SeqCst),
             DROPPED.load(Ordering::SeqCst)
         );
         assert!(CREATED.load(Ordering::SeqCst) > 0);
+    }
+
+    #[test]
+    fn every_index_mapped_exactly_once() {
+        // With a pure `f`, a double claim would still give equal output,
+        // so count the calls per index instead.
+        for threads in [1, 2, 3, 8] {
+            for n in [0usize, 1, 7, 64, 1000] {
+                let calls: Vec<AtomicU32> =
+                    (0..n).map(|_| AtomicU32::new(0)).collect();
+                let items: Vec<usize> = (0..n).collect();
+                let out = par_map_in(threads, &items, |&i| {
+                    calls[i].fetch_add(1, Ordering::SeqCst);
+                    i
+                });
+                assert_eq!(out, items, "threads {threads} n {n}");
+                for (i, c) in calls.iter().enumerate() {
+                    assert_eq!(
+                        c.load(Ordering::SeqCst),
+                        1,
+                        "threads {threads} n {n} index {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

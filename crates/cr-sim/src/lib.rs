@@ -28,7 +28,7 @@
 //! [`cr_obs::Bus`], and returns a [`SimResult`]. [`simulate`] is its
 //! fault-free, unobserved form. [`simulate_avg`] and
 //! [`run_fleet_observed`] fan seeded replicas out over the
-//! work-stealing executor in `cr_core::par`; results are keyed only by
+//! workspace executor in `cr_core::par`; results are keyed only by
 //! seed, so every thread count gives bit-identical output. A timeline
 //! for rendering is rebuilt from a recorded event stream with
 //! [`Trace::from_events`].

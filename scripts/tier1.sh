@@ -3,18 +3,26 @@
 #
 #   build (release)  ->  tests  ->  clippy (deny warnings)
 #
+# Each phase prints its wall time. Tests run without `--quiet`, so every
+# test binary's `Running ...` line sits above its `finished in Ns` line.
+#
 # Usage: scripts/tier1.sh   (from the repo root or anywhere inside it)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier1: release build =="
-cargo build --release --offline --workspace
+phase() {
+    local name=$1
+    shift
+    echo "== tier1: $name =="
+    local start=$SECONDS
+    "$@"
+    echo "== tier1: $name took $((SECONDS - start)) s =="
+}
 
-echo "== tier1: tests =="
-cargo test --offline --workspace --quiet
-
-echo "== tier1: clippy (deny warnings) =="
-cargo clippy --offline --workspace --all-targets -- -D warnings
+phase "release build" cargo build --release --offline --workspace
+phase "tests" cargo test --offline --workspace
+phase "clippy (deny warnings)" \
+    cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== tier1: OK =="

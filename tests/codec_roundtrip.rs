@@ -242,6 +242,20 @@ fn parallel_corrupt_frame_headers_error_not_panic() {
     let bad = &good[..18];
     assert!(c.decompress_to_vec(bad).is_err(), "truncated frame header");
 
+    // Zero total length, yet two frames that each decode to nothing:
+    // the frame count must still be checked, or the per-frame expected
+    // length `total - i * chunk_size` underflows at the second frame.
+    let empty = by_name("gz", 1).unwrap().compress_to_vec(b"");
+    let mut bad = Vec::new();
+    bad.extend_from_slice(b"PAR1");
+    bad.extend_from_slice(&0u64.to_le_bytes());
+    bad.extend_from_slice(&(CHUNK as u32).to_le_bytes());
+    for _ in 0..2 {
+        bad.extend_from_slice(&(empty.len() as u32).to_le_bytes());
+        bad.extend_from_slice(&empty);
+    }
+    assert!(c.decompress_to_vec(&bad).is_err(), "frames past a zero total");
+
     // Bit flips across the whole container: error or mismatch detection,
     // never a panic.
     for _ in 0..64 {

@@ -1,6 +1,6 @@
 //! Determinism of the simulation plane: a pinned seed reproduces the
-//! engine's exact output, and every thread count of the work-stealing
-//! executor produces bit-identical replica results, event streams, and
+//! engine's exact output, and every thread count of the workspace
+//! executor (`cr_core::par`) produces bit-identical replica results, event streams, and
 //! sweep outputs — parallelism is a pure performance change, never a
 //! semantic one.
 
