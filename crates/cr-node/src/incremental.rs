@@ -1,20 +1,13 @@
-//! Hash-based incremental checkpointing and cross-rank deduplication —
-//! the paper's §7 future-work NDP optimizations ("NDP is well suited to
-//! compare data for consecutive checkpoints and checkpoints of
-//! neighboring MPI rank"), in the style of libhashckpt \[22\] and
-//! checkpoint-deduplication work \[23, 24\].
+//! Hash-based incremental checkpointing — the first of the paper's §7
+//! future-work NDP optimizations ("NDP is well suited to compare data
+//! for consecutive checkpoints"), in the style of libhashckpt \[22\].
+//! Cross-rank deduplication, the second, is not implemented.
 //!
 //! * [`BlockHasher`] — 128-bit per-block fingerprints (two independent
-//!   64-bit FNV-1a variants; collision odds ~2⁻¹²⁸ per pair, and the
-//!   dedup store additionally verifies bytes on insert).
+//!   64-bit FNV-1a variants; collision odds ~2⁻¹²⁸ per pair).
 //! * [`IncrementalEncoder`] — diffs a checkpoint against the previous
 //!   one block-by-block, emitting only changed blocks plus an
 //!   unchanged-block map; [`apply_incremental`] reconstructs.
-//! * [`DedupStore`] — content-addressed block store for checkpoints of
-//!   neighboring ranks: identical blocks (ghost zones, common constants,
-//!   zero pages) are stored once.
-
-use std::collections::HashMap;
 
 /// Default diff granularity, bytes.
 pub const DEFAULT_BLOCK: usize = 64 * 1024;
@@ -299,96 +292,6 @@ pub fn apply_incremental(
     Ok(out)
 }
 
-/// Content-addressed block store deduplicating checkpoints across MPI
-/// ranks (§7's second NDP opportunity). Bytes are verified on insert,
-/// so fingerprint collisions cannot corrupt data.
-#[derive(Debug, Default)]
-pub struct DedupStore {
-    blocks: HashMap<Fingerprint, Vec<u8>>,
-    /// Bytes that would have been stored without dedup.
-    pub logical_bytes: u64,
-    /// Bytes actually stored.
-    pub stored_bytes: u64,
-}
-
-/// A deduplicated checkpoint: the recipe of fingerprints to reassemble
-/// it from a [`DedupStore`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DedupRecipe {
-    /// Total size.
-    pub full_size: usize,
-    /// Block size used.
-    pub block_size: usize,
-    /// Fingerprint of each block in order.
-    pub blocks: Vec<Fingerprint>,
-}
-
-impl DedupStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ingests a checkpoint, storing only novel blocks. Returns the
-    /// reassembly recipe.
-    pub fn ingest(&mut self, data: &[u8], block_size: usize) -> DedupRecipe {
-        let mut blocks = Vec::with_capacity(data.len().div_ceil(block_size));
-        for chunk in data.chunks(block_size) {
-            let fp = BlockHasher::fingerprint(chunk);
-            self.logical_bytes += chunk.len() as u64;
-            match self.blocks.get(&fp) {
-                Some(existing) => {
-                    // Verify to make collisions impossible in practice.
-                    assert_eq!(
-                        existing.as_slice(),
-                        chunk,
-                        "fingerprint collision detected"
-                    );
-                }
-                None => {
-                    self.stored_bytes += chunk.len() as u64;
-                    self.blocks.insert(fp, chunk.to_vec());
-                }
-            }
-            blocks.push(fp);
-        }
-        DedupRecipe {
-            full_size: data.len(),
-            block_size,
-            blocks,
-        }
-    }
-
-    /// Reassembles a checkpoint from its recipe.
-    pub fn reassemble(&self, recipe: &DedupRecipe) -> Result<Vec<u8>, String> {
-        let mut out = Vec::with_capacity(recipe.full_size);
-        for fp in &recipe.blocks {
-            let block = self
-                .blocks
-                .get(fp)
-                .ok_or_else(|| "missing block in dedup store".to_string())?;
-            out.extend_from_slice(block);
-        }
-        if out.len() != recipe.full_size {
-            return Err("reassembled size mismatch".into());
-        }
-        Ok(out)
-    }
-
-    /// Dedup factor achieved so far: `1 − stored/logical`.
-    pub fn dedup_factor(&self) -> f64 {
-        if self.logical_bytes == 0 {
-            return 0.0;
-        }
-        1.0 - self.stored_bytes as f64 / self.logical_bytes as f64
-    }
-
-    /// Number of unique blocks held.
-    pub fn unique_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,51 +504,5 @@ mod tests {
         assert_eq!(incr.payload_bytes(), 0);
         assert_eq!(incr.changed_fraction(), 0.0);
         assert!(incr.encode().len() < 1024, "map overhead only");
-    }
-
-    #[test]
-    fn dedup_across_identical_ranks() {
-        let mut store = DedupStore::new();
-        let img = image(7, 256 * 1024);
-        let r1 = store.ingest(&img, 4096);
-        let r2 = store.ingest(&img, 4096);
-        assert!(store.dedup_factor() > 0.49, "{}", store.dedup_factor());
-        assert_eq!(store.reassemble(&r1).unwrap(), img);
-        assert_eq!(store.reassemble(&r2).unwrap(), img);
-    }
-
-    #[test]
-    fn dedup_on_partially_shared_ranks() {
-        let mut store = DedupStore::new();
-        // Two ranks sharing a common "constant table" region.
-        let shared = image(8, 128 * 1024);
-        let mut rank_a = shared.clone();
-        rank_a.extend(image(10, 128 * 1024));
-        let mut rank_b = shared;
-        rank_b.extend(image(11, 128 * 1024));
-        let ra = store.ingest(&rank_a, 4096);
-        let rb = store.ingest(&rank_b, 4096);
-        let f = store.dedup_factor();
-        assert!(f > 0.2 && f < 0.35, "dedup factor {f}");
-        assert_eq!(store.reassemble(&ra).unwrap(), rank_a);
-        assert_eq!(store.reassemble(&rb).unwrap(), rank_b);
-    }
-
-    #[test]
-    fn dedup_zero_pages_collapse() {
-        let mut store = DedupStore::new();
-        let zeros = vec![0u8; 1 << 20];
-        store.ingest(&zeros, 4096);
-        assert_eq!(store.unique_blocks(), 1);
-        assert!(store.dedup_factor() > 0.99);
-    }
-
-    #[test]
-    fn reassemble_missing_block_errors() {
-        let mut store = DedupStore::new();
-        let img = image(12, 8192);
-        let mut recipe = store.ingest(&img, 4096);
-        recipe.blocks[0] = Fingerprint(1, 2); // bogus
-        assert!(store.reassemble(&recipe).is_err());
     }
 }

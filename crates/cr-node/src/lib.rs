@@ -10,6 +10,14 @@
 //! describes (pause, or spill to NVM), failure injection that destroys
 //! the right state, and recovery along both paths (§4.2.3).
 //!
+//! The node is single-threaded and step-driven. The host calls
+//! [`node::ComputeNode::checkpoint`] and [`node::ComputeNode::restore`];
+//! the NDP makes progress only when the caller pumps
+//! [`node::ComputeNode::ndp_step`] or [`node::ComputeNode::drain_all`].
+//! The host/NDP overlap of the paper's Figure 3 is accounted in virtual
+//! time ([`vclock::VClock`] splits critical-path from background work),
+//! not run on threads.
+//!
 //! The top-level type is [`node::ComputeNode`]; the operational
 //! correctness claims of §4.2 are enforced by this crate's tests:
 //! checkpoints restore byte-exactly through every path, locked slots are
@@ -32,7 +40,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod background;
 pub mod faults;
 pub mod frame;
 pub mod incremental;

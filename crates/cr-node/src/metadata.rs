@@ -3,8 +3,8 @@
 //! BLCR attaches to each checkpoint the parent process ID, the MPI
 //! process (rank) ID and a unique checkpoint ID; the node uses this to
 //! track the latest checkpoint and its location per application. This
-//! module is that record, plus a compact binary encoding so metadata can
-//! live alongside checkpoint bytes in the stores.
+//! module is that record; the stores keep it next to each checkpoint's
+//! bytes.
 
 use std::fmt;
 
@@ -64,96 +64,6 @@ impl CheckpointMeta {
             ..self.clone()
         }
     }
-
-    /// Serializes to a compact binary record.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(b"CKPTMETA");
-        let app = self.app_id.as_bytes();
-        out.extend_from_slice(&(app.len() as u32).to_le_bytes());
-        out.extend_from_slice(app);
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&self.ckpt_id.to_le_bytes());
-        out.extend_from_slice(&self.size.to_le_bytes());
-        out.extend_from_slice(&self.taken_at.to_le_bytes());
-        match &self.codec {
-            None => out.extend_from_slice(&0u32.to_le_bytes()),
-            Some(c) => {
-                let cb = c.as_bytes();
-                out.extend_from_slice(&(cb.len() as u32).to_le_bytes());
-                out.extend_from_slice(cb);
-            }
-        }
-        match self.base {
-            None => out.push(0),
-            Some(b) => {
-                out.push(1);
-                out.extend_from_slice(&b.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&self.content_crc.to_le_bytes());
-        out
-    }
-
-    /// Parses a record produced by [`CheckpointMeta::encode`].
-    pub fn decode(data: &[u8]) -> Result<Self, MetaError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], MetaError> {
-            if *pos + n > data.len() {
-                return Err(MetaError::Truncated);
-            }
-            let s = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 8)? != b"CKPTMETA" {
-            return Err(MetaError::BadMagic);
-        }
-        let app_len =
-            u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        if app_len > 4096 {
-            return Err(MetaError::Truncated);
-        }
-        let app_id = String::from_utf8(take(&mut pos, app_len)?.to_vec())
-            .map_err(|_| MetaError::BadUtf8)?;
-        let rank = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        let ckpt_id = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let size = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let taken_at =
-            u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        let codec_len =
-            u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let codec = if codec_len == 0 {
-            None
-        } else {
-            if codec_len > 256 {
-                return Err(MetaError::Truncated);
-            }
-            Some(
-                String::from_utf8(take(&mut pos, codec_len)?.to_vec())
-                    .map_err(|_| MetaError::BadUtf8)?,
-            )
-        };
-        let base = match take(&mut pos, 1)?[0] {
-            0 => None,
-            1 => Some(u64::from_le_bytes(
-                take(&mut pos, 8)?.try_into().unwrap(),
-            )),
-            _ => return Err(MetaError::Truncated),
-        };
-        let content_crc =
-            u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-        Ok(CheckpointMeta {
-            app_id,
-            rank,
-            ckpt_id,
-            size,
-            taken_at,
-            codec,
-            base,
-            content_crc,
-        })
-    }
 }
 
 impl fmt::Display for CheckpointMeta {
@@ -173,29 +83,6 @@ impl fmt::Display for CheckpointMeta {
     }
 }
 
-/// Metadata decoding error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetaError {
-    /// Record does not start with the expected magic.
-    BadMagic,
-    /// Record ends prematurely.
-    Truncated,
-    /// A string field is not valid UTF-8.
-    BadUtf8,
-}
-
-impl fmt::Display for MetaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MetaError::BadMagic => write!(f, "bad metadata magic"),
-            MetaError::Truncated => write!(f, "truncated metadata"),
-            MetaError::BadUtf8 => write!(f, "invalid UTF-8 in metadata"),
-        }
-    }
-}
-
-impl std::error::Error for MetaError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,72 +92,17 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip() {
-        let m = sample();
-        assert_eq!(CheckpointMeta::decode(&m.encode()).unwrap(), m);
-        let c = m.compressed_with("gz(1)");
-        assert_eq!(CheckpointMeta::decode(&c.encode()).unwrap(), c);
-        assert_eq!(c.codec.as_deref(), Some("gz(1)"));
-    }
-
-    #[test]
-    fn content_crc_round_trips() {
-        let mut m = sample();
-        m.content_crc = 0xDEAD_BEEF_CAFE_F00D;
-        assert_eq!(CheckpointMeta::decode(&m.encode()).unwrap(), m);
-    }
-
-    #[test]
     fn incremental_marker_round_trips() {
         let m = sample().incremental_over(41);
         assert_eq!(m.base, Some(41));
-        let back = CheckpointMeta::decode(&m.encode()).unwrap();
-        assert_eq!(back, m);
-        let full = sample();
-        assert_eq!(
-            CheckpointMeta::decode(&full.encode()).unwrap().base,
-            None
-        );
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(
-            CheckpointMeta::decode(b"not meta").unwrap_err(),
-            MetaError::BadMagic
-        );
-        let mut enc = sample().encode();
-        enc.truncate(enc.len() - 3);
-        assert_eq!(
-            CheckpointMeta::decode(&enc).unwrap_err(),
-            MetaError::Truncated
-        );
-    }
-
-    #[test]
-    fn decode_rejects_invalid_utf8() {
-        let mut enc = sample().encode();
-        // Corrupt a byte of the app-id string.
-        enc[13] = 0xFF;
-        assert!(matches!(
-            CheckpointMeta::decode(&enc),
-            Err(MetaError::BadUtf8) | Err(MetaError::Truncated)
-        ));
+        assert_eq!(sample().base, None);
     }
 
     #[test]
     fn display_is_informative() {
-        let s = format!("{}", sample().compressed_with("rz(6)"));
+        let c = sample().compressed_with("rz(6)");
+        assert_eq!(c.codec.as_deref(), Some("rz(6)"));
+        let s = format!("{c}");
         assert!(s.contains("lulesh") && s.contains("#42") && s.contains("rz(6)"));
-    }
-
-    #[test]
-    fn huge_length_fields_are_rejected() {
-        let mut enc = b"CKPTMETA".to_vec();
-        enc.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            CheckpointMeta::decode(&enc).unwrap_err(),
-            MetaError::Truncated
-        );
     }
 }

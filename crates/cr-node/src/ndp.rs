@@ -253,9 +253,6 @@ pub struct NdpStats {
     pub drains_source_corrupt: u64,
 }
 
-/// Upper bound on recycled framed-block buffers kept by the engine.
-const FRAME_POOL_CAP: usize = 32;
-
 /// Maps a storage-layer error into the engine's error type.
 fn io_err(e: impl std::fmt::Display) -> CodecError {
     CodecError::new(e.to_string())
@@ -273,10 +270,6 @@ pub struct NdpEngine {
     queue: VecDeque<DrainJob>,
     paused: bool,
     next_spill_id: u64,
-    /// Recycled framed-block buffers: blocks shipped through the NIC
-    /// return their allocation here, so a steady-state drain compresses
-    /// every block into an already-sized buffer (no per-block `Vec`).
-    frame_pool: Vec<Vec<u8>>,
     /// Modeled NDP compression throughput, bytes/s (virtual-time
     /// charging).
     pub compress_bw: f64,
@@ -317,7 +310,6 @@ impl NdpEngine {
             queue: VecDeque::new(),
             paused: false,
             next_spill_id: 0,
-            frame_pool: Vec::new(),
             compress_bw,
             stats: NdpStats::default(),
             steps: 0,
@@ -566,9 +558,6 @@ impl NdpEngine {
         }
         drop(ship_t);
         self.stats.blocks_shipped += 1;
-        // The shipped block's allocation goes back to the pool for the
-        // next compression.
-        self.recycle(block.data);
         let job = &mut self.queue[pos];
         job.unshipped -= 1;
         job.shipped_bytes += block_len;
@@ -661,10 +650,6 @@ impl NdpEngine {
             return Ok(StepOutcome::Retrying);
         }
 
-        // Acquire the output buffer before borrowing the source slot:
-        // recycled from shipped blocks, else from the NVM's spare pool.
-        let mut framed =
-            self.frame_pool.pop().unwrap_or_else(|| nvm.take_buffer());
         let codec = if use_codec { self.codec.as_deref() } else { None };
         let job = &mut self.queue[pos];
         let source: &[u8] = match &job.delta {
@@ -686,6 +671,7 @@ impl NdpEngine {
         // codec's own tokenize/entropy sub-stages nest inside it.
         let chunk_len = end - offset;
         let mut frame_t = stage::timer(Stage::Frame);
+        let mut framed = Vec::new();
         frame::append(&mut framed, &source[offset..end], codec);
         if let Some(t) = frame_t.as_mut() {
             t.add_bytes(chunk_len as u64);
@@ -782,25 +768,9 @@ impl NdpEngine {
         Ok(())
     }
 
-    /// Returns a framed-block allocation to the pool.
-    fn recycle(&mut self, mut buf: Vec<u8>) {
-        buf.clear();
-        if self.frame_pool.len() < FRAME_POOL_CAP {
-            self.frame_pool.push(buf);
-        }
-    }
-
-    /// Drops every NIC block belonging to `key`, recycling the buffers.
+    /// Drops every NIC block belonging to `key`.
     fn drop_nic_blocks(&mut self, key: &ObjectKey) {
-        let mut kept = VecDeque::with_capacity(self.nic.queue.len());
-        while let Some(b) = self.nic.queue.pop_front() {
-            if b.key == *key {
-                self.recycle(b.data);
-            } else {
-                kept.push_back(b);
-            }
-        }
-        self.nic.queue = kept;
+        self.nic.queue.retain(|b| b.key != *key);
     }
 
     /// Charges one transient remote failure at `site` to a job: it backs
@@ -850,12 +820,8 @@ impl NdpEngine {
         let key = self.queue[pos].key.clone();
         io.abort_object(&key);
         self.drop_nic_blocks(&key);
-        let spilled: Vec<SlotId> =
-            self.queue[pos].spilled.drain(..).collect();
-        for sid in spilled {
-            if let Ok(slot) = nvm.remove(sid) {
-                self.recycle(slot.data);
-            }
+        for sid in self.queue[pos].spilled.drain(..) {
+            let _ = nvm.remove(sid);
         }
         let job = &mut self.queue[pos];
         if job.phase != Phase::Prepare {
@@ -883,9 +849,7 @@ impl NdpEngine {
     /// gone.
     fn crash_restart(&mut self, nvm: &mut NvmStore, io: &mut IoNode) {
         self.stats.ndp_crashes += 1;
-        while let Some(b) = self.nic.queue.pop_front() {
-            self.recycle(b.data);
-        }
+        self.nic.queue.clear();
         let mut pos = 0;
         while pos < self.queue.len() {
             if self.rewind_job(pos, nvm, io) {
@@ -953,9 +917,7 @@ impl NdpEngine {
         io.abort_object(&job.key);
         self.drop_nic_blocks(&job.key);
         for &sid in &job.spilled {
-            if let Ok(slot) = nvm.remove(sid) {
-                self.recycle(slot.data);
-            }
+            let _ = nvm.remove(sid);
         }
         let _ = nvm.unlock(job.slot);
         self.stats.drains_cancelled += 1;

@@ -150,9 +150,13 @@ pub struct NvmStore {
     compressed: RegionBuf,
     next_id: u64,
     /// Recycled payload buffers from evicted slots, handed out via
-    /// [`NvmStore::take_buffer`] so the write path (host checkpoint
-    /// commit, NDP framed blocks) reuses wraparound capacity instead of
-    /// allocating fresh.
+    /// [`NvmStore::take_buffer`] so the host checkpoint commit (local
+    /// and partner copy) reuses wraparound capacity instead of
+    /// allocating fresh. Measured on a 2-vCPU machine with the
+    /// repository benchmark's `ckpt_local` workload (4 pairs of 10 s
+    /// runs), removing this pool raised `setup_s` from 47.4 to 56.8 ms
+    /// (+20 %, higher in every pair) while lowering `peak_heap_mb` from
+    /// 168.5 to 160.5, so it stays.
     spare: Vec<Vec<u8>>,
     /// Total evictions performed (wraparound count).
     pub evictions: u64,
@@ -184,7 +188,7 @@ impl NvmStore {
     pub fn take_buffer(&mut self) -> Vec<u8> {
         let mut buf = self.spare.pop().unwrap_or_default();
         // `recycle` clears before pooling, but the cleared-contract is
-        // what keeps stale checkpoint bytes out of framed output, so
+        // what keeps stale checkpoint bytes out of a new commit, so
         // enforce it here too rather than trusting every producer.
         buf.clear();
         buf
@@ -510,8 +514,8 @@ mod tests {
     fn take_buffer_is_cleared_even_if_the_pool_was_dirtied() {
         // Regression for the documented cleared-buffer contract: a
         // recycled eviction payload must never leak prior checkpoint
-        // bytes into framing, even if a buffer reached the pool without
-        // going through `recycle`'s clear.
+        // bytes into a new commit, even if a buffer reached the pool
+        // without going through `recycle`'s clear.
         let mut nvm = NvmStore::new(100, 0);
         nvm.spare.push(vec![0xAB; 64]);
         let buf = nvm.take_buffer();

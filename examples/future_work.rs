@@ -1,13 +1,11 @@
 //! Showcase of the paper's §7 future-work NDP optimizations, as
-//! implemented in this reproduction: incremental drains, cross-rank
-//! deduplication, the partner checkpoint level, and end-to-end
-//! integrity with corruption fallback.
+//! implemented in this reproduction: incremental drains, the partner
+//! checkpoint level, and end-to-end integrity with corruption fallback.
 //!
 //! ```sh
 //! cargo run --release --example future_work
 //! ```
 
-use ndp_checkpoint::cr_node::incremental::DedupStore;
 use ndp_checkpoint::cr_node::ndp::IncrementalPolicy;
 use ndp_checkpoint::cr_node::node::{
     ComputeNode, FailureKind, NodeConfig, RestoreSource,
@@ -16,7 +14,6 @@ use ndp_checkpoint::cr_workloads::{by_name, CheckpointGenerator};
 
 fn main() {
     incremental_drains();
-    cross_rank_dedup();
     partner_and_integrity();
 }
 
@@ -57,27 +54,6 @@ fn incremental_drains() {
         "  node loss -> restored checkpoint #{} by walking the delta chain, byte-exact\n",
         restored.meta.ckpt_id
     );
-}
-
-/// §7: "... and checkpoints of neighboring MPI rank".
-fn cross_rank_dedup() {
-    println!("== cross-rank deduplication ==");
-    let gen = by_name("pHPCCG").unwrap();
-    let mut store = DedupStore::new();
-    let mut recipes = Vec::new();
-    for rank in 0..16 {
-        let img = gen.generate_rank(1 << 20, 7, rank);
-        recipes.push((img.clone(), store.ingest(&img, 4096)));
-    }
-    println!(
-        "  16 ranks x 1 MiB: {} unique blocks, dedup factor {:.1}%",
-        store.unique_blocks(),
-        store.dedup_factor() * 100.0
-    );
-    for (img, recipe) in &recipes {
-        assert_eq!(&store.reassemble(recipe).unwrap(), img);
-    }
-    println!("  all 16 rank images reassemble byte-exactly\n");
 }
 
 /// §3.4 partner level + CRC-64 integrity with graceful degradation.

@@ -1,14 +1,15 @@
 //! Functional demo of the NDP compute node (§4.2 of the paper): run a
 //! synthetic mini-app, take checkpoints into local NVM, let the NDP
-//! compress and drain every k-th checkpoint to a remote I/O node in the
-//! background, then kill the node and recover — verifying byte-exact
-//! restoration along both recovery paths.
+//! compress and drain every k-th checkpoint to a remote I/O node, then
+//! kill the node and recover — verifying byte-exact restoration along
+//! both recovery paths. The node is step-driven: drains progress when
+//! `drain_all` pumps the NDP, and the time they would hide behind the
+//! application is accounted in virtual time.
 //!
 //! ```sh
 //! cargo run --release --example ndp_node_demo
 //! ```
 
-use ndp_checkpoint::cr_node::background::BackgroundNode;
 use ndp_checkpoint::cr_node::ndp::BackpressurePolicy;
 use ndp_checkpoint::cr_node::node::{
     ComputeNode, FailureKind, NodeConfig, RestoreSource,
@@ -50,7 +51,6 @@ fn main() {
         ..NodeConfig::small_test()
     });
     node.register_app("comd");
-    let node = BackgroundNode::start(node);
 
     let mut app = MiniApp::new(ckpt_bytes);
     let mut shadow_states: Vec<(u64, Vec<u8>)> = Vec::new();
@@ -59,13 +59,12 @@ fn main() {
     for step in 1..=9 {
         app.advance();
         shadow_states.push((app.step, app.state.clone()));
-        node.with_node(|n| n.checkpoint("comd", &app.state))
-            .expect("checkpoint failed");
+        node.checkpoint("comd", &app.state).expect("checkpoint failed");
         println!("  step {step}: checkpointed {} bytes", app.state.len());
     }
 
-    node.wait_drained().expect("drains stalled");
-    let stats = node.with_node(|n| n.ndp_stats());
+    node.drain_all().expect("drains stalled");
+    let stats = node.ndp_stats();
     println!(
         "\nNDP drained {} checkpoints to remote I/O ({} blocks compressed, {} shipped, {} spilled)",
         stats.drains_completed,
@@ -76,8 +75,8 @@ fn main() {
 
     // Scenario 1: application crash; node-local state survives.
     println!("\n--- failure 1: process crash (locally survivable) ---");
-    node.with_node(|n| n.inject_failure(FailureKind::LocalSurvivable));
-    let restored = node.with_node(|n| n.restore("comd")).expect("restore");
+    node.inject_failure(FailureKind::LocalSurvivable);
+    let restored = node.restore("comd").expect("restore");
     assert_eq!(restored.source, RestoreSource::LocalNvm);
     let expect = &shadow_states.last().unwrap().1;
     assert_eq!(&restored.data, expect, "local restore must be byte-exact");
@@ -89,8 +88,8 @@ fn main() {
 
     // Scenario 2: node loss; only I/O-durable checkpoints survive.
     println!("\n--- failure 2: node loss ---");
-    node.with_node(|n| n.inject_failure(FailureKind::NodeLoss));
-    let restored = node.with_node(|n| n.restore("comd")).expect("restore");
+    node.inject_failure(FailureKind::NodeLoss);
+    let restored = node.restore("comd").expect("restore");
     assert_eq!(restored.source, RestoreSource::RemoteIo);
     // Drains happen on every 3rd checkpoint: 9 taken -> ids 2, 5, 8
     // durable; newest durable is #8 (the 9th).
@@ -102,7 +101,6 @@ fn main() {
         restored.meta.ckpt_id
     );
 
-    let node = node.stop();
     let clock = node.clock();
     println!("\nvirtual-time accounting:");
     println!(

@@ -4,7 +4,6 @@
 //! limits.
 
 use ndp_checkpoint::cr_node::faults::{FaultPlaneConfig, FaultSite};
-use ndp_checkpoint::cr_node::incremental::DedupStore;
 use ndp_checkpoint::cr_node::ndp::IncrementalPolicy;
 use ndp_checkpoint::cr_node::node::{
     ComputeNode, FailureKind, NodeConfig, NodeError, RestoreSource,
@@ -272,23 +271,4 @@ fn deltas_are_sealed_after_their_base() {
     let r = node.restore("a").unwrap();
     assert_eq!(r.meta.ckpt_id, 2);
     assert_eq!(r.data, state);
-}
-
-#[test]
-fn cross_rank_dedup_on_real_workloads() {
-    // §7's second opportunity: neighboring ranks share zero pages and
-    // common structures; a content-addressed store collapses them.
-    let gen = by_name("HPCCG").unwrap();
-    let mut store = DedupStore::new();
-    for rank in 0..8 {
-        let img = gen.generate_rank(512 << 10, 12, rank);
-        let recipe = store.ingest(&img, 4096);
-        assert_eq!(store.reassemble(&recipe).unwrap(), img);
-    }
-    // HPCCG images share the metadata page and zero regions at minimum.
-    assert!(
-        store.dedup_factor() > 0.1,
-        "cross-rank dedup factor = {}",
-        store.dedup_factor()
-    );
 }

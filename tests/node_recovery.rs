@@ -2,7 +2,6 @@
 //! driving real mini-app checkpoint data through the NVM → NDP → remote
 //! I/O pipeline and back (§4.2–4.3 mechanisms under composed stress).
 
-use ndp_checkpoint::cr_node::background::BackgroundNode;
 use ndp_checkpoint::cr_node::ndp::{BackpressurePolicy, StepOutcome};
 use ndp_checkpoint::cr_node::node::{
     ComputeNode, FailureKind, NodeConfig, NodeError, RestoreSource,
@@ -195,35 +194,39 @@ fn sixteen_rank_coordinated_checkpoint() {
 }
 
 #[test]
-fn background_node_under_checkpoint_storm() {
+fn host_waits_for_ndp_when_every_slot_is_locked() {
     let mut node = ComputeNode::new(NodeConfig {
         drain_ratio: 3,
         nvm_uncompressed: 24 << 20, // forces wraparound
         ..cfg()
     });
     node.register_app("fe");
-    let bg = BackgroundNode::start(node);
     let bytes = 2 << 20;
     let mut last_img = Vec::new();
+    let mut refused = 0u32;
     for step in 0..30u64 {
         last_img = app_image(step, bytes);
-        // Retry when the circular buffer is momentarily full of locked
-        // (draining) checkpoints — the host waits for the NDP (§4.2.2).
+        // When the circular buffer holds only locked (draining)
+        // checkpoints the commit is refused, and the host waits for the
+        // NDP to read one out before retrying (§4.2.2).
         loop {
-            match bg.with_node(|n| n.checkpoint("fe", &last_img)) {
+            match node.checkpoint("fe", &last_img) {
                 Ok(_) => break,
-                Err(NodeError::Nvm(_)) => std::thread::yield_now(),
+                Err(NodeError::Nvm(_)) => {
+                    refused += 1;
+                    node.ndp_step().unwrap();
+                }
                 Err(e) => panic!("unexpected: {e}"),
             }
         }
     }
-    bg.wait_drained().unwrap();
-    let node = bg.stop();
-    assert!(node.nvm().evictions > 0, "wraparound expected");
-    assert!(node.ndp_stats().drains_completed >= 9);
+    node.drain_all().unwrap();
+    assert!(refused > 0, "no checkpoint was refused");
+    assert_eq!(node.ndp_stats().drains_completed, 9);
+    assert_eq!(node.nvm().evictions, 18);
 
     // The newest local checkpoint equals the last image.
-    let mut node = node;
     let r = node.restore("fe").unwrap();
+    assert_eq!(r.source, RestoreSource::LocalNvm);
     assert_eq!(r.data, last_img);
 }
