@@ -248,33 +248,31 @@ impl Episode<'_> {
     }
 
     fn checkpoint(&mut self, data: Vec<u8>) {
-        // The node consumes a ckpt id per attempt, successful or not.
-        let id = self.next_id;
-        self.next_id += 1;
+        // The node consumes a ckpt id only when the local write lands.
+        // It can land and a later stage (e.g. partner replication) still
+        // error: that checkpoint IS committed.
         let mut ok = self.node.checkpoint(APP, &data).is_ok();
-        if !ok {
-            // Full/locked NVM: let the NDP drain, then retry once with
-            // a fresh id.
+        if !ok && !self.landed() {
+            // Full/locked NVM: let the NDP drain, then retry once.
             self.pump(50_000);
-            self.next_id += 1;
             ok = self.node.checkpoint(APP, &data).is_ok();
         }
-        if ok {
+        if ok || self.landed() {
             self.totals.checkpoints += 1;
-            self.shadow.insert(self.next_id - 1, data);
-        } else if self
-            .node
-            .nvm()
-            .latest(Region::Uncompressed, APP, 0)
-            .is_some_and(|s| s.meta.ckpt_id == id)
-        {
-            // The local write landed before a later stage errored (e.g.
-            // partner replication): the checkpoint IS committed.
-            self.totals.checkpoints += 1;
-            self.shadow.insert(id, data);
+            self.shadow.insert(self.next_id, data);
+            self.next_id += 1;
         } else {
             self.totals.checkpoints_skipped += 1;
         }
+    }
+
+    /// True once the node's newest local checkpoint carries the id the
+    /// next commit would take, i.e. that commit's local write landed.
+    fn landed(&self) -> bool {
+        self.node
+            .nvm()
+            .latest(Region::Uncompressed, APP, 0)
+            .is_some_and(|s| s.meta.ckpt_id == self.next_id)
     }
 
     /// A restore's result must be a committed checkpoint, bit-exact —

@@ -11,19 +11,22 @@
 //!    N threads, with speedup and scaling efficiency. Efficiency is
 //!    defined as `speedup / min(threads, effective_cores)` so that
 //!    oversubscribed runs (more threads than cores) are judged against
-//!    the parallelism the machine can actually deliver.
+//!    the parallelism the machine can actually deliver. Each row repeats
+//!    the compress for at least one second
+//!    ([`cr_bench::perf::time_window`]) and reports the median seconds
+//!    as `secs`, next to the quartiles `secs_q1`/`secs_q3` and `runs`.
 //!
 //! Results go to stdout and to a machine-readable JSON file (schema
 //! `bench_codec/v1`). Knobs, all via environment:
 //!
 //! * `BENCH_MB`          — scaling-image size in MiB (default 8)
-//! * `BENCH_REPS`        — best-of repetitions per measurement (default 3)
+//! * `BENCH_REPS`        — best-of repetitions per codec row (default 3)
 //! * `BENCH_MAX_THREADS` — cap on the thread sweep (default 8)
 //! * `BENCH_OUT`         — output path (default `results/BENCH_codec.json`)
 
 use std::path::PathBuf;
 
-use cr_bench::perf::{mb_per_s, time_best};
+use cr_bench::perf::{mb_per_s, time_window};
 use cr_compress::measure::{measure_many, Measurement};
 use cr_compress::parallel::ParallelCodec;
 use cr_compress::registry::{by_name, study_codecs};
@@ -157,10 +160,11 @@ fn scaling_section(
             );
 
             let mut out = Vec::new();
-            let secs = time_best(opts.reps, || {
+            let timing = time_window(|| {
                 codec.compress(std::hint::black_box(image), &mut out);
                 std::hint::black_box(out.len());
             });
+            let secs = timing.median;
             let base = *base_secs.get_or_insert(secs);
             let speedup = base / secs;
             let efficiency =
@@ -169,17 +173,20 @@ fn scaling_section(
                 "par({inner_name:3}) x{threads:<2}  {:>9.1} MB/s  speedup {speedup:>5.2}  efficiency {efficiency:>5.2}",
                 mb_per_s(image.len(), secs),
             );
-            rows.push(Value::Obj(vec![
+            let mut row = vec![
                 ("inner".into(), Value::str(inner_name)),
                 ("threads".into(), Value::Num(threads as f64)),
-                ("secs".into(), Value::Num(secs)),
+            ];
+            row.extend(timing.fields());
+            row.extend([
                 (
                     "compress_mb_s".into(),
                     Value::Num(mb_per_s(image.len(), secs)),
                 ),
                 ("speedup".into(), Value::Num(speedup)),
                 ("efficiency".into(), Value::Num(efficiency)),
-            ]));
+            ]);
+            rows.push(Value::Obj(row));
         }
     }
     Value::Arr(rows)

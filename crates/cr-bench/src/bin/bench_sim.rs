@@ -1,5 +1,5 @@
-//! `bench_sim` — reproducible throughput harness for the simulation and
-//! sweep plane.
+//! `bench_sim` — reproducible throughput harness for the simulation
+//! plane.
 //!
 //! Measures:
 //!
@@ -10,33 +10,28 @@
 //! 2. **Observed fleet** — replicas/sec with per-replica event streams
 //!    attached, again bit-identical (results *and* streams) across
 //!    thread counts.
-//! 3. **Sweep throughput** — the memoized cycle solver: cold-cache vs
-//!    warm-cache joint policy search, and batched `solve_cycle_many`
-//!    points/sec over a Figure-4-sized ratio grid.
-//! 4. **Stages** — per-stage profiler breakdown (`engine` / `solve`).
-//! 5. **Indicators** — machine-independent pinned-seed values, also
+//! 3. **Indicators** — machine-independent pinned-seed values, also
 //!    written to a separate file so CI can `crx obs diff` them against
 //!    a checked-in baseline.
 //!
-//! Results go to stdout and a JSON file (schema `bench_sim/v1`).
-//! Knobs, via environment and argv:
+//! Each timed row repeats its run for at least one second
+//! ([`cr_bench::perf::time_window`]) and reports the median seconds
+//! per run as `secs`, next to the quartiles `secs_q1`/`secs_q3` and
+//! the number of `runs`. Results go to stdout and a JSON file (schema
+//! `bench_sim/v1`). Knobs, via environment and argv:
 //!
 //! * `BENCH_SIM_REPLICAS` — replicas per engine measurement (default 256)
-//! * `BENCH_REPS`         — best-of repetitions per measurement (default 3)
 //! * `BENCH_MAX_THREADS`  — cap on the thread sweep (default 8)
 //! * `BENCH_OUT`          — output path (default `results/BENCH_sim.json`)
 //! * `BENCH_IND_OUT`      — indicators path
 //!   (default `results/BENCH_sim_indicators.json`)
-//! * `--quick`            — CI smoke settings (fewer replicas, 1 rep)
+//! * `--quick`            — CI smoke settings (fewer replicas)
 
 use std::path::PathBuf;
 
-use cr_bench::perf::{time_best, time_once};
-use cr_core::cache::{global_cache_stats, solve_cycle_many};
-use cr_core::optimize;
+use cr_bench::perf::time_window;
 use cr_core::params::{CompressionSpec, Strategy, SystemParams};
 use cr_obs::json::Value;
-use cr_obs::stage::{self, Stage};
 use cr_sim::{
     run_fleet_observed_in, simulate_avg_in, AveragedResult, SimFaults,
     SimOptions,
@@ -50,7 +45,6 @@ const IND_REPLICAS: u64 = 8;
 
 struct Opts {
     replicas: u64,
-    reps: usize,
     max_threads: usize,
     out: PathBuf,
     ind_out: PathBuf,
@@ -68,11 +62,9 @@ impl Opts {
     fn from_env() -> Self {
         let quick = std::env::args().any(|a| a == "--quick");
         let default_replicas = if quick { 64 } else { 256 };
-        let default_reps = if quick { 1 } else { 3 };
         Opts {
             replicas: env_usize("BENCH_SIM_REPLICAS", default_replicas)
                 .max(2) as u64,
-            reps: env_usize("BENCH_REPS", default_reps).max(1),
             max_threads: env_usize("BENCH_MAX_THREADS", 8).max(1),
             out: std::env::var("BENCH_OUT")
                 .unwrap_or_else(|_| "results/BENCH_sim.json".into())
@@ -145,7 +137,7 @@ fn engine_section(opts: &Opts) -> Value {
             opts.replicas,
         );
         assert_identical(&format!("{threads} threads"), &reference, &run);
-        let secs = time_best(opts.reps, || {
+        let timing = time_window(|| {
             std::hint::black_box(simulate_avg_in(
                 threads,
                 &system,
@@ -154,19 +146,21 @@ fn engine_section(opts: &Opts) -> Value {
                 opts.replicas,
             ));
         });
+        let secs = timing.median;
         let rate = opts.replicas as f64 / secs;
         let base = *base_secs.get_or_insert(secs);
         let speedup = base / secs;
         println!(
             "engine x{threads:<2}  {rate:>10.0} replicas/s  speedup {speedup:>5.2}  (bit-identical)"
         );
-        rows.push(Value::Obj(vec![
-            ("threads".into(), Value::Num(threads as f64)),
-            ("secs".into(), Value::Num(secs)),
+        let mut row = vec![("threads".into(), Value::Num(threads as f64))];
+        row.extend(timing.fields());
+        row.extend([
             ("replicas_per_s".into(), Value::Num(rate)),
             ("speedup".into(), Value::Num(speedup)),
             ("bit_identical".into(), Value::Bool(true)),
-        ]));
+        ]);
+        rows.push(Value::Obj(row));
     }
 
     Value::Obj(vec![("threads".into(), Value::Arr(rows))])
@@ -204,19 +198,20 @@ fn fleet_section(opts: &Opts) -> Value {
 
     let mut rows = Vec::new();
     for &threads in &[1usize, wide] {
-        let secs = time_best(opts.reps, || {
+        let timing = time_window(|| {
             std::hint::black_box(run_fleet_observed_in(
                 threads, &system, &strat, &sim_opts, &faults, replicas,
             ));
         });
+        let secs = timing.median;
         println!(
             "fleet x{threads:<2}  {:>9.0} replicas/s  {:>11.0} events/s",
             replicas as f64 / secs,
             events_total as f64 / secs,
         );
-        rows.push(Value::Obj(vec![
-            ("threads".into(), Value::Num(threads as f64)),
-            ("secs".into(), Value::Num(secs)),
+        let mut row = vec![("threads".into(), Value::Num(threads as f64))];
+        row.extend(timing.fields());
+        row.extend([
             (
                 "replicas_per_s".into(),
                 Value::Num(replicas as f64 / secs),
@@ -226,128 +221,14 @@ fn fleet_section(opts: &Opts) -> Value {
                 Value::Num(events_total as f64 / secs),
             ),
             ("bit_identical".into(), Value::Bool(true)),
-        ]));
+        ]);
+        rows.push(Value::Obj(row));
     }
     Value::Obj(vec![
         ("replicas".into(), Value::Num(replicas as f64)),
         ("events_total".into(), Value::Num(events_total as f64)),
         ("threads".into(), Value::Arr(rows)),
     ])
-}
-
-/// Memoized-solver sweep: cold vs warm joint policy search and batched
-/// grid solving. The cold measurement runs on a fresh thread so it sees
-/// an empty thread-local cycle cache.
-fn sweep_section(opts: &Opts) -> Value {
-    println!("== sweep throughput (memoized cycle solver) ==");
-    let system = sys();
-
-    // Cold: fresh thread = empty cache; one-shot timing (that's the
-    // point of measuring cold).
-    let cold_secs = std::thread::spawn(move || {
-        time_once(|| {
-            std::hint::black_box(optimize::best_host_policy(
-                &system, 0.85, None,
-            ));
-        })
-    })
-    .join()
-    .expect("cold-cache search thread");
-
-    // Warm: populate this thread's cache once, then best-of.
-    std::hint::black_box(optimize::best_host_policy(&system, 0.85, None));
-    let warm_secs = time_best(opts.reps, || {
-        std::hint::black_box(optimize::best_host_policy(&system, 0.85, None));
-    });
-    let warm_speedup = cold_secs / warm_secs;
-    println!(
-        "joint host search: cold {:>8.2} ms  warm {:>8.3} ms  speedup {warm_speedup:.1}",
-        cold_secs * 1e3,
-        warm_secs * 1e3
-    );
-
-    // Batched grid: a Figure-4-sized ratio sweep at several recovery
-    // probabilities, solved through `solve_cycle_many` (deduped and,
-    // above its threshold, fanned out across the executor).
-    let pairs: Vec<(SystemParams, Strategy)> = [0.5, 0.85, 0.96]
-        .iter()
-        .flat_map(|&p| {
-            (1..=400).map(move |ratio| {
-                (system, Strategy::local_io_host(ratio, p, None))
-            })
-        })
-        .collect();
-    let batch_secs = time_best(opts.reps, || {
-        std::hint::black_box(solve_cycle_many(&pairs));
-    });
-    let points_per_s = pairs.len() as f64 / batch_secs;
-    println!(
-        "batched solve: {} points in {:.2} ms  ({points_per_s:.0} points/s)",
-        pairs.len(),
-        batch_secs * 1e3
-    );
-
-    let (hits, misses) = global_cache_stats();
-    println!("cycle cache (this thread): {hits} hits, {misses} misses");
-
-    Value::Obj(vec![
-        ("cold_search_secs".into(), Value::Num(cold_secs)),
-        ("warm_search_secs".into(), Value::Num(warm_secs)),
-        ("warm_speedup".into(), Value::Num(warm_speedup)),
-        ("batch_points".into(), Value::Num(pairs.len() as f64)),
-        ("batch_secs".into(), Value::Num(batch_secs)),
-        ("batch_points_per_s".into(), Value::Num(points_per_s)),
-        ("cache_hits".into(), Value::Num(hits as f64)),
-        ("cache_misses".into(), Value::Num(misses as f64)),
-    ])
-}
-
-/// One profiled pass: a widest-thread replica fan-out (records the
-/// `engine` stage from every worker) and a batched grid solve wrapped
-/// in the `solve` stage.
-fn stages_section(opts: &Opts) -> Value {
-    println!("== per-stage breakdown (profiled pass) ==");
-    let system = sys();
-    let strat = bench_strategy();
-    stage::reset();
-    stage::set_enabled(true);
-    std::hint::black_box(simulate_avg_in(
-        opts.max_threads,
-        &system,
-        &strat,
-        &SimOptions::quick(SEED),
-        opts.replicas,
-    ));
-    {
-        let _solve = stage::timer(Stage::Solve);
-        let pairs: Vec<(SystemParams, Strategy)> = (1..=400)
-            .map(|ratio| {
-                (system, Strategy::local_io_host(ratio, 0.85, None))
-            })
-            .collect();
-        std::hint::black_box(solve_cycle_many(&pairs));
-    }
-    stage::set_enabled(false);
-
-    let mut rows = Vec::new();
-    for snap in stage::snapshot() {
-        if snap.calls == 0 {
-            continue; // codec stages don't run in the sim plane
-        }
-        println!(
-            "{:9} calls {:>7}  {:>9.3} ms",
-            snap.stage.name(),
-            snap.calls,
-            snap.nanos as f64 / 1e6,
-        );
-        rows.push(Value::Obj(vec![
-            ("stage".into(), Value::str(snap.stage.name())),
-            ("calls".into(), Value::Num(snap.calls as f64)),
-            ("nanos".into(), Value::Num(snap.nanos as f64)),
-        ]));
-    }
-    stage::reset();
-    Value::Arr(rows)
 }
 
 /// Machine-independent pinned-seed values: simulated progress rates,
@@ -425,8 +306,6 @@ fn main() {
 
     let engine = engine_section(&opts);
     let fleet = fleet_section(&opts);
-    let sweep = sweep_section(&opts);
-    let stages = stages_section(&opts);
     let indicators = indicators_section();
 
     let doc = Value::Obj(vec![
@@ -435,7 +314,6 @@ fn main() {
             "config".into(),
             Value::Obj(vec![
                 ("replicas".into(), Value::Num(opts.replicas as f64)),
-                ("reps".into(), Value::Num(opts.reps as f64)),
                 ("max_threads".into(), Value::Num(opts.max_threads as f64)),
                 (
                     "effective_cores".into(),
@@ -447,8 +325,6 @@ fn main() {
         ),
         ("engine".into(), engine),
         ("fleet".into(), fleet),
-        ("sweep".into(), sweep),
-        ("stages".into(), stages),
         ("indicators".into(), indicators.clone()),
     ]);
     write_json(&opts.out, &doc);

@@ -1,16 +1,14 @@
-//! Memoized cycle solving for dense parameter sweeps.
+//! Memoized cycle solving for repeated ratio scans.
 //!
-//! The joint policy searches ([`crate::optimize`]) and ratio scans
-//! ([`crate::ratio_opt`]) evaluate the same `(SystemParams, Strategy)`
-//! cycles over and over: a `best_host_policy` call alone solves 2 800
-//! cycles, and the sensitivity sweeps revisit identical configurations
-//! across figures. [`CycleCache`] memoizes [`solve_cycle`] keyed on the
-//! **exact bit patterns** of every `f64` in the configuration — the only
-//! quantization that can guarantee a cache hit returns a result
-//! bit-identical to an uncached solve (a property test holds this over a
-//! seeded parameter grid). [`solve_cycle_many`] batches grid evaluation:
-//! duplicates are solved once and large unique sets fan out over the
-//! workspace executor ([`crate::par`]).
+//! The ratio scans ([`crate::ratio_opt`]) solve every ratio in
+//! `1..=MAX_RATIO`, and the sensitivity sweeps revisit identical
+//! `(SystemParams, Strategy)` configurations across figures: the
+//! repository benchmark's `model_sweep` workload measures a hit rate of
+//! 0.396. [`solve_cycle_cached`] memoizes [`solve_cycle`] in a
+//! thread-local table keyed on the **exact bit patterns** of every `f64`
+//! in the configuration — the only quantization that can guarantee a
+//! cache hit returns a result bit-identical to an uncached solve (a
+//! property test holds this over a seeded parameter grid).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -142,22 +140,17 @@ impl CycleKey {
 
 /// A memo table over [`solve_cycle`] results.
 #[derive(Debug, Default)]
-pub struct CycleCache {
+struct CycleCache {
     map: HashMap<CycleKey, CycleSolution>,
     hits: u64,
     misses: u64,
 }
 
 impl CycleCache {
-    /// New empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Solves the cycle for `(sys, strat)`, returning the memoized
     /// solution when this exact configuration was solved before. The
     /// hit path is bit-identical to calling [`solve_cycle`] directly.
-    pub fn solve(
+    fn solve(
         &mut self,
         sys: &SystemParams,
         strat: &Strategy,
@@ -172,41 +165,16 @@ impl CycleCache {
         self.map.insert(key, sol);
         sol
     }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses (actual solves) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of distinct configurations held.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no configuration has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drops all cached solutions (counters are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
 }
 
 thread_local! {
-    static GLOBAL: RefCell<CycleCache> = RefCell::new(CycleCache::new());
+    static GLOBAL: RefCell<CycleCache> = RefCell::default();
 }
 
-/// [`solve_cycle`] through a thread-local [`CycleCache`], so repeated
-/// policy searches and sweeps over the same configurations stop
-/// re-solving identical cycles. Falls back to a direct solve if the
-/// thread-local is unavailable (e.g. during thread teardown).
+/// [`solve_cycle`] through a thread-local memo table, so repeated
+/// ratio scans and sweeps over the same configurations stop re-solving
+/// identical cycles. Falls back to a direct solve if the thread-local
+/// is unavailable (e.g. during thread teardown).
 pub fn solve_cycle_cached(
     sys: &SystemParams,
     strat: &Strategy,
@@ -214,8 +182,8 @@ pub fn solve_cycle_cached(
     GLOBAL
         .try_with(|cache| {
             let mut cache = cache.borrow_mut();
-            if cache.len() >= GLOBAL_CACHE_CAP {
-                cache.clear();
+            if cache.map.len() >= GLOBAL_CACHE_CAP {
+                cache.map.clear();
             }
             cache.solve(sys, strat)
         })
@@ -223,54 +191,15 @@ pub fn solve_cycle_cached(
 }
 
 /// Hit/miss counters of this thread's [`solve_cycle_cached`] cache
-/// (`(hits, misses)`) — surfaced so the bench harness can report the
-/// measured hit rate of a grid search.
+/// (`(hits, misses)`) — surfaced so the repository benchmark can report
+/// the measured hit rate of a sweep.
 pub fn global_cache_stats() -> (u64, u64) {
     GLOBAL
         .try_with(|cache| {
             let cache = cache.borrow();
-            (cache.hits(), cache.misses())
+            (cache.hits, cache.misses)
         })
         .unwrap_or((0, 0))
-}
-
-/// Minimum number of *unique* configurations before
-/// [`solve_cycle_many`] fans out over worker threads; below this a
-/// single solve (~µs) is cheaper than waking workers.
-const PAR_SOLVE_THRESHOLD: usize = 256;
-
-/// Solves a batch of configurations, in input order.
-///
-/// Duplicate configurations (bit-identical, per [`CycleCache`] keying)
-/// are solved once. Large unique sets are solved in parallel on the
-/// workspace executor; the output is index-addressed either way, so
-/// the result order is deterministic.
-pub fn solve_cycle_many(
-    pairs: &[(SystemParams, Strategy)],
-) -> Vec<CycleSolution> {
-    let mut first_of: HashMap<CycleKey, usize> = HashMap::new();
-    let mut unique: Vec<usize> = Vec::new();
-    let mut slot_of: Vec<usize> = Vec::with_capacity(pairs.len());
-    for (i, (sys, strat)) in pairs.iter().enumerate() {
-        let key = CycleKey::new(sys, strat);
-        let slot = *first_of.entry(key).or_insert_with(|| {
-            unique.push(i);
-            unique.len() - 1
-        });
-        slot_of.push(slot);
-    }
-    let solved: Vec<CycleSolution> = if unique.len() >= PAR_SOLVE_THRESHOLD
-    {
-        crate::par::par_map(&unique, |&i| {
-            solve_cycle(&pairs[i].0, &pairs[i].1)
-        })
-    } else {
-        unique
-            .iter()
-            .map(|&i| solve_cycle(&pairs[i].0, &pairs[i].1))
-            .collect()
-    };
-    slot_of.into_iter().map(|s| solved[s]).collect()
 }
 
 #[cfg(test)]
@@ -316,7 +245,7 @@ mod tests {
         // entry and the hit that returns it) equals the direct solve
         // bit for bit.
         let mut rng = XorShift(0x5EED_0001);
-        let mut cache = CycleCache::new();
+        let mut cache = CycleCache::default();
         for _ in 0..200 {
             let s = SystemParams {
                 mtti: 600.0 + 5400.0 * rng.unit(),
@@ -358,22 +287,22 @@ mod tests {
             assert_identical(&direct, &miss);
             assert_identical(&direct, &hit);
         }
-        assert_eq!(cache.hits(), 200);
-        assert_eq!(cache.misses(), 200);
+        assert_eq!(cache.hits, 200);
+        assert_eq!(cache.misses, 200);
     }
 
     #[test]
     fn distinct_configs_do_not_collide() {
-        let mut cache = CycleCache::new();
+        let mut cache = CycleCache::default();
         let a = cache.solve(&sys(), &Strategy::local_io_host(10, 0.8, None));
         let b = cache.solve(&sys(), &Strategy::local_io_host(11, 0.8, None));
         assert_ne!(
             a.breakdown.progress_rate(),
             b.breakdown.progress_rate()
         );
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 0);
+        assert_eq!(cache.map.len(), 2);
+        assert_eq!(cache.misses, 2);
+        assert_eq!(cache.hits, 0);
     }
 
     #[test]
@@ -405,45 +334,5 @@ mod tests {
         let c2 = solve_cycle_cached(&sys(), &strat);
         assert_identical(&direct, &c1);
         assert_identical(&direct, &c2);
-    }
-
-    #[test]
-    fn many_matches_singles_and_dedupes() {
-        let base = sys();
-        let mut pairs = Vec::new();
-        for ratio in 1..=40u32 {
-            pairs.push((
-                base,
-                Strategy::local_io_host(ratio, 0.8, None),
-            ));
-        }
-        // Duplicates of the first config interleaved.
-        for _ in 0..10 {
-            pairs.push((base, Strategy::local_io_host(1, 0.8, None)));
-        }
-        let many = solve_cycle_many(&pairs);
-        assert_eq!(many.len(), pairs.len());
-        for (i, (s, strat)) in pairs.iter().enumerate() {
-            assert_identical(&many[i], &solve_cycle(s, strat));
-        }
-    }
-
-    #[test]
-    fn many_parallel_threshold_path_is_deterministic() {
-        // Enough unique configs to cross the parallel threshold.
-        let base = sys();
-        let pairs: Vec<(SystemParams, Strategy)> = (0..600u32)
-            .map(|i| {
-                (
-                    base.with_mtti(900.0 + i as f64),
-                    Strategy::local_io_host(1 + i % 30, 0.8, None),
-                )
-            })
-            .collect();
-        let a = solve_cycle_many(&pairs);
-        let b = solve_cycle_many(&pairs);
-        for (x, y) in a.iter().zip(&b) {
-            assert_identical(x, y);
-        }
     }
 }

@@ -31,7 +31,10 @@
 //!   compression speed, number of NDP cores, smallest achievable I/O
 //!   checkpoint interval (Table 3).
 //! * [`ratio_opt`] — empirical optimisation of the locally-saved :
-//!   I/O-saved checkpoint ratio (Figures 4 and 5).
+//!   I/O-saved checkpoint ratio at a fixed local interval (Figures 4
+//!   and 5).
+//! * [`cache`] — a thread-local memo of [`analytic::solve_cycle`] for
+//!   the ratio scans, bit-identical to a direct solve.
 //!
 //! The sibling crate `cr-sim` implements a discrete-event Monte-Carlo
 //! simulator of the same configurations; the two are cross-validated in
@@ -60,7 +63,6 @@ pub mod breakdown;
 pub mod cache;
 pub mod daly;
 pub mod ndp_sizing;
-pub mod optimize;
 pub mod par;
 pub mod params;
 pub mod projection;
@@ -71,9 +73,7 @@ pub mod units;
 pub mod prelude {
     pub use crate::analytic;
     pub use crate::breakdown::Breakdown;
-    pub use crate::cache::{
-        solve_cycle_cached, solve_cycle_many, CycleCache,
-    };
+    pub use crate::cache::solve_cycle_cached;
     pub use crate::daly;
     pub use crate::par::{par_map, par_map_in};
     pub use crate::ndp_sizing::{self, NdpSizing};

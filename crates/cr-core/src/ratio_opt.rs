@@ -8,7 +8,8 @@
 //! smallest sustainable one (computed in [`crate::params::derive_costs`]).
 
 use crate::breakdown::Breakdown;
-use crate::cache::{solve_cycle_cached, solve_cycle_many};
+use crate::analytic::solve_cycle;
+use crate::cache::solve_cycle_cached;
 use crate::params::{CompressionSpec, Strategy, SystemParams};
 
 /// Default upper bound of the ratio scan. At the paper's 150 s local
@@ -24,14 +25,11 @@ pub fn host_overhead_sweep(
     compression: Option<CompressionSpec>,
     max: u32,
 ) -> Vec<(u32, Breakdown)> {
-    let pairs: Vec<(SystemParams, Strategy)> = (1..=max)
-        .map(|ratio| {
-            (*sys, Strategy::local_io_host(ratio, p_local, compression))
-        })
-        .collect();
     (1..=max)
-        .zip(solve_cycle_many(&pairs))
-        .map(|(ratio, sol)| (ratio, sol.breakdown))
+        .map(|ratio| {
+            let strat = Strategy::local_io_host(ratio, p_local, compression);
+            (ratio, solve_cycle(sys, &strat).breakdown)
+        })
         .collect()
 }
 
@@ -185,6 +183,31 @@ mod tests {
             progresses[best_idx]
                 > progresses[progresses.len() - 1] + 0.01
         );
+    }
+
+    #[test]
+    fn best_ratio_is_first_maximum_of_overhead_sweep() {
+        // Fig. 5's ratio is the first maximum of Fig. 4's sweep, with a
+        // bit-equal progress rate: the memoized scan and the plain map
+        // over the direct solver must agree on every cell.
+        let factors = [None, Some(0.35), Some(0.57), Some(0.728), Some(0.842)];
+        for p_local in [0.2, 0.5, 0.8, 0.96] {
+            for factor in factors {
+                let comp = factor.map(CompressionSpec::gzip1_host_with_factor);
+                let mut first_max = (0u32, f64::MIN);
+                for (ratio, b) in
+                    host_overhead_sweep(&sys(), p_local, comp, MAX_RATIO)
+                {
+                    if b.progress_rate() > first_max.1 {
+                        first_max = (ratio, b.progress_rate());
+                    }
+                }
+                let best = best_host_ratio(&sys(), p_local, comp);
+                let cell = format!("p_local {p_local} factor {factor:?}");
+                assert_eq!(best.0, first_max.0, "{cell}");
+                assert_eq!(best.1.to_bits(), first_max.1.to_bits(), "{cell}");
+            }
+        }
     }
 
     #[test]

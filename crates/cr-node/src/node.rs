@@ -258,26 +258,8 @@ impl ComputeNode {
         if !self.apps.contains_key(app_id) {
             return Err(NodeError::UnknownApp(app_id.to_string()));
         }
-        self.host_ckpt_counter += 1;
-        let taken_at = self.host_ckpt_counter;
-        let state = self.apps.get_mut(app_id).expect("checked above");
-        let ckpt_id = state.next_ckpt_id;
-        state.next_ckpt_id += 1;
-        state.since_io += 1;
-        let drain = state.since_io >= self.cfg.drain_ratio;
-        if drain {
-            state.since_io = 0;
-        }
-        let to_partner = if self.cfg.partner_ratio > 0 {
-            state.since_partner += 1;
-            let due = state.since_partner >= self.cfg.partner_ratio;
-            if due {
-                state.since_partner = 0;
-            }
-            due
-        } else {
-            false
-        };
+        let taken_at = self.host_ckpt_counter + 1;
+        let ckpt_id = self.apps[app_id].next_ckpt_id;
 
         let mut meta = CheckpointMeta::new(
             app_id,
@@ -304,6 +286,28 @@ impl ComputeNode {
         );
         self.ndp.resume();
         let slot = result?;
+
+        // Only a landed local write consumes the ID and counts towards
+        // the drain and partner schedules; a refused commit leaves them
+        // as they were. Errors after this point do not undo the commit.
+        self.host_ckpt_counter = taken_at;
+        let state = self.apps.get_mut(app_id).expect("checked above");
+        state.next_ckpt_id += 1;
+        state.since_io += 1;
+        let drain = state.since_io >= self.cfg.drain_ratio;
+        if drain {
+            state.since_io = 0;
+        }
+        let to_partner = if self.cfg.partner_ratio > 0 {
+            state.since_partner += 1;
+            let due = state.since_partner >= self.cfg.partner_ratio;
+            if due {
+                state.since_partner = 0;
+            }
+            due
+        } else {
+            false
+        };
 
         // Injected torn write: the commit "succeeded" but the stored
         // frame is damaged past its commit-time checksum. Detected by
@@ -845,6 +849,47 @@ mod tests {
         // Checkpoints 2, 5, 8 drained.
         assert_eq!(n.ndp_stats().drains_completed, 3);
         assert_eq!(n.io().object_count(), 3);
+    }
+
+    #[test]
+    fn refused_checkpoint_consumes_no_id_and_keeps_the_drain_schedule() {
+        // Two slots' worth of NVM, every checkpoint drained: once both
+        // slots are locked for draining, the next commit is refused.
+        let mut n = ComputeNode::new(NodeConfig {
+            nvm_uncompressed: 2 * 100_000,
+            drain_ratio: 1,
+            ..NodeConfig::small_test()
+        });
+        n.register_app("app");
+        n.checkpoint("app", &payload(0, 100_000)).unwrap();
+        n.checkpoint("app", &payload(1, 100_000)).unwrap();
+        assert!(matches!(
+            n.checkpoint("app", &payload(2, 100_000)).unwrap_err(),
+            NodeError::Nvm(NvmError::AllLocked)
+        ));
+        n.drain_all().unwrap();
+        n.checkpoint("app", &payload(2, 100_000)).unwrap();
+        assert_eq!(n.restore("app").unwrap().meta.ckpt_id, 2);
+
+        // drain_ratio 3: refusals in between must not shift which
+        // committed checkpoints drain (the 3rd, 6th, ...).
+        let mut n = ComputeNode::new(NodeConfig {
+            nvm_uncompressed: 3 * 100_000,
+            drain_ratio: 3,
+            ..NodeConfig::small_test()
+        });
+        n.register_app("app");
+        let mut refused = 0;
+        for i in 0..12u8 {
+            while n.checkpoint("app", &payload(i, 100_000)).is_err() {
+                refused += 1;
+                n.ndp_step().unwrap();
+            }
+        }
+        n.drain_all().unwrap();
+        assert!(refused > 0, "no checkpoint was refused");
+        assert_eq!(n.ndp_stats().drains_completed, 4);
+        assert_eq!(n.restore("app").unwrap().meta.ckpt_id, 11);
     }
 
     #[test]

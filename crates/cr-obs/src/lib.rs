@@ -17,8 +17,8 @@
 //!    and log2-bucketed histograms, snapshotted to the `metrics/v1`
 //!    JSON schema.
 //! 3. A **stage profiler** ([`stage`]): global, lock-free
-//!    tokenize/entropy/frame/ship timers the hot path can feed from
-//!    any worker thread, off by default.
+//!    tokenize/entropy/frame/ship timers the codec and drain hot path
+//!    can feed from any worker thread, off by default.
 //!
 //! Everything here is observational: emitting an event never draws
 //! randomness, never changes control flow, and never feeds back into

@@ -3,13 +3,11 @@
 //! The codec pipeline the paper cares about has four stages:
 //! **tokenize** (LZ matching), **entropy** (Huffman coding), **frame**
 //! (building `[raw][comp][payload]` NDP frames), and **ship** (NIC →
-//! I/O node). The simulation plane adds two more: **engine** (one
-//! discrete-event replica run) and **solve** (analytic cycle-grid
-//! solving). This module accumulates wall time and byte counts per
+//! I/O node). This module accumulates wall time and byte counts per
 //! stage into process-global atomics, so instrumentation works
-//! unchanged from `ParallelCodec` worker threads and simulator replica
-//! workers, and costs one relaxed atomic load when disabled (the
-//! default).
+//! unchanged from `ParallelCodec` worker threads, and costs one relaxed
+//! atomic load when disabled (the default). The model plane (analytic
+//! solver, simulator) is not profiled here.
 //!
 //! Timing is observational only — nothing in the workspace reads these
 //! counters to make a decision — so enabling the profiler cannot
@@ -29,25 +27,14 @@ pub enum Stage {
     Frame,
     /// Shipping frames over the NIC to the I/O node.
     Ship,
-    /// One discrete-event simulator replica run (`cr-sim` engine).
-    Engine,
-    /// Analytic cycle solving for sweep grids (`cr-core`).
-    Solve,
 }
 
 /// Total number of stages tracked.
-pub const STAGE_COUNT: usize = 6;
+pub const STAGE_COUNT: usize = 4;
 
-/// All stages: codec pipeline first (in pipeline order), then the
-/// simulation-plane stages.
-pub const STAGES: [Stage; STAGE_COUNT] = [
-    Stage::Tokenize,
-    Stage::Entropy,
-    Stage::Frame,
-    Stage::Ship,
-    Stage::Engine,
-    Stage::Solve,
-];
+/// All stages, in pipeline order.
+pub const STAGES: [Stage; STAGE_COUNT] =
+    [Stage::Tokenize, Stage::Entropy, Stage::Frame, Stage::Ship];
 
 impl Stage {
     /// Stable lower-case name (JSON key in bench output).
@@ -57,8 +44,6 @@ impl Stage {
             Stage::Entropy => "entropy",
             Stage::Frame => "frame",
             Stage::Ship => "ship",
-            Stage::Engine => "engine",
-            Stage::Solve => "solve",
         }
     }
 
@@ -68,8 +53,6 @@ impl Stage {
             Stage::Entropy => 1,
             Stage::Frame => 2,
             Stage::Ship => 3,
-            Stage::Engine => 4,
-            Stage::Solve => 5,
         }
     }
 }
@@ -255,9 +238,6 @@ mod tests {
     #[test]
     fn stage_names_are_stable() {
         let names: Vec<&str> = STAGES.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            ["tokenize", "entropy", "frame", "ship", "engine", "solve"]
-        );
+        assert_eq!(names, ["tokenize", "entropy", "frame", "ship"]);
     }
 }

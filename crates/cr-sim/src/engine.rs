@@ -27,7 +27,6 @@ use std::collections::VecDeque;
 use cr_core::breakdown::Breakdown;
 use cr_core::params::{derive_costs, DerivedCosts, Strategy, SystemParams};
 
-use cr_obs::stage::{self, Stage};
 use cr_obs::{Bus, Event, EventKind, Source};
 
 use crate::rng::{Stream, StreamKind};
@@ -492,7 +491,6 @@ impl Engine {
     }
 
     fn run(mut self, opts: &SimOptions) -> SimResult {
-        let _stage = stage::timer(Stage::Engine);
         let mut replica = self.bus.span(Source::Sim, "replica", 0.0);
         let tau = self.d.interval;
         'outer: loop {

@@ -16,9 +16,10 @@
 //! * [`cr_node`] — a functional emulation of an NDP-equipped compute
 //!   node: NVM circular buffers, drain engine, NIC backpressure,
 //!   failure injection and recovery.
-//! * [`cr_obs`] — the observability plane: a structured event bus,
-//!   metrics registry and stage profiler shared by every crate above,
-//!   all zero-overhead when disabled.
+//! * [`cr_obs`] — the observability plane: a structured event bus and
+//!   metrics registry shared by every crate above, plus a stage
+//!   profiler for the codec and drain hot path, all zero-overhead when
+//!   disabled.
 //!
 //! The `cr-bench` crate (not re-exported; it is a binary/bench crate)
 //! regenerates every table and figure of the paper — see `DESIGN.md`

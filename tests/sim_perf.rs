@@ -1,11 +1,11 @@
-//! Determinism of the simulation plane: a pinned seed reproduces the
-//! engine's exact output, and every thread count of the workspace
-//! executor (`cr_core::par`) produces bit-identical replica results, event streams, and
-//! sweep outputs — parallelism is a pure performance change, never a
-//! semantic one.
+//! Determinism of the model plane: a pinned seed reproduces the
+//! engine's exact output, every thread count of the workspace executor
+//! (`cr_core::par`) produces bit-identical replica results and event
+//! streams — parallelism is a pure performance change, never a
+//! semantic one — and the memoized cycle solver matches the direct one.
 
-use ndp_checkpoint::cr_core::cache::{solve_cycle_cached, solve_cycle_many};
-use ndp_checkpoint::cr_core::{analytic, ratio_opt};
+use ndp_checkpoint::cr_core::analytic;
+use ndp_checkpoint::cr_core::cache::solve_cycle_cached;
 use ndp_checkpoint::cr_obs::Bus;
 use ndp_checkpoint::cr_sim::{
     run_engine, run_fleet_observed_in, simulate_avg_in, SimFaults,
@@ -177,17 +177,16 @@ fn engine_output_matches_golden_bits() {
 
 #[test]
 fn cached_solver_is_bit_identical_to_direct_solver_in_sweeps() {
-    // The memoized path feeding the ratio sweep must agree exactly with
+    // The memoized path feeding the ratio scans must agree exactly with
     // the direct analytic solver for every grid point, hit or miss.
     let s = sys();
-    let pairs: Vec<(SystemParams, Strategy)> = (1..=50)
-        .map(|ratio| (s, Strategy::local_io_host(ratio, 0.8, None)))
-        .collect();
     // Twice: first pass misses, second pass hits the cache.
     for pass in 0..2 {
-        let batch = solve_cycle_many(&pairs);
-        for ((sys_p, strat_p), got) in pairs.iter().zip(&batch) {
-            let want = analytic::solve_cycle(sys_p, strat_p);
+        for ratio in 1..=50 {
+            let strat = Strategy::local_io_host(ratio, 0.8, None);
+            let want = analytic::solve_cycle(&s, &strat);
+            let got = solve_cycle_cached(&s, &strat);
+            assert_eq!(got.breakdown, want.breakdown, "pass {pass}");
             assert_eq!(
                 got.cycle_time.to_bits(),
                 want.cycle_time.to_bits(),
@@ -198,26 +197,6 @@ fn cached_solver_is_bit_identical_to_direct_solver_in_sweeps() {
                 want.work_per_cycle.to_bits(),
                 "pass {pass}"
             );
-            let cached = solve_cycle_cached(sys_p, strat_p);
-            assert_eq!(
-                cached.progress_rate().to_bits(),
-                want.progress_rate().to_bits(),
-                "pass {pass}"
-            );
         }
-    }
-}
-
-#[test]
-fn ratio_sweep_unchanged_by_memoized_batch_path() {
-    // Figure 4's sweep now routes through solve_cycle_many; the result
-    // must equal what per-point direct solves produce.
-    let s = sys();
-    let sweep = ratio_opt::host_overhead_sweep(&s, 0.8, None, 60);
-    assert_eq!(sweep.len(), 60);
-    for (ratio, breakdown) in &sweep {
-        let strat = Strategy::local_io_host(*ratio, 0.8, None);
-        let direct = analytic::solve_cycle(&s, &strat).breakdown;
-        assert_eq!(breakdown, &direct, "ratio {ratio}");
     }
 }
