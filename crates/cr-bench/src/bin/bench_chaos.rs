@@ -44,7 +44,7 @@ use cr_node::nvm::Region;
 use cr_node::remote::ObjectKey;
 use cr_obs::json::Value;
 use cr_obs::metrics::Metrics;
-use cr_obs::{Bus, RingSink};
+use cr_obs::{Bus, VecSink};
 use cr_rand::ChaCha8;
 
 const APP: &str = "chaos";
@@ -409,11 +409,9 @@ fn run_episode(index: u64, seed: u64, obs: bool) -> EpisodeOutput {
     let mut violations = Vec::new();
     let mut site_counts = vec![0u64; FAULT_SITES.len()];
     let mut log = Vec::new();
-    // A private ring per episode: same per-episode capacity the shared
-    // bus provided when episodes ran sequentially (it was drained after
-    // every episode), so observed event counts are unchanged.
+    // A private bus per episode, so episodes can run on any worker.
     let bus = if obs {
-        Bus::with_sink(RingSink::new(1 << 16))
+        Bus::with_sink(VecSink::new())
     } else {
         Bus::disabled()
     };
@@ -509,9 +507,8 @@ fn main() {
     // Episodes are seeded independently, so they fan out across workers;
     // outputs come back in episode order and are folded sequentially
     // (digest and violations are order-sensitive, counters are sums).
-    // CHAOS_OBS gives each episode a private ring whose event counts are
-    // folded into one metrics registry, exactly as the shared
-    // drained-per-episode ring did when episodes ran sequentially.
+    // CHAOS_OBS gives each episode a private bus whose event counts are
+    // folded into one metrics registry in episode order.
     let obs = opts.obs.is_some();
     let indices: Vec<u64> = (0..opts.episodes).collect();
     let outputs = par_map(&indices, |&e| run_episode(e, opts.seed, obs));

@@ -6,35 +6,36 @@
 //!
 //! 1. **Per-codec throughput** — compression factor and single-thread
 //!    compress/decompress MB/s for every study codec (Table 2's speed
-//!    columns), byte-weighted across all mini-apps.
+//!    columns), over one image per mini-app. Each direction is one
+//!    pass over all the images; the MB/s come from the median pass.
 //! 2. **Thread scaling** — `ParallelCodec` compress wall time from 1 to
 //!    N threads, with speedup and scaling efficiency. Efficiency is
 //!    defined as `speedup / min(threads, effective_cores)` so that
 //!    oversubscribed runs (more threads than cores) are judged against
-//!    the parallelism the machine can actually deliver. Each row repeats
-//!    the compress for at least one second
-//!    ([`cr_bench::perf::time_window`]) and reports the median seconds
-//!    as `secs`, next to the quartiles `secs_q1`/`secs_q3` and `runs`.
+//!    the parallelism the machine can actually deliver.
+//! 3. **Drain indicators** — the `indicators/v1` values folded from the
+//!    event bus of one full drain of the scaling image.
+//!
+//! Every timed row repeats its work for at least one second
+//! ([`cr_bench::perf::time_window`]) and reports the median seconds next
+//! to the quartiles and the number of runs.
 //!
 //! Results go to stdout and to a machine-readable JSON file (schema
 //! `bench_codec/v1`). Knobs, all via environment:
 //!
 //! * `BENCH_MB`          — scaling-image size in MiB (default 8)
-//! * `BENCH_REPS`        — best-of repetitions per codec row (default 3)
 //! * `BENCH_MAX_THREADS` — cap on the thread sweep (default 8)
 //! * `BENCH_OUT`         — output path (default `results/BENCH_codec.json`)
 
 use std::path::PathBuf;
 
-use cr_bench::perf::{mb_per_s, time_window};
-use cr_compress::measure::{measure_many, Measurement};
+use cr_bench::perf::{mb_per_s, time_window, Timing};
 use cr_compress::parallel::ParallelCodec;
 use cr_compress::registry::{by_name, study_codecs};
-use cr_compress::Codec;
+use cr_compress::{compression_factor, Codec};
 use cr_node::ndp::StepOutcome;
 use cr_node::node::{ComputeNode, NodeConfig};
 use cr_obs::json::Value;
-use cr_obs::stage;
 use cr_workloads::{all_mini_apps, CheckpointGenerator};
 
 const SEED: u64 = 42;
@@ -42,7 +43,6 @@ const CHUNK_BYTES: usize = 256 << 10;
 
 struct Opts {
     image_mb: usize,
-    reps: usize,
     max_threads: usize,
     out: PathBuf,
 }
@@ -58,7 +58,6 @@ impl Opts {
     fn from_env() -> Self {
         Opts {
             image_mb: env_usize("BENCH_MB", 8).max(1),
-            reps: env_usize("BENCH_REPS", 3).max(1),
             max_threads: env_usize("BENCH_MAX_THREADS", 8).max(1),
             out: std::env::var("BENCH_OUT")
                 .unwrap_or_else(|_| "results/BENCH_codec.json".into())
@@ -67,27 +66,17 @@ impl Opts {
     }
 }
 
-/// Best-of-`reps` measurement: the repetition with the highest compress
-/// rate wins (factor and sizes are identical across repetitions because
-/// the codecs are deterministic).
-fn measure_best(
-    codec: &dyn Codec,
-    inputs: &[&[u8]],
-    reps: usize,
-) -> Measurement {
-    let mut best: Option<Measurement> = None;
-    for _ in 0..reps {
-        let m = measure_many(codec, inputs.iter().copied());
-        best = Some(match best {
-            Some(b) if b.compress_rate >= m.compress_rate => b,
-            _ => m,
-        });
-    }
-    best.expect("reps >= 1")
+/// `timing`'s row fields with `prefix_` in front of each key.
+fn prefixed(prefix: &str, timing: &Timing) -> Vec<(String, Value)> {
+    timing
+        .fields()
+        .into_iter()
+        .map(|(key, value)| (format!("{prefix}_{key}"), value))
+        .collect()
 }
 
-fn codec_section(opts: &Opts, images: &[(String, Vec<u8>)]) -> Value {
-    println!("== per-codec throughput (byte-weighted over all apps) ==");
+fn codec_section(images: &[(String, Vec<u8>)]) -> Value {
+    println!("== per-codec throughput (one pass over all apps) ==");
     let mut rows = Vec::new();
     for codec in study_codecs() {
         // rz/bwz are an order of magnitude slower by design; shrink
@@ -97,29 +86,52 @@ fn codec_section(opts: &Opts, images: &[(String, Vec<u8>)]) -> Value {
             .iter()
             .map(|(_, img)| &img[..img.len() / shrink])
             .collect();
-        let m = measure_best(codec.as_ref(), &inputs, opts.reps);
+        // Correctness guard: one byte-exact round trip per codec.
+        let compressed: Vec<Vec<u8>> =
+            inputs.iter().map(|i| codec.compress_to_vec(i)).collect();
+        for (input, c) in inputs.iter().zip(&compressed) {
+            assert_eq!(
+                &codec.decompress_to_vec(c).unwrap(),
+                input,
+                "{} roundtrip",
+                codec.label()
+            );
+        }
+        let input_bytes: usize = inputs.iter().map(|i| i.len()).sum();
+        let compressed_bytes: usize = compressed.iter().map(Vec::len).sum();
+        let factor = compression_factor(input_bytes, compressed_bytes);
+
+        let mut out = Vec::new();
+        let comp = time_window(|| {
+            for input in &inputs {
+                codec.compress(std::hint::black_box(input), &mut out);
+                std::hint::black_box(out.len());
+            }
+        });
+        let decomp = time_window(|| {
+            for c in &compressed {
+                codec.decompress(std::hint::black_box(c), &mut out).unwrap();
+                std::hint::black_box(out.len());
+            }
+        });
+        let compress_mb_s = mb_per_s(input_bytes, comp.median);
+        let decompress_mb_s = mb_per_s(input_bytes, decomp.median);
         println!(
-            "{:16} factor {:.3}  compress {:>9.1} MB/s  decompress {:>9.1} MB/s",
+            "{:16} factor {factor:.3}  compress {compress_mb_s:>9.1} MB/s  decompress {decompress_mb_s:>9.1} MB/s",
             codec.label(),
-            m.factor,
-            m.compress_rate / 1e6,
-            m.decompress_rate / 1e6,
         );
-        rows.push(Value::Obj(vec![
+        let mut row = vec![
             ("codec".into(), Value::str(codec.label())),
             ("name".into(), Value::str(codec.name())),
-            ("input_bytes".into(), Value::Num(m.input_bytes as f64)),
-            (
-                "compressed_bytes".into(),
-                Value::Num(m.compressed_bytes as f64),
-            ),
-            ("factor".into(), Value::Num(m.factor)),
-            ("compress_mb_s".into(), Value::Num(m.compress_rate / 1e6)),
-            (
-                "decompress_mb_s".into(),
-                Value::Num(m.decompress_rate / 1e6),
-            ),
-        ]));
+            ("input_bytes".into(), Value::Num(input_bytes as f64)),
+            ("compressed_bytes".into(), Value::Num(compressed_bytes as f64)),
+            ("factor".into(), Value::Num(factor)),
+            ("compress_mb_s".into(), Value::Num(compress_mb_s)),
+            ("decompress_mb_s".into(), Value::Num(decompress_mb_s)),
+        ];
+        row.extend(prefixed("compress", &comp));
+        row.extend(prefixed("decompress", &decomp));
+        rows.push(Value::Obj(row));
     }
     Value::Arr(rows)
 }
@@ -193,14 +205,12 @@ fn scaling_section(
 }
 
 /// Drives the full drain pipeline (host checkpoint -> NVM -> NDP
-/// compress -> NIC -> remote object) with the stage profiler enabled
-/// and reports the per-stage tokenize/entropy/frame/ship breakdown,
-/// plus the derived `indicators/v1` values folded from the node's
-/// event stream (drain jobs, stalls, spans).
-fn stages_section(image: &[u8]) -> (Value, Value) {
-    println!("== per-stage drain pipeline breakdown ==");
+/// compress -> NIC -> remote object) and returns the `indicators/v1`
+/// values folded from the node's event stream (drain jobs, stalls,
+/// spans).
+fn drain_indicators(image: &[u8]) -> Value {
     let cfg = NodeConfig {
-        drain_ratio: 1, // drain every checkpoint so all stages fire
+        drain_ratio: 1, // drain every checkpoint
         codec: Some(("gz", 1)),
         ..NodeConfig::small_test()
     };
@@ -209,45 +219,17 @@ fn stages_section(image: &[u8]) -> (Value, Value) {
     let bus = cr_obs::Bus::with_sink(cr_obs::VecSink::new());
     node.set_observer(&bus);
 
-    stage::reset();
-    stage::set_enabled(true);
     node.checkpoint("bench", image).expect("bench checkpoint");
-    loop {
-        match node.ndp_step().expect("bench drain") {
-            StepOutcome::Idle => break,
-            _ => continue,
-        }
-    }
-    stage::set_enabled(false);
+    while node.ndp_step().expect("bench drain") != StepOutcome::Idle {}
 
     let report = cr_obs::analyze::analyze("bench_hotpath", &bus.drain());
-    let indicators = Value::Obj(
+    Value::Obj(
         report
             .values()
             .iter()
             .map(|(k, v)| (k.clone(), Value::Num(*v)))
             .collect(),
-    );
-
-    let mut rows = Vec::new();
-    for snap in stage::snapshot() {
-        println!(
-            "{:9} calls {:>7}  {:>9.3} ms  {:>9.1} MB/s",
-            snap.stage.name(),
-            snap.calls,
-            snap.nanos as f64 / 1e6,
-            snap.mb_per_s(),
-        );
-        rows.push(Value::Obj(vec![
-            ("stage".into(), Value::str(snap.stage.name())),
-            ("calls".into(), Value::Num(snap.calls as f64)),
-            ("nanos".into(), Value::Num(snap.nanos as f64)),
-            ("bytes".into(), Value::Num(snap.bytes as f64)),
-            ("mb_s".into(), Value::Num(snap.mb_per_s())),
-        ]));
-    }
-    stage::reset();
-    (Value::Arr(rows), indicators)
+    )
 }
 
 fn main() {
@@ -267,9 +249,9 @@ fn main() {
     // mixed compressibility).
     let scaling_image = apps[0].generate(opts.image_mb << 20, SEED + 1);
 
-    let codecs = codec_section(&opts, &images);
+    let codecs = codec_section(&images);
     let scaling = scaling_section(&opts, &scaling_image, effective_cores);
-    let (stages, indicators) = stages_section(&scaling_image);
+    let indicators = drain_indicators(&scaling_image);
 
     let doc = Value::Obj(vec![
         ("schema".into(), Value::str("bench_codec/v1")),
@@ -278,7 +260,6 @@ fn main() {
             Value::Obj(vec![
                 ("image_mb".into(), Value::Num(opts.image_mb as f64)),
                 ("per_app_bytes".into(), Value::Num(per_app as f64)),
-                ("reps".into(), Value::Num(opts.reps as f64)),
                 ("max_threads".into(), Value::Num(opts.max_threads as f64)),
                 (
                     "effective_cores".into(),
@@ -305,7 +286,6 @@ fn main() {
         ),
         ("codecs".into(), codecs),
         ("scaling".into(), scaling),
-        ("stages".into(), stages),
         ("indicators".into(), indicators),
     ]);
 

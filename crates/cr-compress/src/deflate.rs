@@ -151,15 +151,7 @@ fn compress_impl(codec: &Deflate, input: &[u8], out: &mut Vec<u8>) {
 
     for block in input.chunks(BLOCK_SIZE) {
         tokens.clear();
-        {
-            let mut t = cr_obs::stage::timer(cr_obs::stage::Stage::Tokenize);
-            tokenize(block, params, &mut tokens);
-            if let Some(t) = t.as_mut() {
-                t.add_bytes(block.len() as u64);
-            }
-        }
-        let mut entropy_t =
-            cr_obs::stage::timer(cr_obs::stage::Stage::Entropy);
+        tokenize(block, params, &mut tokens);
 
         // Frequency pass.
         let mut lit_freq = vec![0u64; NUM_LITLEN];
@@ -200,10 +192,6 @@ fn compress_impl(codec: &Deflate, input: &[u8], out: &mut Vec<u8>) {
             }
         }
         lit_enc.write(&mut w, EOB);
-        if let Some(t) = entropy_t.as_mut() {
-            t.add_bytes(block.len() as u64);
-        }
-        drop(entropy_t);
     }
     out.extend_from_slice(&w.finish());
 }

@@ -103,12 +103,8 @@ impl Codec for ParallelCodec {
             self.inner.compress_to_vec(chunk)
         });
         for payload in payloads {
-            let mut t = cr_obs::stage::timer(cr_obs::stage::Stage::Frame);
             out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             out.extend_from_slice(&payload);
-            if let Some(t) = t.as_mut() {
-                t.add_bytes(4 + payload.len() as u64);
-            }
         }
     }
 

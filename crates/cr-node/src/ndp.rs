@@ -25,7 +25,6 @@
 use std::collections::{HashMap, VecDeque};
 
 use cr_compress::{Codec, CodecError};
-use cr_obs::stage::{self, Stage};
 use cr_obs::{Bus, Event, EventKind, Source, SpanGuard};
 
 use crate::faults::{FaultPlane, FaultSite};
@@ -548,15 +547,10 @@ impl NdpEngine {
             let site = FaultSite::IoAppend;
             return Ok(self.transient_failure(pos, nvm, io, site));
         }
-        let mut ship_t = stage::timer(Stage::Ship);
         let block = self.nic.queue.pop_front().expect("selected head block");
         let block_len = block.data.len() as u64;
         VClock::charge(&mut clock.io_link, block.data.len(), io.bandwidth);
         io.append_block(&block.key, &block.data).map_err(io_err)?;
-        if let Some(t) = ship_t.as_mut() {
-            t.add_bytes(block_len);
-        }
-        drop(ship_t);
         self.stats.blocks_shipped += 1;
         let job = &mut self.queue[pos];
         job.unshipped -= 1;
@@ -667,16 +661,9 @@ impl NdpEngine {
         } else {
             Phase::Compress { offset: end }
         };
-        // The frame stage timer covers the whole block production; the
-        // codec's own tokenize/entropy sub-stages nest inside it.
         let chunk_len = end - offset;
-        let mut frame_t = stage::timer(Stage::Frame);
         let mut framed = Vec::new();
         frame::append(&mut framed, &source[offset..end], codec);
-        if let Some(t) = frame_t.as_mut() {
-            t.add_bytes(chunk_len as u64);
-        }
-        drop(frame_t);
         VClock::charge(&mut clock.ndp_compute, chunk_len, self.compress_bw);
 
         // Blocks must ship in order: once any block of this job has been

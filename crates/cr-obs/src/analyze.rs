@@ -60,30 +60,17 @@ impl IndicatorReport {
     /// formatting (`null` for non-finite), so the same report always
     /// renders the same bytes.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str("{\n  \"schema\": \"indicators/v1\",\n  \"label\": \"");
-        json::escape_into(&mut s, &self.label);
-        s.push_str("\",\n  \"indicators\": {");
-        let mut first = true;
-        for (k, v) in &self.values {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str("\n    \"");
-            json::escape_into(&mut s, k);
-            s.push_str("\": ");
-            if v.is_finite() {
-                s.push_str(&format!("{v}"));
-            } else {
-                s.push_str("null");
-            }
-        }
-        if !first {
-            s.push_str("\n  ");
-        }
-        s.push_str("}\n}\n");
-        s
+        let indicators = self
+            .values
+            .iter()
+            .map(|(k, v)| (k.clone(), Value::Num(*v)))
+            .collect();
+        Value::Obj(vec![
+            ("schema".into(), Value::str("indicators/v1")),
+            ("label".into(), Value::str(self.label.clone())),
+            ("indicators".into(), Value::Obj(indicators)),
+        ])
+        .render()
     }
 
     /// Parses an `indicators/v1` document (non-finite values render as

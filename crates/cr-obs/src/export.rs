@@ -140,9 +140,9 @@ pub fn chrome_trace_merged(nodes: &[&[Event]]) -> String {
                 }
                 EventKind::SpanClose { id } => {
                     let uid = unique_async_id(pid, id);
-                    // An unmatched close (span opened before the ring
-                    // window) has no name to pair with; drop it rather
-                    // than emit an unbalanced "e".
+                    // An unmatched close (its open is missing from a
+                    // truncated stream) has no name to pair with; drop
+                    // it rather than emit an unbalanced "e".
                     if let Some((name, source)) = open.remove(&uid) {
                         rows.push(Row {
                             pid,

@@ -4,21 +4,20 @@
 //! timelines and the Figs. 4/7 overhead breakdowns), so the runtime
 //! crates need a way to narrate what they are doing — failures, drain
 //! stalls, NIC backpressure, retries — without perturbing the thing
-//! being observed. This crate provides three small, dependency-free
+//! being observed. This crate provides two small, dependency-free
 //! pieces:
 //!
 //! 1. A structured **event bus** ([`Bus`]): producers emit [`Event`]s
-//!    into a pluggable [`EventSink`] ([`VecSink`], bounded
-//!    [`RingSink`], or eagerly-rendering [`JsonLinesSink`]). A
-//!    disabled bus is the default and costs one branch per emission
-//!    site; event construction is wrapped in a closure
+//!    and causal spans ([`Bus::span`]) into one [`VecSink`] that keeps
+//!    every event in emission order; consumers [`Bus::drain`] them or
+//!    [`Bus::render`] them as JSON lines. The bus is the only recorder:
+//!    profiling belongs to the run that owns the bus, not to the
+//!    process. A disabled bus is the default and costs one branch per
+//!    emission site; event construction is wrapped in a closure
 //!    ([`Bus::emit_with`]) so a disabled bus never allocates.
 //! 2. A **metrics registry** ([`metrics::Metrics`]): counters, gauges
 //!    and log2-bucketed histograms, snapshotted to the `metrics/v1`
 //!    JSON schema.
-//! 3. A **stage profiler** ([`stage`]): global, lock-free
-//!    tokenize/entropy/frame/ship timers the codec and drain hot path
-//!    can feed from any worker thread, off by default.
 //!
 //! Everything here is observational: emitting an event never draws
 //! randomness, never changes control flow, and never feeds back into
@@ -29,7 +28,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -38,7 +36,6 @@ pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod span;
-pub mod stage;
 pub mod units;
 
 pub use span::SpanGuard;
@@ -379,26 +376,9 @@ fn push_f64(s: &mut String, v: f64) {
     }
 }
 
-/// A destination for events. Sinks are driven under the bus's mutex,
-/// so implementations need no interior synchronization.
-pub trait EventSink: Send {
-    /// Record one event.
-    fn record(&mut self, ev: &Event);
-    /// Take back whatever events the sink retained, clearing it.
-    /// Sinks that render eagerly (e.g. [`JsonLinesSink`]) return an
-    /// empty vector.
-    fn drain(&mut self) -> Vec<Event>;
-    /// Render the sink's retained content as JSON lines (one event
-    /// per line). Does not clear the sink.
-    fn render(&self) -> String;
-    /// Events this sink discarded (bounded sinks overwrite under
-    /// pressure). `0` for lossless sinks.
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// An unbounded sink retaining every event, in order.
+/// The bus's event store: every event, in emission order. It is
+/// driven under the bus's mutex, so it needs no interior
+/// synchronization, and it never drops an event.
 #[derive(Debug, Default)]
 pub struct VecSink {
     events: Vec<Event>,
@@ -409,128 +389,6 @@ impl VecSink {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-impl EventSink for VecSink {
-    fn record(&mut self, ev: &Event) {
-        self.events.push(*ev);
-    }
-
-    fn drain(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
-    }
-
-    fn render(&self) -> String {
-        render_lines(self.events.iter())
-    }
-}
-
-/// A bounded ring sink keeping the most recent `cap` events — the
-/// flight-recorder shape: always on, bounded memory, drained after the
-/// interesting thing happened.
-#[derive(Debug)]
-pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<Event>,
-    /// Total events ever recorded (including overwritten ones).
-    seen: u64,
-    /// Events overwritten (lost) because the ring was full.
-    dropped: u64,
-}
-
-impl RingSink {
-    /// New ring keeping at most `cap` events (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        assert!(cap >= 1, "ring capacity must be at least 1");
-        RingSink {
-            cap,
-            buf: VecDeque::with_capacity(cap),
-            seen: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Total events recorded over the sink's lifetime, including those
-    /// already overwritten.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Events lost to overwriting — the ring's flight-recorder shape
-    /// means the *oldest* events go first; a nonzero count tells a
-    /// consumer the retained window is not the whole story.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl EventSink for RingSink {
-    fn record(&mut self, ev: &Event) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(*ev);
-        self.seen += 1;
-    }
-
-    fn drain(&mut self) -> Vec<Event> {
-        self.buf.drain(..).collect()
-    }
-
-    fn render(&self) -> String {
-        render_lines(self.buf.iter())
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-/// A sink that renders each event to a JSON line eagerly and keeps
-/// only the text — the shape you want when the events are headed for
-/// a file and need not be queried.
-#[derive(Debug, Default)]
-pub struct JsonLinesSink {
-    lines: String,
-    count: u64,
-}
-
-impl JsonLinesSink {
-    /// New empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of events rendered.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl EventSink for JsonLinesSink {
-    fn record(&mut self, ev: &Event) {
-        self.lines.push_str(&ev.json_line());
-        self.lines.push('\n');
-        self.count += 1;
-    }
-
-    fn drain(&mut self) -> Vec<Event> {
-        Vec::new()
-    }
-
-    fn render(&self) -> String {
-        self.lines.clone()
-    }
-}
-
-fn render_lines<'a>(events: impl Iterator<Item = &'a Event>) -> String {
-    let mut s = String::new();
-    for ev in events {
-        s.push_str(&ev.json_line());
-        s.push('\n');
-    }
-    s
 }
 
 /// The event bus handed to producers.
@@ -550,8 +408,17 @@ pub struct Bus {
 /// bookkeeping. The two locks are disjoint and never held together
 /// (span IDs are allocated before the open event is recorded).
 struct BusInner {
-    sink: Mutex<Box<dyn EventSink>>,
+    sink: Mutex<VecSink>,
     spans: Mutex<span::SpanState>,
+}
+
+impl BusInner {
+    /// Kept out of line so that producers' hot loops inline only the
+    /// disabled-bus branch of [`Bus::emit_with`].
+    #[inline(never)]
+    fn record(&self, ev: Event) {
+        self.sink.lock().unwrap().events.push(ev);
+    }
 }
 
 impl fmt::Debug for Bus {
@@ -570,11 +437,11 @@ impl Bus {
         Bus { inner: None }
     }
 
-    /// A bus writing into `sink`.
-    pub fn with_sink(sink: impl EventSink + 'static) -> Self {
+    /// A bus recording into `sink`.
+    pub fn with_sink(sink: VecSink) -> Self {
         Bus {
             inner: Some(Arc::new(BusInner {
-                sink: Mutex::new(Box::new(sink)),
+                sink: Mutex::new(sink),
                 spans: Mutex::new(span::SpanState::default()),
             })),
         }
@@ -592,7 +459,7 @@ impl Bus {
     /// Emits an already-built event.
     pub fn emit(&self, ev: Event) {
         if let Some(inner) = &self.inner {
-            inner.sink.lock().unwrap().record(&ev);
+            inner.record(ev);
         }
     }
 
@@ -602,7 +469,7 @@ impl Bus {
     /// producer uses.
     pub fn emit_with(&self, f: impl FnOnce() -> Event) {
         if let Some(inner) = &self.inner {
-            inner.sink.lock().unwrap().record(&f());
+            inner.record(f());
         }
     }
 
@@ -630,30 +497,26 @@ impl Bus {
         SpanGuard::open(self, source, name, t, true)
     }
 
-    /// Drains retained events out of the sink (empty for a disabled
-    /// bus or an eagerly-rendering sink).
+    /// Takes every recorded event out of the sink, in emission order
+    /// (empty for a disabled bus).
     pub fn drain(&self) -> Vec<Event> {
         match &self.inner {
-            Some(inner) => inner.sink.lock().unwrap().drain(),
+            Some(inner) => {
+                std::mem::take(&mut inner.sink.lock().unwrap().events)
+            }
             None => Vec::new(),
         }
     }
 
-    /// Renders the sink's retained content as JSON lines (empty for a
-    /// disabled bus).
+    /// Renders the recorded events as JSON lines, one per event,
+    /// without taking them (empty for a disabled bus).
     pub fn render(&self) -> String {
         match &self.inner {
-            Some(inner) => inner.sink.lock().unwrap().render(),
+            Some(inner) => {
+                let sink = inner.sink.lock().unwrap();
+                sink.events.iter().map(|ev| ev.json_line() + "\n").collect()
+            }
             None => String::new(),
-        }
-    }
-
-    /// Events the sink discarded under pressure (`0` for lossless
-    /// sinks or a disabled bus).
-    pub fn dropped(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.sink.lock().unwrap().dropped(),
-            None => 0,
         }
     }
 }
@@ -698,37 +561,6 @@ mod tests {
         assert_eq!(got[2].kind.name(), "drain_pause");
         // Drained: a second drain is empty, even through the clone.
         assert!(clone.drain().is_empty());
-    }
-
-    #[test]
-    fn ring_sink_keeps_the_most_recent_events() {
-        let mut ring = RingSink::new(2);
-        for i in 0..5u64 {
-            ring.record(&ev(i as f64, EventKind::Eviction { bytes: i }));
-        }
-        assert_eq!(ring.seen(), 5);
-        assert_eq!(ring.dropped(), 3);
-        let got = ring.drain();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].kind, EventKind::Eviction { bytes: 3 });
-        assert_eq!(got[1].kind, EventKind::Eviction { bytes: 4 });
-        // Draining empties the window but the loss record stays.
-        assert_eq!(ring.dropped(), 3);
-    }
-
-    #[test]
-    fn bus_surfaces_ring_drop_counts() {
-        let bus = Bus::with_sink(RingSink::new(1));
-        assert_eq!(bus.dropped(), 0);
-        bus.emit(ev(0.0, EventKind::DrainPause));
-        bus.emit(ev(1.0, EventKind::DrainResume));
-        bus.emit(ev(2.0, EventKind::LockContention));
-        assert_eq!(bus.dropped(), 2);
-        // Lossless sinks report zero.
-        let vec_bus = Bus::with_sink(VecSink::new());
-        vec_bus.emit(ev(0.0, EventKind::DrainPause));
-        assert_eq!(vec_bus.dropped(), 0);
-        assert_eq!(Bus::disabled().dropped(), 0);
     }
 
     #[test]
@@ -827,17 +659,6 @@ mod tests {
             kind: EventKind::Mark { mark: "failure" },
         };
         assert!(bad.json_line().starts_with("{\"t\":null,"));
-    }
-
-    #[test]
-    fn json_sink_renders_eagerly_and_retains_nothing() {
-        let bus = Bus::with_sink(JsonLinesSink::new());
-        bus.emit(ev(0.0, EventKind::LockContention));
-        bus.emit(ev(1.0, EventKind::DrainResume));
-        let text = bus.render();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("\"kind\":\"lock_contention\""));
-        assert!(bus.drain().is_empty());
     }
 
     #[test]

@@ -181,8 +181,7 @@ STRATEGY FLAGS:
 TRACE FLAGS:
   --seed N       replica seed                  [42]
   --failures N   failures to simulate          [25]
-  --sink S       off | vec | ring | json       [vec]
-  --ring-cap N   ring sink capacity            [4096]
+  --sink S       off | vec | json              [vec]
   --from S       render window start, seconds  [0]
   --to S         render window end, seconds    [wall time]
   --width N      render width in columns       [100]
@@ -400,9 +399,7 @@ fn cmd_sizing(flags: &Flags) -> Result<(), String> {
 
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
     use ndp_checkpoint::cr_obs::metrics::Metrics;
-    use ndp_checkpoint::cr_obs::{
-        Bus, EventKind, JsonLinesSink, RingSink, VecSink,
-    };
+    use ndp_checkpoint::cr_obs::{Bus, EventKind, VecSink};
     use ndp_checkpoint::cr_sim::{run_engine, SimFaults, Trace};
 
     let sys = system_from(flags)?;
@@ -414,54 +411,39 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
         max_wall: 1e12,
     };
 
-    let sink_name = flags.get("sink").unwrap_or("vec");
-    let bus = match sink_name {
+    // `vec` and `json` record the same events; they differ only in
+    // what stdout shows after the header: a timeline or JSON lines.
+    let sink = flags.get("sink").unwrap_or("vec");
+    let bus = match sink {
         "off" => Bus::disabled(),
-        "vec" => Bus::with_sink(VecSink::new()),
-        "ring" => {
-            Bus::with_sink(RingSink::new(flags.get_usize("ring-cap", 4096)?))
-        }
-        "json" => Bus::with_sink(JsonLinesSink::new()),
-        other => {
-            return Err(format!("unknown --sink {other} (off|vec|ring|json)"))
-        }
+        "vec" | "json" => Bus::with_sink(VecSink::new()),
+        other => return Err(format!("unknown --sink {other} (off|vec|json)")),
     };
+    let json = sink == "json";
 
     let result = run_engine(&sys, &strat, &opts, &SimFaults::default(), &bus);
-
-    // The json sink renders eagerly; vec/ring retain events we can
-    // rebuild the timeline (and metrics) from. Read the drop count
-    // before draining so it reflects the run just observed.
-    let dropped = bus.dropped();
-    let rendered = bus.render();
+    let rendered = if json { bus.render() } else { String::new() };
     let events = bus.drain();
-    let trace = Trace::from_events(&events);
 
     println!("strategy: {} | seed {}", strat.label(), opts.seed);
-    let drop_note = if dropped > 0 {
-        format!(" (ring dropped {dropped})")
-    } else {
-        String::new()
-    };
     println!(
-        "wall {:.0} s | work {:.0} s | failures {} | events {}{}",
+        "wall {:.0} s | work {:.0} s | failures {} | events {}",
         result.stats.wall_time,
         result.stats.work_done,
         result.stats.failures,
         events.len(),
-        drop_note
     );
-    if !events.is_empty() {
+    if json {
+        print!("{rendered}");
+    } else if !events.is_empty() {
         let from = flags.get_f64("from", 0.0)?;
         let to = flags.get_f64("to", result.stats.wall_time)?;
         let width = flags.get_usize("width", 100)?.max(10);
         if to <= from {
             return Err(format!("--to ({to}) must exceed --from ({from})"));
         }
+        let trace = Trace::from_events(&events);
         print!("{}", trace.render_ascii(from, to, width));
-    }
-    if sink_name == "json" {
-        print!("{rendered}");
     }
 
     if let Some(path) = flags.get("result-out") {

@@ -17,8 +17,7 @@
 //!   node: NVM circular buffers, drain engine, NIC backpressure,
 //!   failure injection and recovery.
 //! * [`cr_obs`] — the observability plane: a structured event bus and
-//!   metrics registry shared by every crate above, plus a stage
-//!   profiler for the codec and drain hot path, all zero-overhead when
+//!   metrics registry shared by every crate above, zero-overhead when
 //!   disabled.
 //!
 //! The `cr-bench` crate (not re-exported; it is a binary/bench crate)

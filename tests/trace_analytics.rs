@@ -217,3 +217,53 @@ fn crx_obs_diff_exit_codes() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `crx trace --sink json` records into the same bus as `--sink vec`:
+/// both write byte-equal `--metrics-out` snapshots, and the json run's
+/// stdout is two header lines followed by one JSON document per event.
+#[test]
+fn crx_trace_json_sink_snapshots_match_vec() {
+    let crx = env!("CARGO_BIN_EXE_crx");
+    let dir = std::env::temp_dir().join(format!(
+        "trace_json_sink_{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+
+    let trace = |sink: &str| {
+        let metrics = dir.join(format!("metrics_{sink}.json"));
+        let out = Command::new(crx)
+            .args([
+                "trace", "--seed", "42", "--failures", "50", "--sink", sink,
+                "--metrics-out",
+            ])
+            .arg(&metrics)
+            .output()
+            .expect("run crx trace");
+        assert!(out.status.success(), "crx trace --sink {sink} must succeed");
+        let snapshot = std::fs::read_to_string(&metrics).unwrap();
+        (String::from_utf8(out.stdout).unwrap(), snapshot)
+    };
+    let (_, vec_snapshot) = trace("vec");
+    let (json_stdout, json_snapshot) = trace("json");
+    assert_eq!(json_snapshot, vec_snapshot, "json and vec sinks disagree");
+
+    let doc = parse_json(&json_snapshot).expect("metrics snapshot parses");
+    let total = doc
+        .get("counters")
+        .and_then(|c| c.get("events_total"))
+        .and_then(|v| v.as_f64())
+        .expect("events_total counter");
+    assert!(total > 0.0, "the json sink must count its events");
+
+    let lines: Vec<&str> = json_stdout.lines().collect();
+    assert!(lines[0].starts_with("strategy: "), "{}", lines[0]);
+    assert!(lines[1].ends_with(&format!("events {total}")), "{}", lines[1]);
+    assert_eq!(lines.len() - 2, total as usize, "one line per event");
+    for line in &lines[2..] {
+        parse_json(line)
+            .unwrap_or_else(|e| panic!("invalid event line {line}: {e}"));
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
