@@ -8,13 +8,8 @@
 //!    compress/decompress MB/s for every study codec (Table 2's speed
 //!    columns), over one image per mini-app. Each direction is one
 //!    pass over all the images; the MB/s come from the median pass.
-//! 2. **Thread scaling** — `ParallelCodec` compress wall time from 1 to
-//!    N threads, with speedup and scaling efficiency. Efficiency is
-//!    defined as `speedup / min(threads, effective_cores)` so that
-//!    oversubscribed runs (more threads than cores) are judged against
-//!    the parallelism the machine can actually deliver.
-//! 3. **Drain indicators** — the `indicators/v1` values folded from the
-//!    event bus of one full drain of the scaling image.
+//! 2. **Drain indicators** — the `indicators/v1` values folded from the
+//!    event bus of one full drain of a `BENCH_MB`-sized image.
 //!
 //! Every timed row repeats its work for at least one second
 //! ([`cr_bench::perf::time_window`]) and reports the median seconds next
@@ -23,27 +18,24 @@
 //! Results go to stdout and to a machine-readable JSON file (schema
 //! `bench_codec/v1`). Knobs, all via environment:
 //!
-//! * `BENCH_MB`          — scaling-image size in MiB (default 8)
-//! * `BENCH_MAX_THREADS` — cap on the thread sweep (default 8)
-//! * `BENCH_OUT`         — output path (default `results/BENCH_codec.json`)
+//! * `BENCH_MB`  — per-codec input budget and drain-image size in MiB
+//!   (default 8)
+//! * `BENCH_OUT` — output path (default `results/BENCH_codec.json`)
 
 use std::path::PathBuf;
 
 use cr_bench::perf::{mb_per_s, time_window, Timing};
-use cr_compress::parallel::ParallelCodec;
-use cr_compress::registry::{by_name, study_codecs};
-use cr_compress::{compression_factor, Codec};
+use cr_compress::compression_factor;
+use cr_compress::registry::study_codecs;
 use cr_node::ndp::StepOutcome;
 use cr_node::node::{ComputeNode, NodeConfig};
 use cr_obs::json::Value;
 use cr_workloads::{all_mini_apps, CheckpointGenerator};
 
 const SEED: u64 = 42;
-const CHUNK_BYTES: usize = 256 << 10;
 
 struct Opts {
     image_mb: usize,
-    max_threads: usize,
     out: PathBuf,
 }
 
@@ -58,7 +50,6 @@ impl Opts {
     fn from_env() -> Self {
         Opts {
             image_mb: env_usize("BENCH_MB", 8).max(1),
-            max_threads: env_usize("BENCH_MAX_THREADS", 8).max(1),
             out: std::env::var("BENCH_OUT")
                 .unwrap_or_else(|_| "results/BENCH_codec.json".into())
                 .into(),
@@ -136,74 +127,6 @@ fn codec_section(images: &[(String, Vec<u8>)]) -> Value {
     Value::Arr(rows)
 }
 
-fn scaling_section(
-    opts: &Opts,
-    image: &[u8],
-    effective_cores: usize,
-) -> Value {
-    println!(
-        "== thread scaling (ParallelCodec, {} MiB image, {} KiB chunks) ==",
-        opts.image_mb,
-        CHUNK_BYTES >> 10,
-    );
-    let mut threads_list = vec![1usize];
-    let mut t = 2;
-    while t <= opts.max_threads {
-        threads_list.push(t);
-        t *= 2;
-    }
-
-    let mut rows = Vec::new();
-    for inner_name in ["gz", "lzf"] {
-        let mut base_secs = None;
-        for &threads in &threads_list {
-            let codec = ParallelCodec::new(
-                by_name(inner_name, 1).unwrap(),
-                threads,
-                CHUNK_BYTES,
-            );
-            // Correctness guard: a mis-framed container would make the
-            // timing below meaningless.
-            let compressed = codec.compress_to_vec(image);
-            assert_eq!(
-                codec.decompress_to_vec(&compressed).unwrap(),
-                image,
-                "par({inner_name}) x{threads} roundtrip"
-            );
-
-            let mut out = Vec::new();
-            let timing = time_window(|| {
-                codec.compress(std::hint::black_box(image), &mut out);
-                std::hint::black_box(out.len());
-            });
-            let secs = timing.median;
-            let base = *base_secs.get_or_insert(secs);
-            let speedup = base / secs;
-            let efficiency =
-                speedup / threads.min(effective_cores).max(1) as f64;
-            println!(
-                "par({inner_name:3}) x{threads:<2}  {:>9.1} MB/s  speedup {speedup:>5.2}  efficiency {efficiency:>5.2}",
-                mb_per_s(image.len(), secs),
-            );
-            let mut row = vec![
-                ("inner".into(), Value::str(inner_name)),
-                ("threads".into(), Value::Num(threads as f64)),
-            ];
-            row.extend(timing.fields());
-            row.extend([
-                (
-                    "compress_mb_s".into(),
-                    Value::Num(mb_per_s(image.len(), secs)),
-                ),
-                ("speedup".into(), Value::Num(speedup)),
-                ("efficiency".into(), Value::Num(efficiency)),
-            ]);
-            rows.push(Value::Obj(row));
-        }
-    }
-    Value::Arr(rows)
-}
-
 /// Drives the full drain pipeline (host checkpoint -> NVM -> NDP
 /// compress -> NIC -> remote object) and returns the `indicators/v1`
 /// values folded from the node's event stream (drain jobs, stalls,
@@ -245,13 +168,12 @@ fn main() {
         .iter()
         .map(|a| (a.name().to_string(), a.generate(per_app, SEED)))
         .collect();
-    // Scaling input: the full-size image of the first app (CoMD-like,
+    // Drain input: the full-size image of the first app (CoMD-like,
     // mixed compressibility).
-    let scaling_image = apps[0].generate(opts.image_mb << 20, SEED + 1);
+    let drain_image = apps[0].generate(opts.image_mb << 20, SEED + 1);
 
     let codecs = codec_section(&images);
-    let scaling = scaling_section(&opts, &scaling_image, effective_cores);
-    let indicators = drain_indicators(&scaling_image);
+    let indicators = drain_indicators(&drain_image);
 
     let doc = Value::Obj(vec![
         ("schema".into(), Value::str("bench_codec/v1")),
@@ -260,12 +182,10 @@ fn main() {
             Value::Obj(vec![
                 ("image_mb".into(), Value::Num(opts.image_mb as f64)),
                 ("per_app_bytes".into(), Value::Num(per_app as f64)),
-                ("max_threads".into(), Value::Num(opts.max_threads as f64)),
                 (
                     "effective_cores".into(),
                     Value::Num(effective_cores as f64),
                 ),
-                ("chunk_bytes".into(), Value::Num(CHUNK_BYTES as f64)),
                 ("seed".into(), Value::Num(SEED as f64)),
                 (
                     "apps".into(),
@@ -276,16 +196,9 @@ fn main() {
                             .collect(),
                     ),
                 ),
-                (
-                    "efficiency_definition".into(),
-                    Value::str(
-                        "speedup / min(threads, effective_cores)",
-                    ),
-                ),
             ]),
         ),
         ("codecs".into(), codecs),
-        ("scaling".into(), scaling),
         ("indicators".into(), indicators),
     ]);
 

@@ -129,11 +129,6 @@ impl<'a> BitReader<'a> {
         self.bit_count -= count;
         Ok(())
     }
-
-    /// Number of bits still available.
-    pub fn bits_remaining(&self) -> u64 {
-        self.bit_count as u64 + 8 * (self.data.len() - self.pos) as u64
-    }
 }
 
 #[cfg(test)]

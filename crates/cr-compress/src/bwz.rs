@@ -308,11 +308,6 @@ impl Codec for Bwz {
         self.level
     }
 
-    fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
-        out.clear();
-        compress_impl(self, input, out);
-    }
-
     fn compress_append(&self, input: &[u8], out: &mut Vec<u8>) {
         compress_impl(self, input, out);
     }

@@ -47,7 +47,6 @@ pub mod huffman;
 pub mod lz;
 pub mod lzf;
 pub mod measure;
-pub mod parallel;
 pub mod rangez;
 pub mod registry;
 
@@ -86,21 +85,16 @@ pub trait Codec: Send + Sync {
     /// Effort level this instance is configured for.
     fn level(&self) -> u32;
 
-    /// Compresses `input`, appending to `out` (which is cleared first).
-    fn compress(&self, input: &[u8], out: &mut Vec<u8>);
-
     /// Compresses `input`, appending the container to `out` *without*
-    /// clearing it. This is the zero-copy entry point for callers that
-    /// frame compressed blocks inside a larger buffer (the NDP engine
-    /// writes `[raw_len][comp_len][payload]` directly into an NVM
-    /// region): no intermediate per-block `Vec` is needed.
-    ///
-    /// The default routes through a scratch compression and one copy;
-    /// codecs override it to write in place.
-    fn compress_append(&self, input: &[u8], out: &mut Vec<u8>) {
-        let mut tmp = Vec::new();
-        self.compress(input, &mut tmp);
-        out.extend_from_slice(&tmp);
+    /// clearing it, so a caller can put a header in front of the
+    /// container in one buffer (the NDP engine frames each block as
+    /// `[raw_len][comp_len][payload]` this way).
+    fn compress_append(&self, input: &[u8], out: &mut Vec<u8>);
+
+    /// Compresses `input` into `out`, which is cleared first.
+    fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        self.compress_append(input, out);
     }
 
     /// Decompresses `input`, appending to `out` (which is cleared

@@ -286,8 +286,8 @@ pub(crate) fn common_prefix_from(data: &[u8], a: usize, b: usize, max: usize) ->
 thread_local! {
     /// Per-thread tokenizer state: callers of [`tokenize`] reuse tables
     /// across calls without threading a state handle through every
-    /// codec. Thread-local (not global) so block-parallel compression
-    /// scales without sharing.
+    /// codec. Thread-local (not global) so nodes compressing on
+    /// different threads (parallel chaos episodes) share no tables.
     static TLS_STATE: RefCell<LzState> = RefCell::new(LzState::new());
 }
 

@@ -277,11 +277,6 @@ impl Codec for Lzf {
         1
     }
 
-    fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
-        out.clear();
-        compress_impl(input, out);
-    }
-
     fn compress_append(&self, input: &[u8], out: &mut Vec<u8>) {
         compress_impl(input, out);
     }

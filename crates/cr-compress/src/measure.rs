@@ -51,54 +51,6 @@ pub fn measure(codec: &dyn Codec, data: &[u8]) -> Measurement {
     }
 }
 
-/// Averages measurements over several inputs (the paper measures three
-/// checkpoints per mini-app and reports per-app aggregates). Rates are
-/// byte-weighted; the factor is computed over the pooled sizes.
-pub fn measure_many<'a>(
-    codec: &dyn Codec,
-    inputs: impl IntoIterator<Item = &'a [u8]>,
-) -> Measurement {
-    let mut total_in = 0usize;
-    let mut total_out = 0usize;
-    let mut comp_secs = 0.0;
-    let mut decomp_secs = 0.0;
-    for data in inputs {
-        let mut compressed = Vec::new();
-        let t0 = Instant::now();
-        codec.compress(data, &mut compressed);
-        comp_secs += t0.elapsed().as_secs_f64();
-        let mut restored = Vec::new();
-        let t1 = Instant::now();
-        codec
-            .decompress(&compressed, &mut restored)
-            .expect("measurement input failed to decompress");
-        decomp_secs += t1.elapsed().as_secs_f64();
-        assert!(restored == data, "codec {} corrupted data", codec.label());
-        total_in += data.len();
-        total_out += compressed.len();
-    }
-    Measurement {
-        input_bytes: total_in,
-        compressed_bytes: total_out,
-        factor: compression_factor(total_in, total_out),
-        compress_rate: rate(total_in, comp_secs),
-        decompress_rate: rate(total_in, decomp_secs),
-    }
-}
-
-impl Measurement {
-    /// Compression throughput in decimal MB/s (the paper's unit),
-    /// via the workspace-shared converter.
-    pub fn compress_mb_per_s(&self) -> f64 {
-        self.compress_rate / 1e6
-    }
-
-    /// Decompression throughput in decimal MB/s.
-    pub fn decompress_mb_per_s(&self) -> f64 {
-        self.decompress_rate / 1e6
-    }
-}
-
 /// Division-safe bytes/s via the workspace-shared units helper, so this
 /// crate and `cr_bench::perf` agree on edge-case semantics (0 bytes →
 /// 0.0 even at zero elapsed; nonzero bytes at zero elapsed → ∞).
@@ -126,16 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_many_pools_sizes() {
-        let a = b"aaaaaaaaaaaaaaaaaaaaaaaa".repeat(100);
-        let b = b"bcdefghijklmnopqrstuvwxy".repeat(100);
-        let inputs: Vec<&[u8]> = vec![&a, &b];
-        let m = measure_many(&Lzf::new(), inputs);
-        assert_eq!(m.input_bytes, a.len() + b.len());
-        assert!(m.factor > 0.0);
-    }
-
-    #[test]
     fn empty_input_measures_cleanly() {
         let m = measure(&Lzf::new(), b"");
         assert_eq!(m.input_bytes, 0);
@@ -146,17 +88,5 @@ mod tests {
         assert_eq!(rate(0, 0.0), 0.0);
         // Nonzero work in unmeasurably little time is ∞, not a panic.
         assert!(rate(1, 0.0).is_infinite());
-    }
-
-    #[test]
-    fn mb_accessors_share_workspace_units() {
-        let data = b"units units units units units units ".repeat(500);
-        let m = measure(&Lzf::new(), &data);
-        // Same decimal-MB definition as cr_obs::units (and therefore
-        // as cr_bench::perf): bytes/s divided by 1e6.
-        assert!((m.compress_mb_per_s() - m.compress_rate / 1e6).abs() < 1e-12);
-        assert!(
-            (m.decompress_mb_per_s() - m.decompress_rate / 1e6).abs() < 1e-12
-        );
     }
 }

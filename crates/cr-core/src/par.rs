@@ -1,13 +1,12 @@
 //! Parallel map with deterministic output order.
 //!
-//! This is the one executor of the workspace: simulator replicas, chaos
-//! episodes, analytic solver batches and the chunk-parallel codec all
-//! fan out through [`par_map_in`]. Scoped workers claim one index at a
-//! time from a shared counter, so a long item never strands the rest of
-//! a skewed sweep behind it. Each worker returns its `(index, result)`
-//! pairs through its join handle and the caller places them by index,
-//! so the output order, and therefore every downstream fold, does not
-//! depend on scheduling.
+//! This is the one executor of the workspace: simulator replicas and
+//! chaos episodes fan out through [`par_map_in`]. Scoped workers claim
+//! one index at a time from a shared counter, so a long item never
+//! strands the rest of a skewed sweep behind it. Each worker returns its
+//! `(index, result)` pairs through its join handle and the caller places
+//! them by index, so the output order, and therefore every downstream
+//! fold, does not depend on scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -34,9 +33,8 @@ where
 }
 
 /// [`par_map`] with an explicit worker count (used by the bench harness
-/// thread sweeps, the chunk-parallel codec and the
-/// N-thread-vs-1-thread determinism tests). `threads <= 1` runs inline
-/// on the caller's thread.
+/// thread sweeps and the N-thread-vs-1-thread determinism tests).
+/// `threads <= 1` runs inline on the caller's thread.
 pub fn par_map_in<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

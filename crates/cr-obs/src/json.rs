@@ -151,11 +151,20 @@ impl Value {
     }
 }
 
+/// Deepest container nesting [`parse`] accepts. The parser recurses once
+/// per level, so a bound keeps hostile input from overflowing the stack;
+/// the workspace's own documents nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
 /// garbage rejected). Errors carry the byte offset of the problem.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -168,6 +177,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -208,8 +219,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -217,6 +228,23 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Parses one container with `parse_container`, one level deeper.
+    fn nested(
+        &mut self,
+        parse_container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse_container(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -324,10 +352,17 @@ impl Parser<'_> {
                                 self.expect(b'\\')?;
                                 self.expect(b'u')?;
                                 let lo = self.hex4()?;
-                                let combined = 0x10000
-                                    + ((hi - 0xD800) << 10)
-                                    + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                char::from_u32(combined)
+                                if !(0xDC00..=0xDFFF).contains(&lo) {
+                                    return Err(format!(
+                                        "bad low surrogate at byte {}",
+                                        self.pos
+                                    ));
+                                }
+                                char::from_u32(
+                                    0x10000
+                                        + ((hi - 0xD800) << 10)
+                                        + (lo - 0xDC00),
+                                )
                             } else {
                                 char::from_u32(hi)
                             };
@@ -471,11 +506,21 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
+        // Nesting past the limit must be an error, not a stack overflow.
+        let deep_arrays = "[".repeat(100_000);
+        let deep_objects = "{\"a\":".repeat(100_000);
         for bad in [
             "", "{", "[1,", "{\"a\":}", "tru", "\"unterminated",
             "1 2", "{\"a\":1,}",
+            // A high surrogate needs a low one (U+DC00..U+DFFF) next.
+            "\"\\uD800\\u0041\"",
+            deep_arrays.as_str(),
+            deep_objects.as_str(),
         ] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
+            let shown = &bad[..bad.len().min(40)];
+            assert!(parse(bad).is_err(), "accepted {shown:?}");
         }
+        let at_limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&at_limit).is_ok());
     }
 }

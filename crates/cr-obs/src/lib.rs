@@ -53,8 +53,6 @@ pub enum Source {
     Remote,
     /// The fault-injection plane (`cr-node::faults`).
     Faults,
-    /// A compression codec (`cr-compress`).
-    Codec,
     /// A bench harness or CLI driver.
     Bench,
 }
@@ -68,7 +66,6 @@ impl Source {
             Source::Nvm => "nvm",
             Source::Remote => "remote",
             Source::Faults => "faults",
-            Source::Codec => "codec",
             Source::Bench => "bench",
         }
     }

@@ -4,9 +4,7 @@
 //! adversarial containers.
 
 use cr_rand::ChaCha8;
-use ndp_checkpoint::cr_compress::parallel::ParallelCodec;
 use ndp_checkpoint::cr_compress::registry::{by_name, study_codecs};
-use ndp_checkpoint::cr_compress::Codec;
 use ndp_checkpoint::cr_workloads::{all_mini_apps, CheckpointGenerator};
 
 fn random_bytes(rng: &mut ChaCha8, len: usize) -> Vec<u8> {
@@ -128,7 +126,8 @@ fn codecs_roundtrip_structured_runs() {
 #[test]
 fn compress_append_matches_compress_for_all_codecs() {
     // The zero-copy append entry point must produce the same container
-    // bytes as `compress`, after any prefix.
+    // bytes as `compress`, after any prefix; `compress` into a buffer
+    // that already holds bytes must clear it first.
     let image = all_mini_apps()[0].generate(1 << 18, 3);
     for codec in study_codecs() {
         let clean = codec.compress_to_vec(&image);
@@ -141,6 +140,15 @@ fn compress_append_matches_compress_for_all_codecs() {
             codec.label()
         );
         assert_eq!(&appended[..6], b"prefix");
+
+        let mut reused = b"junk left from an earlier run".to_vec();
+        codec.compress(&image, &mut reused);
+        assert_eq!(
+            reused,
+            clean,
+            "{} compress kept stale bytes",
+            codec.label()
+        );
     }
 }
 
@@ -174,98 +182,6 @@ fn corrupted_streams_never_panic() {
             let mut bad = compressed.clone();
             bad[idx] ^= mask;
             let _ = codec.decompress_to_vec(&bad);
-        }
-    }
-}
-
-// ---- ParallelCodec chunk-boundary and container edge cases ----
-
-const CHUNK: usize = 8 << 10;
-
-fn par_codec(threads: usize) -> ParallelCodec {
-    ParallelCodec::new(by_name("gz", 1).unwrap(), threads, CHUNK)
-}
-
-#[test]
-fn parallel_roundtrips_chunk_boundary_lengths() {
-    // The adversarial lengths for a chunked container: empty, single
-    // byte, below one chunk, exact multiples, and one past a multiple.
-    let mut rng = ChaCha8::seed_from_u64(0xB0DD);
-    let lens = [
-        0usize,
-        1,
-        CHUNK - 1,
-        CHUNK,
-        CHUNK + 1,
-        3 * CHUNK,
-        3 * CHUNK + 1,
-        5 * CHUNK - 1,
-    ];
-    for threads in [1usize, 4] {
-        let c = par_codec(threads);
-        for &len in &lens {
-            let data = random_bytes(&mut rng, len);
-            let compressed = c.compress_to_vec(&data);
-            assert_eq!(
-                c.decompress_to_vec(&compressed).unwrap(),
-                data,
-                "threads {threads} len {len}"
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_corrupt_frame_headers_error_not_panic() {
-    let mut rng = ChaCha8::seed_from_u64(0xBADF);
-    let data = random_bytes(&mut rng, 3 * CHUNK + 17);
-    let c = par_codec(2);
-    let good = c.compress_to_vec(&data);
-
-    // Oversized first chunk frame length: claims more bytes than the
-    // container holds.
-    let mut bad = good.clone();
-    bad[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(c.decompress_to_vec(&bad).is_err(), "oversized frame len");
-
-    // Zero chunk size in the container header.
-    let mut bad = good.clone();
-    bad[12..16].copy_from_slice(&0u32.to_le_bytes());
-    assert!(c.decompress_to_vec(&bad).is_err(), "zero chunk size");
-
-    // Total-length header inflated: frame count no longer matches.
-    let mut bad = good.clone();
-    bad[4..12].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-    assert!(c.decompress_to_vec(&bad).is_err(), "inflated total");
-
-    // Truncated mid-frame-header (cut 2 bytes into a length field).
-    let bad = &good[..18];
-    assert!(c.decompress_to_vec(bad).is_err(), "truncated frame header");
-
-    // Zero total length, yet two frames that each decode to nothing:
-    // the frame count must still be checked, or the per-frame expected
-    // length `total - i * chunk_size` underflows at the second frame.
-    let empty = by_name("gz", 1).unwrap().compress_to_vec(b"");
-    let mut bad = Vec::new();
-    bad.extend_from_slice(b"PAR1");
-    bad.extend_from_slice(&0u64.to_le_bytes());
-    bad.extend_from_slice(&(CHUNK as u32).to_le_bytes());
-    for _ in 0..2 {
-        bad.extend_from_slice(&(empty.len() as u32).to_le_bytes());
-        bad.extend_from_slice(&empty);
-    }
-    assert!(c.decompress_to_vec(&bad).is_err(), "frames past a zero total");
-
-    // Bit flips across the whole container: error or mismatch detection,
-    // never a panic.
-    for _ in 0..64 {
-        let idx = rng.next_u64() as usize % good.len();
-        let mut bad = good.clone();
-        bad[idx] ^= 0x40;
-        if let Ok(out) = c.decompress_to_vec(&bad) {
-            // A surviving decode must at least preserve the length
-            // contract enforced by the container.
-            assert_eq!(out.len(), data.len());
         }
     }
 }
