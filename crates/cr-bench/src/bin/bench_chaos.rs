@@ -42,8 +42,8 @@ use cr_node::node::{
 };
 use cr_node::nvm::Region;
 use cr_node::remote::ObjectKey;
+use cr_obs::analyze::IndicatorReport;
 use cr_obs::json::Value;
-use cr_obs::metrics::Metrics;
 use cr_obs::{Bus, VecSink};
 use cr_rand::ChaCha8;
 
@@ -54,7 +54,8 @@ struct Opts {
     seed: u64,
     out: PathBuf,
     /// `CHAOS_OBS`: when set, attach the observability bus to every
-    /// episode's node and write a `metrics/v1` snapshot to this path.
+    /// episode's node and write an `indicators/v1` snapshot of its event
+    /// counts to this path.
     /// The CHAOS_report.json stays byte-identical either way — the bus
     /// observes, it never perturbs.
     obs: Option<PathBuf>,
@@ -508,11 +509,11 @@ fn main() {
     // outputs come back in episode order and are folded sequentially
     // (digest and violations are order-sensitive, counters are sums).
     // CHAOS_OBS gives each episode a private bus whose event counts are
-    // folded into one metrics registry in episode order.
+    // folded into one report in episode order.
     let obs = opts.obs.is_some();
     let indices: Vec<u64> = (0..opts.episodes).collect();
     let outputs = par_map(&indices, |&e| run_episode(e, opts.seed, obs));
-    let mut metrics = Metrics::new();
+    let mut metrics = IndicatorReport::new("bench_chaos");
     for (e, out) in outputs.iter().enumerate() {
         totals.add(&out.totals);
         violations.extend(out.violations.iter().cloned());
@@ -521,20 +522,20 @@ fn main() {
         }
         digest.update(&out.log);
         for (key, n) in &out.event_counts {
-            metrics.inc(key, *n);
+            metrics.add(key, *n as f64);
         }
         if (e as u64 + 1).is_multiple_of(100) {
             println!("  {}/{} episodes", e + 1, opts.episodes);
         }
     }
     if let Some(path) = &opts.obs {
-        metrics.gauge("episodes", opts.episodes as f64);
+        metrics.set("episodes", opts.episodes as f64);
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir).expect("create metrics dir");
             }
         }
-        std::fs::write(path, metrics.to_json("bench_chaos"))
+        std::fs::write(path, metrics.to_json())
             .expect("write metrics");
         println!("wrote {}", path.display());
     }

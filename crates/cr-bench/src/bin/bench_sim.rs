@@ -33,8 +33,7 @@ use cr_bench::perf::time_window;
 use cr_core::params::{CompressionSpec, Strategy, SystemParams};
 use cr_obs::json::Value;
 use cr_sim::{
-    run_fleet_observed_in, simulate_avg_in, AveragedResult, SimFaults,
-    SimOptions,
+    run_fleet_observed_in, simulate_avg_in, AveragedResult, SimOptions,
 };
 
 const SEED: u64 = 42;
@@ -172,16 +171,13 @@ fn fleet_section(opts: &Opts) -> Value {
     let system = sys();
     let strat = bench_strategy();
     let sim_opts = SimOptions::quick(SEED);
-    let faults = SimFaults::default();
     let replicas = (opts.replicas / 4).max(2);
     let wide = opts.max_threads;
     println!("== observed fleet ({replicas} replicas, private buses) ==");
 
-    let one =
-        run_fleet_observed_in(1, &system, &strat, &sim_opts, &faults, replicas);
-    let many = run_fleet_observed_in(
-        wide, &system, &strat, &sim_opts, &faults, replicas,
-    );
+    let one = run_fleet_observed_in(1, &system, &strat, &sim_opts, replicas);
+    let many =
+        run_fleet_observed_in(wide, &system, &strat, &sim_opts, replicas);
     assert_eq!(one.len(), many.len());
     for (i, ((ra, ea), (rb, eb))) in one.iter().zip(&many).enumerate() {
         assert_eq!(
@@ -200,7 +196,7 @@ fn fleet_section(opts: &Opts) -> Value {
     for &threads in &[1usize, wide] {
         let timing = time_window(|| {
             std::hint::black_box(run_fleet_observed_in(
-                threads, &system, &strat, &sim_opts, &faults, replicas,
+                threads, &system, &strat, &sim_opts, replicas,
             ));
         });
         let secs = timing.median;
@@ -271,14 +267,8 @@ fn indicators_section() -> Value {
     ));
     // Events per replica from a fixed-size observed fleet (independent
     // of the bench knobs, like everything else in this section).
-    let fleet = run_fleet_observed_in(
-        1,
-        &system,
-        &strat,
-        &opts,
-        &SimFaults::default(),
-        IND_REPLICAS,
-    );
+    let fleet =
+        run_fleet_observed_in(1, &system, &strat, &opts, IND_REPLICAS);
     let events_total: u64 = fleet.iter().map(|(_, e)| e.len() as u64).sum();
     fields.push((
         "fleet_events_per_replica".into(),

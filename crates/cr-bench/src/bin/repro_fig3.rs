@@ -10,7 +10,7 @@ use cr_bench::table::pct;
 use cr_core::params::{Strategy, SystemParams};
 use cr_core::units::*;
 use cr_obs::{Bus, VecSink};
-use cr_sim::{run_engine, SimFaults, SimOptions, SimResult, Trace};
+use cr_sim::{run_engine, SimOptions, SimResult, Trace};
 
 /// Runs one fault-free replica and rebuilds its timeline from the
 /// event stream.
@@ -20,7 +20,7 @@ fn traced(
     opts: &SimOptions,
 ) -> (SimResult, Trace) {
     let bus = Bus::with_sink(VecSink::new());
-    let result = run_engine(sys, strat, opts, &SimFaults::default(), &bus);
+    let result = run_engine(sys, strat, opts, &bus);
     (result, Trace::from_events(&bus.drain()))
 }
 

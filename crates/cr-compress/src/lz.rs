@@ -16,7 +16,7 @@
 //!   state per thread, so existing callers get reuse for free.
 //! * **Word-at-a-time match extension** — candidate matches are verified
 //!   with one `u32` load and extended 8 bytes per step via `u64` loads +
-//!   `trailing_zeros` ([`common_prefix`]).
+//!   `trailing_zeros` (`common_prefix_from`).
 //! * **Insert-skip acceleration** — on incompressible runs the matcher
 //!   steps further between probes (LZ4-style), and long matches insert
 //!   chain entries with a stride instead of per byte, so zero pages and

@@ -212,11 +212,6 @@ impl FaultPlane {
         self.active = active;
     }
 
-    /// Whether the plane is currently armed.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// Consults the plane at a site: returns true if a fault fires.
     /// Disabled sites (probability 0) and quiesced planes never draw, so
     /// they do not perturb the stream.

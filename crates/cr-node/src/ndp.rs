@@ -100,12 +100,18 @@ impl NicBuffer {
     }
 }
 
+/// Longest delta chain a remote restore walks, and so the largest
+/// [`IncrementalPolicy::max_chain`] an [`NdpEngine`] accepts: a chain
+/// the restore would refuse is never drained.
+pub const MAX_CHAIN: u32 = 64;
+
 /// Incremental-drain configuration (§7 future work: the NDP diffs
 /// consecutive checkpoints and ships only changed blocks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IncrementalPolicy {
     /// Maximum number of consecutive deltas before a full checkpoint is
-    /// forced (bounds the restore chain, like video keyframes).
+    /// forced (bounds the restore chain, like video keyframes). At most
+    /// [`MAX_CHAIN`].
     pub max_chain: u32,
     /// Diff granularity, bytes.
     pub diff_block: usize,
@@ -299,6 +305,10 @@ impl NdpEngine {
         assert!(block_size >= 1024, "block size unreasonably small");
         assert!(nic_capacity >= 1);
         assert!(incremental.is_none_or(|p| p.diff_block >= 64));
+        assert!(
+            incremental.is_none_or(|p| p.max_chain <= MAX_CHAIN),
+            "max_chain above the restore bound MAX_CHAIN"
+        );
         NdpEngine {
             codec,
             policy,
@@ -920,6 +930,7 @@ impl NdpEngine {
 mod tests {
     use super::*;
     use crate::faults::FaultPlaneConfig;
+    use crate::remote::RemoteError;
     use cr_compress::registry;
 
     /// An engine wired to its NVM, I/O node, clock and fault plane
@@ -1014,7 +1025,7 @@ mod tests {
             &mut self,
             meta: &CheckpointMeta,
         ) -> (CheckpointMeta, Vec<u8>) {
-            self.io.read(&ObjectKey::of(meta)).unwrap()
+            self.io.read_verified(&ObjectKey::of(meta)).unwrap()
         }
     }
 
@@ -1122,7 +1133,7 @@ mod tests {
         rig.drain();
         assert_eq!(rig.engine.stats.drains_completed, 1);
         assert_eq!(rig.nvm.used(Region::Compressed), 0, "spills reclaimed");
-        assert!(rig.io.read(&ObjectKey::of(&meta)).is_some());
+        assert!(rig.io.peek_verified(&ObjectKey::of(&meta)).is_some());
     }
 
     #[test]
@@ -1172,7 +1183,7 @@ mod tests {
         rig.drain();
         assert_eq!(rig.engine.stats.drains_completed, 3);
         for meta in &metas {
-            assert!(rig.io.read(&ObjectKey::of(meta)).is_some());
+            assert!(rig.io.peek_verified(&ObjectKey::of(meta)).is_some());
         }
     }
 
@@ -1271,7 +1282,10 @@ mod tests {
         assert!(!s.locked);
         assert!(s.verify(), "local copy still pristine");
         assert_eq!(rig.io.incomplete_count(), 0);
-        assert!(rig.io.read(&ObjectKey::of(&meta)).is_none());
+        assert_eq!(
+            rig.io.read_verified(&ObjectKey::of(&meta)).unwrap_err(),
+            RemoteError::NoSuchObject
+        );
         assert_eq!(rig.engine.nic.depth(), 0);
         assert_eq!(rig.nvm.used(Region::Compressed), 0);
     }
@@ -1320,7 +1334,10 @@ mod tests {
         rig.drain();
         assert_eq!(rig.engine.stats.drains_source_corrupt, 1);
         assert_eq!(rig.engine.stats.drains_completed, 0);
-        assert!(rig.io.read(&ObjectKey::of(&meta)).is_none());
+        assert_eq!(
+            rig.io.read_verified(&ObjectKey::of(&meta)).unwrap_err(),
+            RemoteError::NoSuchObject
+        );
         assert_eq!(rig.io.incomplete_count(), 0);
         assert!(!rig.nvm.get(slot).unwrap().locked);
     }
@@ -1341,7 +1358,11 @@ mod tests {
         rig.nvm.tamper(slot, 80_000).unwrap();
         rig.drain();
         assert_eq!(rig.engine.stats.drains_source_corrupt, 1);
-        assert!(rig.io.read(&ObjectKey::of(&meta)).is_none(), "no torn object");
+        assert_eq!(
+            rig.io.read_verified(&ObjectKey::of(&meta)).unwrap_err(),
+            RemoteError::NoSuchObject,
+            "no torn object"
+        );
         assert_eq!(rig.io.incomplete_count(), 0);
     }
 
@@ -1355,7 +1376,7 @@ mod tests {
             rig.drain();
             let blob = rig
                 .io
-                .read(&ObjectKey::of(&meta))
+                .read_verified(&ObjectKey::of(&meta))
                 .map(|(_, b)| b)
                 .unwrap_or_default();
             (rig.plane.render_log(), rig.engine.stats, blob)

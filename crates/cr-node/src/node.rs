@@ -513,9 +513,8 @@ impl ComputeNode {
         let mut deltas: Vec<crate::incremental::IncrementalImage> =
             Vec::new();
         let mut cursor = meta.clone();
-        const MAX_CHAIN: usize = 64;
         while let Some(base_id) = cursor.base {
-            if deltas.len() >= MAX_CHAIN {
+            if deltas.len() >= crate::ndp::MAX_CHAIN as usize {
                 return Err(
                     CodecError::new("incremental chain too long").into()
                 );

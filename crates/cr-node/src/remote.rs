@@ -242,16 +242,6 @@ impl IoNode {
         Some(&obj.meta)
     }
 
-    /// Reads a finalized object.
-    pub fn read(&mut self, key: &ObjectKey) -> Option<(CheckpointMeta, Vec<u8>)> {
-        let obj = self.objects.get(key)?;
-        if !obj.complete {
-            return None;
-        }
-        self.bytes_read += obj.data.len() as u64;
-        Some((obj.meta.clone(), obj.data.clone()))
-    }
-
     /// Reads a finalized object, verifying its checksum first — the
     /// restore path uses this so bit-rot surfaces as an error instead
     /// of silently corrupt application state.
@@ -319,10 +309,10 @@ mod tests {
         io.append_block(&key, b"hello ").unwrap();
         io.append_block(&key, b"world").unwrap();
         // Not visible before finalize.
-        assert!(io.read(&key).is_none());
+        assert!(io.peek_verified(&key).is_none());
         assert!(io.latest_complete("app", 0).is_none());
         io.finalize(&key).unwrap();
-        let (m2, data) = io.read(&key).unwrap();
+        let (m2, data) = io.read_verified(&key).unwrap();
         assert_eq!(data, b"hello world");
         assert_eq!(m2.ckpt_id, 1);
         assert_eq!(io.bytes_written, 11);
@@ -381,7 +371,6 @@ mod tests {
         io.abort_incomplete();
         // The partial object is gone in every observable way...
         assert_eq!(io.object_count(), 0);
-        assert!(io.read(&key).is_none());
         assert_eq!(
             io.read_verified(&key).unwrap_err(),
             RemoteError::NoSuchObject
@@ -392,7 +381,7 @@ mod tests {
         io.begin(m).unwrap();
         io.append_block(&key, b"whole thing").unwrap();
         io.finalize(&key).unwrap();
-        assert_eq!(io.read(&key).unwrap().1, b"whole thing");
+        assert_eq!(io.read_verified(&key).unwrap().1, b"whole thing");
     }
 
     #[test]
@@ -414,7 +403,7 @@ mod tests {
         io.finalize(&key).unwrap();
         // Nor a finalized one.
         assert_eq!(io.begin(m).unwrap_err(), RemoteError::AlreadyExists);
-        assert_eq!(io.read(&key).unwrap().1, b"partial");
+        assert_eq!(io.read_verified(&key).unwrap().1, b"partial");
     }
 
     #[test]
@@ -441,7 +430,6 @@ mod tests {
         let key = ObjectKey::of(&m);
         io.begin(m).unwrap();
         io.append_block(&key, b"torn").unwrap();
-        assert!(io.read(&key).is_none());
         assert_eq!(
             io.read_verified(&key).unwrap_err(),
             RemoteError::NoSuchObject
@@ -465,7 +453,7 @@ mod tests {
         assert!(!io.abort_object(&ObjectKey::of(&meta(2))), "already gone");
         assert_eq!(io.incomplete_count(), 1);
         assert_eq!(io.object_count(), 2);
-        assert!(io.read(&ObjectKey::of(&meta(1))).is_some());
+        assert!(io.peek_verified(&ObjectKey::of(&meta(1))).is_some());
     }
 
     #[test]

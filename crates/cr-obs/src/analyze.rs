@@ -36,6 +36,11 @@ impl IndicatorReport {
         self.values.insert(key.to_string(), v);
     }
 
+    /// Adds `by` to indicator `key` (created at zero on first use).
+    pub fn add(&mut self, key: &str, by: f64) {
+        *self.values.entry(key.to_string()).or_insert(0.0) += by;
+    }
+
     /// Indicator value, if present.
     pub fn get(&self, key: &str) -> Option<f64> {
         self.values.get(key).copied()
@@ -662,6 +667,16 @@ mod tests {
         assert_eq!(back.get("drain_stalls_nic"), Some(12.0));
         // NaN rendered as null, skipped on re-read.
         assert_eq!(back.get("weird"), None);
+    }
+
+    #[test]
+    fn add_counts_from_zero_and_renders_integers() {
+        let mut r = IndicatorReport::new("counts");
+        r.add("events_span", 1.0);
+        r.add("events_span", 2.0);
+        r.add("events_mark", 5.0);
+        assert_eq!(r.get("events_span"), Some(3.0));
+        assert!(r.to_json().contains("\"events_mark\": 5,"));
     }
 
     #[test]

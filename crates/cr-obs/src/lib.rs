@@ -15,9 +15,11 @@
 //!    process. A disabled bus is the default and costs one branch per
 //!    emission site; event construction is wrapped in a closure
 //!    ([`Bus::emit_with`]) so a disabled bus never allocates.
-//! 2. A **metrics registry** ([`metrics::Metrics`]): counters, gauges
-//!    and log2-bucketed histograms, snapshotted to the `metrics/v1`
-//!    JSON schema.
+//! 2. A flat **indicator report** ([`analyze::IndicatorReport`]): a
+//!    sorted map of named values, rendered as `indicators/v1` JSON.
+//!    [`analyze::analyze`] folds an event stream into one, and the
+//!    event-count snapshots of `crx trace --metrics-out` and
+//!    `bench_chaos` are one too.
 //!
 //! Everything here is observational: emitting an event never draws
 //! randomness, never changes control flow, and never feeds back into
@@ -34,7 +36,6 @@ use std::sync::{Arc, Mutex};
 pub mod analyze;
 pub mod export;
 pub mod json;
-pub mod metrics;
 pub mod span;
 pub mod units;
 
@@ -209,7 +210,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable snake_case name of the event kind (used as the JSON
-    /// `kind` field and as a metrics counter key).
+    /// `kind` field and in `events_<kind>` count keys).
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::Span { .. } => "span",

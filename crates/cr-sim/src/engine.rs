@@ -67,46 +67,6 @@ impl SimOptions {
     }
 }
 
-/// Injected-fault configuration for a simulation replica.
-///
-/// This mirrors the functional emulation's `FaultPlane` at the analytic
-/// granularity the discrete sim works in: instead of torn frames and NIC
-/// drops it models their *observable consequences* — a survivable failure
-/// whose local copy turns out to be corrupt (so recovery escalates to the
-/// I/O level, tying the effective §6.1.1 `p_local` to a mechanism), and
-/// drain commits that hit transient I/O errors (bounded retries, then the
-/// drain is abandoned and coverage degrades to the local level).
-///
-/// The default is all-zero probabilities, and zero-probability sites draw
-/// **no** random numbers, so a default `SimFaults` run is bit-identical
-/// to a fault-free [`crate::simulate`] with the same seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimFaults {
-    /// Probability that a survivable failure finds its local checkpoint
-    /// corrupted on read (detected by verification, recovery escalates
-    /// to the I/O level).
-    pub p_local_corrupt: f64,
-    /// Probability that a completing NDP drain hits a transient I/O
-    /// error and must retry.
-    pub p_drain_error: f64,
-    /// Extra drain time (seconds) charged per retry.
-    pub drain_retry_penalty: f64,
-    /// Retries after which an erroring drain is abandoned (the
-    /// checkpoint stays covered by the local level only).
-    pub max_drain_retries: u32,
-}
-
-impl Default for SimFaults {
-    fn default() -> Self {
-        SimFaults {
-            p_local_corrupt: 0.0,
-            p_drain_error: 0.0,
-            drain_retry_penalty: 5.0,
-            max_drain_retries: 3,
-        }
-    }
-}
-
 /// Counters describing what happened during a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimStats {
@@ -128,13 +88,6 @@ pub struct SimStats {
     pub io_ckpts: u64,
     /// NDP drain jobs cancelled by node-loss failures.
     pub drains_cancelled: u64,
-    /// Survivable failures whose local copy was injected-corrupt, forcing
-    /// an I/O-level recovery.
-    pub local_corruptions: u64,
-    /// Transient drain-commit errors that were retried.
-    pub drain_retries: u64,
-    /// Drains abandoned after exhausting their retry budget.
-    pub drains_degraded: u64,
     /// Largest NDP drain backlog observed.
     pub max_drain_queue: usize,
     /// True if the run hit `max_wall` before meeting its targets.
@@ -170,7 +123,6 @@ enum Bucket {
 struct DrainJob {
     content: f64,
     remaining: f64,
-    retries: u32,
 }
 
 struct Engine {
@@ -179,14 +131,12 @@ struct Engine {
     k: u64,
     ndp: bool,
     // Clock and failure process. Each stream serves one purpose, so
-    // enabling faults never perturbs the failure or level sequences.
+    // the failure and level sequences never perturb each other.
     mtti: f64,
     now: f64,
     next_failure: f64,
     failures: Stream,
     levels: Stream,
-    faults: SimFaults,
-    fault_stream: Stream,
     // Application progress.
     work: f64,
     work_max: f64,
@@ -204,13 +154,7 @@ struct Engine {
 }
 
 impl Engine {
-    fn new(
-        sys: &SystemParams,
-        strat: &Strategy,
-        seed: u64,
-        faults: SimFaults,
-        bus: Bus,
-    ) -> Self {
+    fn new(sys: &SystemParams, strat: &Strategy, seed: u64, bus: Bus) -> Self {
         let d = derive_costs(sys, strat);
         let k = match strat {
             Strategy::LocalOnly { .. } => u64::MAX,
@@ -226,8 +170,6 @@ impl Engine {
             next_failure: failures.exp(sys.mtti),
             failures,
             levels: Stream::new(seed, StreamKind::RecoveryLevel),
-            faults,
-            fault_stream: Stream::new(seed, StreamKind::Faults),
             work: 0.0,
             work_max: 0.0,
             deficit_local: 0.0,
@@ -292,28 +234,7 @@ impl Engine {
             }
             dt -= job.remaining;
             consumed += job.remaining;
-            let (content, retries) = (job.content, job.retries);
-            if self.faults.p_drain_error > 0.0
-                && self.fault_stream.bernoulli(self.faults.p_drain_error)
-            {
-                // Transient I/O error at commit time: retry with a time
-                // penalty until the budget runs out, then abandon the
-                // drain (the checkpoint stays covered locally).
-                if retries >= self.faults.max_drain_retries {
-                    self.drain_queue.pop_front();
-                    self.stats.drains_degraded += 1;
-                } else {
-                    let job = self
-                        .drain_queue
-                        .front_mut()
-                        .expect("erroring job still queued");
-                    job.retries += 1;
-                    job.remaining = self.faults.drain_retry_penalty;
-                    self.stats.drain_retries += 1;
-                }
-                continue;
-            }
-            self.last_io = content;
+            self.last_io = job.content;
             self.drain_queue.pop_front();
             self.stats.io_ckpts += 1;
             self.emit_mark(base_t + consumed, MarkKind::IoDurable);
@@ -402,20 +323,8 @@ impl Engine {
         self.stats.failures += 1;
         self.emit_mark(self.now, MarkKind::Failure);
         self.next_failure = self.now + self.failures.exp(self.mtti);
-        let mut local_ok = self.levels.uniform() < self.d.p_local
+        let local_ok = self.levels.uniform() < self.d.p_local
             && self.last_local.is_some();
-        if local_ok
-            && self.faults.p_local_corrupt > 0.0
-            && self.fault_stream.bernoulli(self.faults.p_local_corrupt)
-        {
-            // The failure was survivable, but the local copy fails
-            // verification on read: the recovery escalates to the I/O
-            // level. This ties the *effective* §6.1.1 p_local to an
-            // injected corruption mechanism shared with the functional
-            // emulation's fault plane.
-            self.stats.local_corruptions += 1;
-            local_ok = false;
-        }
         if !local_ok {
             // Node-level loss: local NVM contents and pending drains are
             // gone.
@@ -517,7 +426,6 @@ impl Engine {
                     self.drain_queue.push_back(DrainJob {
                         content: self.work,
                         remaining: self.d.ndp_drain_time,
-                        retries: 0,
                     });
                     self.stats.max_drain_queue =
                         self.stats.max_drain_queue.max(self.drain_queue.len());
@@ -579,9 +487,8 @@ impl Engine {
 
 /// Runs one simulation replica of a configuration.
 ///
-/// `faults` injects local-copy corruption and drain-commit errors; with
-/// [`SimFaults::default`] no fault site draws a random number. Every
-/// span, mark, failure and recovery-level choice is emitted onto `bus`.
+/// Every span, mark, failure and recovery-level choice is emitted onto
+/// `bus`.
 /// Observation never draws random numbers and never perturbs the
 /// simulated timeline, so the result is bit-identical for any sink,
 /// including [`Bus::disabled`].
@@ -589,10 +496,9 @@ pub fn run_engine(
     sys: &SystemParams,
     strat: &Strategy,
     opts: &SimOptions,
-    faults: &SimFaults,
     bus: &Bus,
 ) -> SimResult {
-    Engine::new(sys, strat, opts.seed, *faults, bus.clone()).run(opts)
+    Engine::new(sys, strat, opts.seed, bus.clone()).run(opts)
 }
 
 #[cfg(test)]
@@ -605,15 +511,7 @@ mod tests {
     }
 
     fn run(strat: &Strategy, opts: &SimOptions) -> SimResult {
-        run_faulty(strat, opts, &SimFaults::default())
-    }
-
-    fn run_faulty(
-        strat: &Strategy,
-        opts: &SimOptions,
-        faults: &SimFaults,
-    ) -> SimResult {
-        run_engine(&sys(), strat, opts, faults, &Bus::disabled())
+        run_engine(&sys(), strat, opts, &Bus::disabled())
     }
 
     #[test]
@@ -757,71 +655,6 @@ mod tests {
     fn io_failures_cancel_drains() {
         let r = run(&Strategy::local_io_ndp(0.5, None), &SimOptions::quick(13));
         assert!(r.stats.drains_cancelled > 0);
-    }
-
-    #[test]
-    fn local_corruption_escalates_recoveries_to_io() {
-        let strat = Strategy::local_io_host(12, 0.8, None);
-        let opts = SimOptions::standard(22);
-        let faults = SimFaults {
-            p_local_corrupt: 0.5,
-            ..SimFaults::default()
-        };
-        let r = run_faulty(&strat, &opts, &faults);
-        assert!(r.stats.local_corruptions > 0);
-        let total = (r.stats.recoveries_local + r.stats.recoveries_io) as f64;
-        let frac_local = r.stats.recoveries_local as f64 / total;
-        // Effective p_local ≈ 0.8 * (1 - 0.5) = 0.4.
-        assert!(
-            (frac_local - 0.4).abs() < 0.06,
-            "effective local recovery fraction = {frac_local}"
-        );
-        // The baseline (no injection) sits near the configured 0.8.
-        let base = run(&strat, &opts);
-        let base_total =
-            (base.stats.recoveries_local + base.stats.recoveries_io) as f64;
-        let base_frac = base.stats.recoveries_local as f64 / base_total;
-        assert!(frac_local < base_frac - 0.2);
-    }
-
-    #[test]
-    fn drain_errors_retry_then_degrade() {
-        let strat = Strategy::local_io_ndp(0.85, None);
-        let opts = SimOptions::standard(23);
-        let faults = SimFaults {
-            p_drain_error: 0.5,
-            drain_retry_penalty: 2.0,
-            max_drain_retries: 1,
-            ..SimFaults::default()
-        };
-        let r = run_faulty(&strat, &opts, &faults);
-        assert!(r.stats.drain_retries > 0, "transient errors must retry");
-        assert!(
-            r.stats.drains_degraded > 0,
-            "exhausted retries must degrade"
-        );
-        assert!(r.stats.io_ckpts > 0, "most drains still commit");
-        // Accounting stays leak-free under fault injection.
-        assert!(
-            (r.breakdown.total() - r.stats.wall_time).abs()
-                < 1e-6 * r.stats.wall_time
-        );
-    }
-
-    #[test]
-    fn faulty_runs_are_deterministic_in_the_seed() {
-        let strat = Strategy::local_io_ndp(0.85, None);
-        let faults = SimFaults {
-            p_local_corrupt: 0.1,
-            p_drain_error: 0.3,
-            ..SimFaults::default()
-        };
-        let a = run_faulty(&strat, &SimOptions::quick(31), &faults);
-        let b = run_faulty(&strat, &SimOptions::quick(31), &faults);
-        assert_eq!(a.breakdown, b.breakdown);
-        assert_eq!(a.stats, b.stats);
-        let c = run_faulty(&strat, &SimOptions::quick(32), &faults);
-        assert_ne!(a.stats, c.stats);
     }
 
     #[test]

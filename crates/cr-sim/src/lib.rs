@@ -24,9 +24,8 @@
 //! ## Entry points
 //!
 //! A replica is run one way: [`run_engine`] builds an engine for one
-//! seed, injects the given [`SimFaults`], emits onto the given
-//! [`cr_obs::Bus`], and returns a [`SimResult`]. [`simulate`] is its
-//! fault-free, unobserved form. [`simulate_avg`] and
+//! seed, emits onto the given [`cr_obs::Bus`], and returns a
+//! [`SimResult`]. [`simulate`] is its unobserved form. [`simulate_avg`] and
 //! [`run_fleet_observed`] fan seeded replicas out over the
 //! workspace executor in `cr_core::par`; results are keyed only by
 //! seed, so every thread count gives bit-identical output. A timeline
@@ -53,7 +52,7 @@ pub mod rng;
 pub mod runner;
 pub mod trace;
 
-pub use engine::{run_engine, SimFaults, SimOptions, SimResult, SimStats};
+pub use engine::{run_engine, SimOptions, SimResult, SimStats};
 pub use runner::{
     run_fleet_observed, run_fleet_observed_in, simulate, simulate_avg,
     simulate_avg_in, AveragedResult,

@@ -16,12 +16,6 @@ pub enum StreamKind {
     Failures,
     /// Per-failure recovery-level Bernoulli draws.
     RecoveryLevel,
-    /// Anything workload-related (used by callers embedding the sim).
-    Workload,
-    /// Injected-fault draws (local corruption, drain errors). A separate
-    /// stream so enabling faults never perturbs the failure/recovery
-    /// sequences of a fault-free run with the same seed.
-    Faults,
 }
 
 impl StreamKind {
@@ -29,8 +23,6 @@ impl StreamKind {
         match self {
             StreamKind::Failures => 0x9E37_79B9_7F4A_7C15,
             StreamKind::RecoveryLevel => 0xBF58_476D_1CE4_E5B9,
-            StreamKind::Workload => 0x94D0_49BB_1331_11EB,
-            StreamKind::Faults => 0xD6E8_FEB8_6659_FD93,
         }
     }
 }
@@ -64,13 +56,6 @@ impl Stream {
     pub fn exp(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0);
         exp_from_uniform(mean, self.rng.gen_f64())
-    }
-
-    /// Samples a Bernoulli with probability `p` of `true`.
-    #[inline]
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        debug_assert!((0.0..=1.0).contains(&p));
-        self.rng.gen_f64() < p
     }
 
     /// Samples a uniform in `[0, 1)`.
@@ -161,21 +146,5 @@ mod tests {
         for g in [f64::EPSILON / 2.0, 0.25, 0.5, 0.999] {
             assert_eq!(exp_from_uniform(2.0, g), -2.0 * (1.0 - g).ln());
         }
-    }
-
-    #[test]
-    fn bernoulli_frequency() {
-        let mut s = Stream::new(55, StreamKind::RecoveryLevel);
-        let n = 100_000;
-        let hits = (0..n).filter(|_| s.bernoulli(0.85)).count();
-        let freq = hits as f64 / n as f64;
-        assert!((freq - 0.85).abs() < 0.01, "freq = {freq}");
-    }
-
-    #[test]
-    fn bernoulli_extremes() {
-        let mut s = Stream::new(1, StreamKind::RecoveryLevel);
-        assert!(!(0..1000).any(|_| s.bernoulli(0.0)));
-        assert!((0..1000).all(|_| s.bernoulli(1.0)));
     }
 }

@@ -6,15 +6,15 @@ use cr_core::par::{default_threads, par_map_in};
 use cr_core::params::{Strategy, SystemParams};
 use cr_obs::{Bus, Event, VecSink};
 
-use crate::engine::{run_engine, SimFaults, SimOptions, SimResult};
+use crate::engine::{run_engine, SimOptions, SimResult};
 
-/// Runs one fault-free, unobserved simulation replica.
+/// Runs one unobserved simulation replica.
 pub fn simulate(
     sys: &SystemParams,
     strat: &Strategy,
     opts: &SimOptions,
 ) -> SimResult {
-    run_engine(sys, strat, opts, &SimFaults::default(), &Bus::disabled())
+    run_engine(sys, strat, opts, &Bus::disabled())
 }
 
 /// Aggregate of several independent replicas.
@@ -120,10 +120,9 @@ pub fn run_fleet_observed(
     sys: &SystemParams,
     strat: &Strategy,
     opts: &SimOptions,
-    faults: &SimFaults,
     replicas: u64,
 ) -> Vec<(SimResult, Vec<Event>)> {
-    run_fleet_observed_in(default_threads(), sys, strat, opts, faults, replicas)
+    run_fleet_observed_in(default_threads(), sys, strat, opts, replicas)
 }
 
 /// [`run_fleet_observed`] with an explicit worker-thread count. Event
@@ -134,7 +133,6 @@ pub fn run_fleet_observed_in(
     sys: &SystemParams,
     strat: &Strategy,
     opts: &SimOptions,
-    faults: &SimFaults,
     replicas: u64,
 ) -> Vec<(SimResult, Vec<Event>)> {
     assert!(replicas >= 1);
@@ -143,7 +141,7 @@ pub fn run_fleet_observed_in(
     par_map_in(threads, &seeds, |&seed| {
         let opts = SimOptions { seed, ..*opts };
         let bus = Bus::with_sink(VecSink::new());
-        let result = run_engine(sys, strat, &opts, faults, &bus);
+        let result = run_engine(sys, strat, &opts, &bus);
         (result, bus.drain())
     })
 }
@@ -203,13 +201,7 @@ mod tests {
     fn fleet_matches_unobserved_replicas_in_seed_order() {
         let strat = Strategy::local_io_ndp(0.85, None);
         let opts = SimOptions::quick(7);
-        let fleet = run_fleet_observed(
-            &sys(),
-            &strat,
-            &opts,
-            &SimFaults::default(),
-            3,
-        );
+        let fleet = run_fleet_observed(&sys(), &strat, &opts, 3);
         assert_eq!(fleet.len(), 3);
         let avg = simulate_avg(&sys(), &strat, &opts, 3);
         for (i, (result, events)) in fleet.iter().enumerate() {

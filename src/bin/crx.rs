@@ -163,7 +163,7 @@ COMMANDS:
   trace      run one observed replica and render its Fig. 3 timeline
   report     run an observed fleet and print derived C/R indicators
   export     export an observed fleet as a Chrome trace (Perfetto) JSON
-  obs diff   compare two metrics/indicators JSON snapshots (gate)
+  obs diff   compare the numbers of two JSON snapshots (gate)
 
 SYSTEM FLAGS (evaluate/ratio/sweep):
   --mtti MIN     system MTTI in minutes        [30]
@@ -186,7 +186,8 @@ TRACE FLAGS:
   --to S         render window end, seconds    [wall time]
   --width N      render width in columns       [100]
   --result-out F write the SimResult debug dump to F
-  --metrics-out F write a metrics/v1 JSON snapshot to F
+  --metrics-out F write an indicators/v1 event-count snapshot to F
+                 (needs --sink vec or json)
 
 REPORT / EXPORT FLAGS:
   --seed N       base replica seed             [42]
@@ -398,9 +399,9 @@ fn cmd_sizing(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
-    use ndp_checkpoint::cr_obs::metrics::Metrics;
-    use ndp_checkpoint::cr_obs::{Bus, EventKind, VecSink};
-    use ndp_checkpoint::cr_sim::{run_engine, SimFaults, Trace};
+    use ndp_checkpoint::cr_obs::analyze::IndicatorReport;
+    use ndp_checkpoint::cr_obs::{Bus, VecSink};
+    use ndp_checkpoint::cr_sim::{run_engine, Trace};
 
     let sys = system_from(flags)?;
     let strat = strategy_from(flags, &sys)?;
@@ -414,6 +415,11 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     // `vec` and `json` record the same events; they differ only in
     // what stdout shows after the header: a timeline or JSON lines.
     let sink = flags.get("sink").unwrap_or("vec");
+    if sink == "off" && flags.get("metrics-out").is_some() {
+        return Err("--metrics-out needs a recording sink (vec|json), \
+                    not --sink off"
+            .into());
+    }
     let bus = match sink {
         "off" => Bus::disabled(),
         "vec" | "json" => Bus::with_sink(VecSink::new()),
@@ -421,7 +427,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     };
     let json = sink == "json";
 
-    let result = run_engine(&sys, &strat, &opts, &SimFaults::default(), &bus);
+    let result = run_engine(&sys, &strat, &opts, &bus);
     let rendered = if json { bus.render() } else { String::new() };
     let events = bus.drain();
 
@@ -454,17 +460,14 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     }
     if let Some(path) = flags.get("metrics-out") {
         ensure_parent_dir(path);
-        let mut m = Metrics::new();
-        m.inc("events_total", events.len() as u64);
+        let mut m = IndicatorReport::new("crx_trace");
+        m.set("events_total", events.len() as f64);
         for e in &events {
-            m.inc(&format!("events_{}", e.kind.name()), 1);
-            if let EventKind::Span { t0, t1, .. } = e.kind {
-                m.observe("span_us", ((t1 - t0) * 1e6) as u64);
-            }
+            m.add(&format!("events_{}", e.kind.name()), 1.0);
         }
-        m.gauge("wall_time_s", result.stats.wall_time);
-        m.gauge("work_done_s", result.stats.work_done);
-        std::fs::write(path, m.to_json("crx_trace"))
+        m.set("wall_time_s", result.stats.wall_time);
+        m.set("work_done_s", result.stats.work_done);
+        std::fs::write(path, m.to_json())
             .map_err(|e| format!("--metrics-out {path}: {e}"))?;
     }
     Ok(())
@@ -480,7 +483,7 @@ fn observed_fleet(
     default_replicas: usize,
     default_failures: usize,
 ) -> Result<(SystemParams, Strategy, SimOptions, FleetRuns), String> {
-    use ndp_checkpoint::cr_sim::{run_fleet_observed, SimFaults};
+    use ndp_checkpoint::cr_sim::run_fleet_observed;
     let sys = system_from(flags)?;
     let strat = strategy_from(flags, &sys)?;
     let replicas = flags.get_usize("replicas", default_replicas)?.max(1) as u64;
@@ -490,13 +493,7 @@ fn observed_fleet(
         min_work: 0.0,
         max_wall: 1e12,
     };
-    let fleet = run_fleet_observed(
-        &sys,
-        &strat,
-        &opts,
-        &SimFaults::default(),
-        replicas,
-    );
+    let fleet = run_fleet_observed(&sys, &strat, &opts, replicas);
     Ok((sys, strat, opts, fleet))
 }
 

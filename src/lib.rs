@@ -16,9 +16,9 @@
 //! * [`cr_node`] — a functional emulation of an NDP-equipped compute
 //!   node: NVM circular buffers, drain engine, NIC backpressure,
 //!   failure injection and recovery.
-//! * [`cr_obs`] — the observability plane: a structured event bus and
-//!   metrics registry shared by every crate above, zero-overhead when
-//!   disabled.
+//! * [`cr_obs`] — the observability plane: a structured event bus
+//!   shared by every crate above, zero-overhead when disabled, and the
+//!   flat `indicators/v1` report its event streams fold into.
 //!
 //! The `cr-bench` crate (not re-exported; it is a binary/bench crate)
 //! regenerates every table and figure of the paper — see `DESIGN.md`

@@ -4,7 +4,7 @@
 //! limits.
 
 use ndp_checkpoint::cr_node::faults::{FaultPlaneConfig, FaultSite};
-use ndp_checkpoint::cr_node::ndp::IncrementalPolicy;
+use ndp_checkpoint::cr_node::ndp::{IncrementalPolicy, MAX_CHAIN};
 use ndp_checkpoint::cr_node::node::{
     ComputeNode, FailureKind, NodeConfig, NodeError, RestoreSource,
 };
@@ -40,7 +40,7 @@ fn incremental_drains_ship_far_fewer_bytes() {
 
     let run = |incremental: bool| -> (u64, u64) {
         let mut cfg = if incremental {
-            incr_cfg(100)
+            incr_cfg(MAX_CHAIN)
         } else {
             NodeConfig {
                 drain_ratio: 1,
@@ -72,7 +72,7 @@ fn incremental_drains_ship_far_fewer_bytes() {
 #[test]
 fn restore_walks_the_delta_chain_byte_exactly() {
     let bytes = 2 << 20;
-    let mut node = ComputeNode::new(incr_cfg(100));
+    let mut node = ComputeNode::new(incr_cfg(MAX_CHAIN));
     node.register_app("a");
     let mut state = by_name("miniFE").unwrap().generate(bytes, 3);
     let mut final_state = state.clone();
@@ -107,10 +107,38 @@ fn chain_limit_forces_periodic_full_images() {
     assert_eq!(r.data, state);
 }
 
+/// A chain at exactly the restore bound (a keyframe plus `MAX_CHAIN`
+/// deltas) still restores bit-exactly from remote I/O.
+#[test]
+fn chain_at_the_bound_restores_from_remote_io() {
+    let bytes = 128 << 10;
+    let mut node = ComputeNode::new(incr_cfg(MAX_CHAIN));
+    node.register_app("a");
+    let mut state = by_name("CoMD").unwrap().generate(bytes, 5);
+    for step in 0..=u64::from(MAX_CHAIN) {
+        evolve(&mut state, step);
+        node.checkpoint("a", &state).unwrap();
+        node.drain_all().unwrap();
+    }
+    assert_eq!(node.ndp_stats().incremental_drains, u64::from(MAX_CHAIN));
+    node.inject_failure(FailureKind::NodeLoss);
+    let r = node.restore("a").unwrap();
+    assert_eq!(r.source, RestoreSource::RemoteIo);
+    assert_eq!(r.data, state, "the longest chain must restore exactly");
+}
+
+/// A policy whose chains the restore would refuse is rejected when the
+/// node is built, before any checkpoint can be drained into one.
+#[test]
+#[should_panic(expected = "max_chain above the restore bound")]
+fn chain_limit_above_the_restore_bound_is_rejected() {
+    let _ = ComputeNode::new(incr_cfg(MAX_CHAIN + 1));
+}
+
 #[test]
 fn node_loss_resets_the_diff_base() {
     let bytes = 1 << 20;
-    let mut node = ComputeNode::new(incr_cfg(100));
+    let mut node = ComputeNode::new(incr_cfg(MAX_CHAIN));
     node.register_app("a");
     let mut state = by_name("miniMD").unwrap().generate(bytes, 5);
     node.checkpoint("a", &state).unwrap();
@@ -144,7 +172,7 @@ fn node_loss_resets_the_diff_base() {
 #[test]
 fn incremental_composes_with_compression() {
     let bytes = 2 << 20;
-    let mut cfg = incr_cfg(100);
+    let mut cfg = incr_cfg(MAX_CHAIN);
     cfg.codec = Some(("gz", 1));
     let mut node = ComputeNode::new(cfg);
     node.register_app("a");
@@ -168,7 +196,7 @@ fn incremental_composes_with_compression() {
 #[test]
 fn per_rank_chains_are_independent() {
     let bytes = 512 << 10;
-    let mut node = ComputeNode::new(incr_cfg(100));
+    let mut node = ComputeNode::new(incr_cfg(MAX_CHAIN));
     node.register_app("a");
     let gen = by_name("HPCCG").unwrap();
     let mut states: Vec<Vec<u8>> =

@@ -6,12 +6,10 @@
 use ndp_checkpoint::cr_node::faults::FaultPlaneConfig;
 use ndp_checkpoint::cr_node::ndp::StepOutcome;
 use ndp_checkpoint::cr_node::node::{ComputeNode, NodeConfig};
-use ndp_checkpoint::cr_obs::metrics::{bucket_bound, bucket_index, Metrics};
+use ndp_checkpoint::cr_obs::analyze::IndicatorReport;
 use ndp_checkpoint::cr_obs::{Bus, VecSink};
 use ndp_checkpoint::cr_sim::trace::{Lane, MarkKind, SpanKind};
-use ndp_checkpoint::cr_sim::{
-    run_engine, simulate, SimFaults, SimOptions, Trace,
-};
+use ndp_checkpoint::cr_sim::{run_engine, simulate, SimOptions, Trace};
 use ndp_checkpoint::prelude::*;
 
 fn sys() -> SystemParams {
@@ -22,27 +20,18 @@ fn strat() -> Strategy {
     Strategy::local_io_ndp(0.85, None)
 }
 
-fn faults() -> SimFaults {
-    SimFaults {
-        p_drain_error: 0.05,
-        p_local_corrupt: 0.02,
-        ..SimFaults::default()
-    }
-}
-
 /// The central guarantee: a pinned-seed simulation produces the same
 /// SimResult whether the bus is disabled or recording.
 #[test]
 fn sim_results_are_identical_with_the_bus_on_or_off() {
     let opts = SimOptions::quick(20260807);
-    let baseline =
-        run_engine(&sys(), &strat(), &opts, &faults(), &Bus::disabled());
+    let baseline = run_engine(&sys(), &strat(), &opts, &Bus::disabled());
     let buses: Vec<(&str, Bus)> = vec![
         ("off", Bus::disabled()),
         ("vec", Bus::with_sink(VecSink::new())),
     ];
     for (name, bus) in buses {
-        let r = run_engine(&sys(), &strat(), &opts, &faults(), &bus);
+        let r = run_engine(&sys(), &strat(), &opts, &bus);
         assert_eq!(
             r.breakdown, baseline.breakdown,
             "breakdown drifted under sink {name}"
@@ -66,7 +55,7 @@ fn json_event_stream_is_deterministic() {
     let opts = SimOptions::quick(7);
     let render = |_: u32| {
         let bus = Bus::with_sink(VecSink::new());
-        run_engine(&sys(), &strat(), &opts, &faults(), &bus);
+        run_engine(&sys(), &strat(), &opts, &bus);
         bus.render()
     };
     let a = render(0);
@@ -82,7 +71,7 @@ fn json_event_stream_is_deterministic() {
 fn trace_rebuilt_from_events_matches_traced_run() {
     let opts = SimOptions::quick(11);
     let bus = Bus::with_sink(VecSink::new());
-    let r = run_engine(&sys(), &strat(), &opts, &SimFaults::default(), &bus);
+    let r = run_engine(&sys(), &strat(), &opts, &bus);
     let trace = Trace::from_events(&bus.drain());
     let plain = simulate(&sys(), &strat(), &opts);
     assert_eq!(r.breakdown, plain.breakdown);
@@ -172,51 +161,22 @@ fn node_behaviour_is_identical_with_observer_attached() {
     assert_eq!(fault_events, observed.faults().events().len());
 }
 
-/// Histogram bucketing is pure integer arithmetic, so the boundaries
-/// are identical on every platform: value v lands in the first bucket
-/// whose upper bound is >= v.
-#[test]
-fn histogram_buckets_are_platform_independent() {
-    assert_eq!(bucket_index(0), 0);
-    assert_eq!(bucket_index(1), 1);
-    assert_eq!(bucket_index(2), 2);
-    assert_eq!(bucket_index(3), 2);
-    assert_eq!(bucket_index(4), 3);
-    assert_eq!(bucket_index(u64::MAX), 64);
-    for v in [0u64, 1, 2, 255, 256, 1 << 20, u64::MAX] {
-        let i = bucket_index(v);
-        assert!(v <= bucket_bound(i), "v={v} above bound of its bucket");
-        if i > 0 {
-            assert!(
-                v > bucket_bound(i - 1),
-                "v={v} should not fit the previous bucket"
-            );
-        }
-    }
-}
-
-/// Metrics snapshots built from the same deterministic run are
-/// byte-identical (BTreeMap ordering, stable float rendering).
+/// Event-count snapshots built from the same deterministic run are
+/// byte-identical (sorted keys, stable float rendering).
 #[test]
 fn metrics_snapshot_is_deterministic() {
     let snapshot = |_: u32| {
         let bus = Bus::with_sink(VecSink::new());
-        run_engine(
-            &sys(),
-            &strat(),
-            &SimOptions::quick(3),
-            &faults(),
-            &bus,
-        );
-        let mut m = Metrics::new();
+        run_engine(&sys(), &strat(), &SimOptions::quick(3), &bus);
+        let mut m = IndicatorReport::new("grid");
         for e in bus.drain() {
-            m.inc(&format!("events_{}", e.kind.name()), 1);
-            m.observe("event_t_s", e.t as u64);
+            m.add(&format!("events_{}", e.kind.name()), 1.0);
         }
-        m.to_json("grid")
+        m.to_json()
     };
     let a = snapshot(0);
     let b = snapshot(1);
-    assert!(a.contains("\"schema\": \"metrics/v1\""));
+    assert!(a.contains("\"schema\": \"indicators/v1\""));
+    assert!(a.contains("\"events_span\": "));
     assert_eq!(a, b);
 }

@@ -8,8 +8,8 @@ use ndp_checkpoint::cr_core::analytic;
 use ndp_checkpoint::cr_core::cache::solve_cycle_cached;
 use ndp_checkpoint::cr_obs::Bus;
 use ndp_checkpoint::cr_sim::{
-    run_engine, run_fleet_observed_in, simulate_avg_in, SimFaults,
-    SimOptions, SimResult,
+    run_engine, run_fleet_observed_in, simulate_avg_in, SimOptions,
+    SimResult,
 };
 use ndp_checkpoint::prelude::*;
 
@@ -44,21 +44,9 @@ fn simulate_avg_is_bit_identical_across_thread_counts() {
 #[test]
 fn observed_fleet_streams_are_bit_identical_across_thread_counts() {
     let opts = SimOptions::quick(7);
-    let faults = SimFaults {
-        p_drain_error: 0.05,
-        p_local_corrupt: 0.02,
-        ..SimFaults::default()
-    };
-    let one = run_fleet_observed_in(1, &sys(), &strat(), &opts, &faults, 6);
+    let one = run_fleet_observed_in(1, &sys(), &strat(), &opts, 6);
     for threads in [2, 6] {
-        let many = run_fleet_observed_in(
-            threads,
-            &sys(),
-            &strat(),
-            &opts,
-            &faults,
-            6,
-        );
+        let many = run_fleet_observed_in(threads, &sys(), &strat(), &opts, 6);
         assert_eq!(one.len(), many.len());
         for (i, ((ra, ea), (rb, eb))) in one.iter().zip(&many).enumerate() {
             assert_eq!(ra.breakdown, rb.breakdown, "replica {i} result");
@@ -69,7 +57,7 @@ fn observed_fleet_streams_are_bit_identical_across_thread_counts() {
 }
 
 /// Field names of [`bits`], for mismatch messages.
-const FIELDS: [&str; 21] = [
+const FIELDS: [&str; 18] = [
     "compute",
     "checkpoint_local",
     "checkpoint_io",
@@ -86,16 +74,13 @@ const FIELDS: [&str; 21] = [
     "local_ckpts",
     "io_ckpts",
     "drains_cancelled",
-    "local_corruptions",
-    "drain_retries",
-    "drains_degraded",
     "max_drain_queue",
     "truncated",
 ];
 
 /// Every `Breakdown` and `SimStats` field as raw bits (`f64` by its
 /// IEEE-754 pattern), in [`FIELDS`] order.
-fn bits(r: &SimResult) -> [u64; 21] {
+fn bits(r: &SimResult) -> [u64; 18] {
     let (b, s) = (r.breakdown, r.stats);
     [
         b.compute.to_bits(),
@@ -114,35 +99,28 @@ fn bits(r: &SimResult) -> [u64; 21] {
         s.local_ckpts,
         s.io_ckpts,
         s.drains_cancelled,
-        s.local_corruptions,
-        s.drain_retries,
-        s.drains_degraded,
         s.max_drain_queue as u64,
         s.truncated as u64,
     ]
 }
 
-/// The engine's exact output for seed 2024, one strategy of each kind,
-/// with faults off and on. Any change to the order or number of random
+/// The engine's exact output for seed 2024, one strategy of each kind.
+/// Any change to the order or number of random
 /// draws, or to the accounting arithmetic, moves these bits; such a
 /// change must update them deliberately and regenerate every pinned
 /// artifact in `results/`.
 #[test]
 fn engine_output_matches_golden_bits() {
     #[rustfmt::skip]
-    const GOLDEN: [[u64; 21]; 8] = [
-        // IoOnly, gzip(1) on the host: faults off, then on.
-        [0x410b500a479938e8, 0x0, 0x40f56a4290820114, 0x0, 0x40f44a4228abf02b, 0x0, 0x40fc45a6be91dd5d, 0x411f269001bc90ae, 0x410b500a479938ea, 0x12d, 0x0, 0xf9, 0x34, 0x136, 0x106, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        [0x410b500a479938e8, 0x0, 0x40f56a4290820114, 0x0, 0x40f44a4228abf02b, 0x0, 0x40fc45a6be91dd5d, 0x411f269001bc90ae, 0x410b500a479938ea, 0x12d, 0x0, 0xf9, 0x34, 0x136, 0x106, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+    const GOLDEN: [[u64; 18]; 4] = [
+        // IoOnly, gzip(1) on the host.
+        [0x410b500a479938e8, 0x0, 0x40f56a4290820114, 0x0, 0x40f44a4228abf02b, 0x0, 0x40fc45a6be91dd5d, 0x411f269001bc90ae, 0x410b500a479938ea, 0x12d, 0x0, 0xf9, 0x34, 0x136, 0x106, 0x0, 0x0, 0x0],
         // LocalOnly.
-        [0x411c0ed5b807103f, 0x40d5216bc9bec844, 0x0, 0x40a180000000000d, 0x0, 0x40d8306ed18ddc1d, 0x0, 0x411f06f361bbdbd8, 0x411c0ed5b8071047, 0x12c, 0x12c, 0x0, 0x0, 0xb4b, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        [0x40e32d78a9b43e4c, 0x40e0ab3a4645886d, 0x0, 0x40a7a00000000014, 0x407ceeeeeeeeeee3, 0x40e02c76d5f9e4ca, 0x4125165baecdd062, 0x412871ec290ae8cb, 0x40e32d78a9b43e14, 0x1d3, 0x195, 0x3e, 0x0, 0x11d0, 0x0, 0x0, 0x37, 0x0, 0x0, 0x0, 0x0],
+        [0x411c0ed5b807103f, 0x40d5216bc9bec844, 0x0, 0x40a180000000000d, 0x0, 0x40d8306ed18ddc1d, 0x0, 0x411f06f361bbdbd8, 0x411c0ed5b8071047, 0x12c, 0x12c, 0x0, 0x0, 0xb4b, 0x0, 0x0, 0x0, 0x0],
         // LocalIoHost, ratio 12, p_local 0.8.
-        [0x4106deb000000000, 0x40c810b75bcaea58, 0x41046198e6af899a, 0x409880000000000f, 0x40f2e9a7f07fac17, 0x40c2e4f2654200fe, 0x40ee41526a261db7, 0x411f92e60ac4db80, 0x4106deb000000000, 0x131, 0xd2, 0x34, 0x2b, 0x66e, 0x68, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        [0x4102ea3000000000, 0x40c7471dc23150b0, 0x4100ae0145a6bd0e, 0x40928cccccccccd5, 0x40fcbf23e7367a21, 0x40beb41c38339891, 0x40f53db90992e0b1, 0x411f92e60ac4db80, 0x4102ea3000000000, 0x131, 0x9f, 0x4a, 0x48, 0x638, 0x56, 0x0, 0x19, 0x0, 0x0, 0x0, 0x0],
+        [0x4106deb000000000, 0x40c810b75bcaea58, 0x41046198e6af899a, 0x409880000000000f, 0x40f2e9a7f07fac17, 0x40c2e4f2654200fe, 0x40ee41526a261db7, 0x411f92e60ac4db80, 0x4106deb000000000, 0x131, 0xd2, 0x34, 0x2b, 0x66e, 0x68, 0x0, 0x0, 0x0],
         // LocalIoNdp, p_local 0.85, gzip(1) on the NDP.
-        [0x411a33d000000000, 0x40d5cd07ace0a668, 0x0, 0x409d2aaaaaaaaabf, 0x40ccf9ed6a954aba, 0x40d37e32abe6be54, 0x40d4e595b0abd285, 0x411f1bd716968984, 0x411a33d000000000, 0x12d, 0xfa, 0x2e, 0x5, 0xba5, 0x3b9, 0x18, 0x0, 0x0, 0x0, 0x1, 0x0],
-        [0x4119057800000000, 0x40d57513a489ea4a, 0x0, 0x40996eeeeeeeeeff, 0x40d6b32a8c450a77, 0x40d13742957c7f2b, 0x40e137c0da17124d, 0x411f1bd716968984, 0x4119057800000000, 0x12d, 0xda, 0x46, 0xd, 0xb75, 0x38c, 0x2d, 0x1a, 0x103, 0x2, 0x1, 0x0],
+        [0x411a33d000000000, 0x40d5cd07ace0a668, 0x0, 0x409d2aaaaaaaaabf, 0x40ccf9ed6a954aba, 0x40d37e32abe6be54, 0x40d4e595b0abd285, 0x411f1bd716968984, 0x411a33d000000000, 0x12d, 0xfa, 0x2e, 0x5, 0xba5, 0x3b9, 0x18, 0x1, 0x0],
     ];
     let strats = [
         Strategy::IoOnly {
@@ -153,22 +131,13 @@ fn engine_output_matches_golden_bits() {
         Strategy::local_io_host(12, 0.8, None),
         Strategy::local_io_ndp(0.85, Some(CompressionSpec::gzip1_ndp())),
     ];
-    let faults = [
-        SimFaults::default(),
-        SimFaults {
-            p_local_corrupt: 0.1,
-            p_drain_error: 0.2,
-            ..SimFaults::default()
-        },
-    ];
     let opts = SimOptions::quick(2024);
-    let cases = strats.iter().flat_map(|s| faults.iter().map(move |f| (s, f)));
-    for ((strat, f), want) in cases.zip(&GOLDEN) {
-        let got = bits(&run_engine(&sys(), strat, &opts, f, &Bus::disabled()));
+    for (strat, want) in strats.iter().zip(&GOLDEN) {
+        let got = bits(&run_engine(&sys(), strat, &opts, &Bus::disabled()));
         for ((name, g), w) in FIELDS.iter().zip(got).zip(want) {
             assert_eq!(
                 g, *w,
-                "{} faults={f:?}: {name} is {g:#x}, pinned {w:#x}",
+                "{}: {name} is {g:#x}, pinned {w:#x}",
                 strat.label()
             );
         }

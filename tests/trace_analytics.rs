@@ -14,19 +14,14 @@ use ndp_checkpoint::cr_obs::export::{
 };
 use ndp_checkpoint::cr_obs::json::parse as parse_json;
 use ndp_checkpoint::cr_obs::{Event, EventKind};
-use ndp_checkpoint::cr_sim::{run_fleet_observed, SimFaults, SimOptions};
+use ndp_checkpoint::cr_sim::{run_fleet_observed, SimOptions};
 use ndp_checkpoint::prelude::*;
 
 fn fleet(seed: u64, replicas: u64) -> Vec<(ndp_checkpoint::cr_sim::SimResult, Vec<Event>)> {
     let sys = SystemParams::exascale_default();
     let strat = Strategy::local_io_ndp(0.85, None);
     let opts = SimOptions::quick(seed);
-    let faults = SimFaults {
-        p_drain_error: 0.05,
-        p_local_corrupt: 0.02,
-        ..SimFaults::default()
-    };
-    run_fleet_observed(&sys, &strat, &opts, &faults, replicas)
+    run_fleet_observed(&sys, &strat, &opts, replicas)
 }
 
 fn fleet_report(seed: u64, replicas: u64) -> IndicatorReport {
@@ -248,12 +243,9 @@ fn crx_trace_json_sink_snapshots_match_vec() {
     let (json_stdout, json_snapshot) = trace("json");
     assert_eq!(json_snapshot, vec_snapshot, "json and vec sinks disagree");
 
-    let doc = parse_json(&json_snapshot).expect("metrics snapshot parses");
-    let total = doc
-        .get("counters")
-        .and_then(|c| c.get("events_total"))
-        .and_then(|v| v.as_f64())
-        .expect("events_total counter");
+    let report = IndicatorReport::from_json(&json_snapshot)
+        .expect("metrics snapshot parses as indicators/v1");
+    let total = report.get("events_total").expect("events_total count");
     assert!(total > 0.0, "the json sink must count its events");
 
     let lines: Vec<&str> = json_stdout.lines().collect();
@@ -264,6 +256,37 @@ fn crx_trace_json_sink_snapshots_match_vec() {
         parse_json(line)
             .unwrap_or_else(|e| panic!("invalid event line {line}: {e}"));
     }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--sink off` records nothing, so a `--metrics-out` snapshot from it
+/// would report zero events as if that were data: the flag combination
+/// is an error, and no file is written.
+#[test]
+fn crx_trace_rejects_metrics_out_without_a_sink() {
+    let crx = env!("CARGO_BIN_EXE_crx");
+    let dir = std::env::temp_dir().join(format!(
+        "trace_sink_off_{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let metrics = dir.join("metrics_off.json");
+    let out = Command::new(crx)
+        .args([
+            "trace", "--seed", "42", "--failures", "5", "--sink", "off",
+            "--metrics-out",
+        ])
+        .arg(&metrics)
+        .output()
+        .expect("run crx trace");
+    assert!(!out.status.success(), "--sink off --metrics-out must fail");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--metrics-out"),
+        "the error names the flag: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!metrics.exists(), "no snapshot may be written");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
