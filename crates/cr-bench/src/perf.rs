@@ -29,6 +29,18 @@ pub struct Timing {
 }
 
 impl Timing {
+    /// Summarises per-run wall seconds (at least one run).
+    pub fn of(mut secs: Vec<f64>) -> Timing {
+        assert!(!secs.is_empty(), "a timing needs at least one run");
+        secs.sort_by(f64::total_cmp);
+        Timing {
+            median: quantile(&secs, 0.5),
+            q1: quantile(&secs, 0.25),
+            q3: quantile(&secs, 0.75),
+            runs: secs.len(),
+        }
+    }
+
     /// The row fields `secs` (the median), `secs_q1`, `secs_q3` and
     /// `runs`, in that order.
     pub fn fields(&self) -> Vec<(String, Value)> {
@@ -55,13 +67,7 @@ fn time_for(window: Duration, mut f: impl FnMut()) -> Timing {
         f();
         secs.push(t0.elapsed().as_secs_f64());
     }
-    secs.sort_by(f64::total_cmp);
-    Timing {
-        median: quantile(&secs, 0.5),
-        q1: quantile(&secs, 0.25),
-        q3: quantile(&secs, 0.75),
-        runs: secs.len(),
-    }
+    Timing::of(secs)
 }
 
 /// The `p`-quantile of ascending `sorted`, interpolating linearly
@@ -112,6 +118,8 @@ mod tests {
         assert_eq!(quantile(&s, 0.75), 3.25);
         assert_eq!(quantile(&[7.0], 0.5), 7.0);
         assert_eq!(quantile(&[1.0, 2.0, 9.0], 0.5), 2.0);
+        let t = Timing::of(vec![4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((t.median, t.q1, t.q3, t.runs), (2.5, 1.75, 3.25, 4));
     }
 
     #[test]

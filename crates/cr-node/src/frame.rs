@@ -32,16 +32,14 @@ fn read32(b: &[u8]) -> usize {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize
 }
 
-/// Decodes every frame of `blob` into the raw bytes (`size_hint`: the
-/// expected raw length, to size the output once). A truncated header, a
-/// payload overrunning the blob, or a block that does not decode to its
-/// recorded length is an error.
+/// Decodes every frame of `blob` and appends the raw bytes to `out`. A
+/// truncated header, a payload overrunning the blob, or a block that
+/// does not decode to its recorded length is an error.
 pub fn decode(
     blob: &[u8],
     codec: Option<&dyn Codec>,
-    size_hint: usize,
-) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(size_hint);
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
     let mut part = Vec::new();
     let mut rest = blob;
     while !rest.is_empty() {
@@ -67,13 +65,18 @@ pub fn decode(
         }
         out.extend_from_slice(raw);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cr_compress::registry;
+
+    fn raw(blob: &[u8], codec: Option<&dyn Codec>) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        decode(blob, codec, &mut out).map(|()| out)
+    }
 
     fn framed(blocks: &[&[u8]], codec: Option<&dyn Codec>) -> Vec<u8> {
         let mut out = Vec::new();
@@ -90,10 +93,13 @@ mod tests {
         let b: Vec<u8> = (0..3000u32).map(|i| (i % 253) as u8).collect();
         for codec in [None, Some(gz.as_ref())] {
             let blob = framed(&[&a, &b, &[]], codec);
-            let raw = decode(&blob, codec, 0).unwrap();
-            assert_eq!(raw, [&a[..], &b[..]].concat());
+            assert_eq!(raw(&blob, codec).unwrap(), [&a[..], &b[..]].concat());
         }
-        assert_eq!(decode(&[], None, 0).unwrap(), Vec::<u8>::new());
+        assert_eq!(raw(&[], None).unwrap(), Vec::<u8>::new());
+        // Decoding appends: an earlier object's bytes stay in front.
+        let mut out = b"head".to_vec();
+        decode(&framed(&[b"tail"], None), None, &mut out).unwrap();
+        assert_eq!(out, b"headtail");
     }
 
     #[test]
@@ -106,18 +112,18 @@ mod tests {
     #[test]
     fn malformed_frames_are_errors() {
         let blob = framed(&[b"0123456789"], None);
-        let truncated = decode(&blob[..5], None, 0).unwrap_err();
+        let truncated = raw(&blob[..5], None).unwrap_err();
         assert_eq!(truncated.reason, "truncated block frame");
-        let overrun = decode(&blob[..blob.len() - 1], None, 0).unwrap_err();
+        let overrun = raw(&blob[..blob.len() - 1], None).unwrap_err();
         assert_eq!(overrun.reason, "block frame overruns blob");
         let mut short = blob.clone();
         short[0] = 11; // claims one raw byte more than it holds
-        let mismatch = decode(&short, None, 0).unwrap_err();
+        let mismatch = raw(&short, None).unwrap_err();
         assert_eq!(mismatch.reason, "block length mismatch");
         let gz = registry::by_name("gz", 1).unwrap();
         let gz = Some(gz.as_ref());
         let mut bad = framed(&[b"compressible compressible"], gz);
         bad[0] ^= 1;
-        assert!(decode(&bad, gz, 0).is_err());
+        assert!(raw(&bad, gz).is_err());
     }
 }

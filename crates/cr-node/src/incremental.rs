@@ -263,33 +263,50 @@ impl IncrementalEncoder {
     }
 }
 
-/// Reconstructs a checkpoint from a base image plus an incremental.
+/// Reconstructs a checkpoint from a base image plus an incremental,
+/// into a new buffer. A copy of `base` put through
+/// [`apply_incremental_in_place`].
 pub fn apply_incremental(
     base: &[u8],
     incr: &IncrementalImage,
 ) -> Result<Vec<u8>, String> {
-    if base.len() != incr.full_size {
+    let mut out = base.to_vec();
+    apply_incremental_in_place(&mut out, incr)?;
+    Ok(out)
+}
+
+/// Turns `image`, the base checkpoint, into the checkpoint `incr`
+/// encodes by overwriting its changed blocks. The delta is checked
+/// against the base's geometry before any byte is written, so an error
+/// leaves `image` untouched.
+pub fn apply_incremental_in_place(
+    image: &mut [u8],
+    incr: &IncrementalImage,
+) -> Result<(), String> {
+    if image.len() != incr.full_size {
         return Err(format!(
             "base size {} does not match incremental {}",
-            base.len(),
+            image.len(),
             incr.full_size
         ));
     }
-    let mut out = Vec::with_capacity(incr.full_size);
-    for (i, delta) in incr.blocks.iter().enumerate() {
-        let start = i * incr.block_size;
-        let end = (start + incr.block_size).min(incr.full_size);
-        match delta {
-            BlockDelta::Unchanged => out.extend_from_slice(&base[start..end]),
-            BlockDelta::Data(d) => {
-                if d.len() != end - start {
-                    return Err("data block has wrong length".into());
-                }
-                out.extend_from_slice(d);
-            }
+    if incr.block_size == 0
+        || incr.blocks.len() != incr.full_size.div_ceil(incr.block_size)
+    {
+        return Err("inconsistent incremental geometry".into());
+    }
+    let mut spans = image.chunks(incr.block_size).zip(&incr.blocks);
+    if spans.any(|(span, delta)| {
+        matches!(delta, BlockDelta::Data(d) if d.len() != span.len())
+    }) {
+        return Err("data block has wrong length".into());
+    }
+    for (span, delta) in image.chunks_mut(incr.block_size).zip(&incr.blocks) {
+        if let BlockDelta::Data(d) = delta {
+            span.copy_from_slice(d);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -493,6 +510,31 @@ mod tests {
         enc.encode(&base);
         let incr = enc.encode(&base).unwrap();
         assert!(apply_incremental(&base[..4096], &incr).is_err());
+    }
+
+    #[test]
+    fn in_place_apply_matches_and_leaves_image_untouched_on_error() {
+        let base = image(1, 200_000);
+        let mut next = base.clone();
+        next[70_000] ^= 0xFF;
+        next[199_999] ^= 0xFF;
+        let mut enc = IncrementalEncoder::new(DEFAULT_BLOCK);
+        enc.encode(&base);
+        let incr = enc.encode(&next).unwrap();
+        let mut img = base.clone();
+        apply_incremental_in_place(&mut img, &incr).unwrap();
+        assert_eq!(img, next);
+        // The tail block is short: a full-size payload there is refused
+        // before the first (valid) block is written.
+        let mut bad = incr.clone();
+        let last = bad.blocks.len() - 1;
+        bad.blocks[last] = BlockDelta::Data(vec![0; DEFAULT_BLOCK]);
+        let mut img = base.clone();
+        assert!(apply_incremental_in_place(&mut img, &bad).is_err());
+        assert_eq!(img, base);
+        let mut short = incr.clone();
+        short.blocks.pop();
+        assert!(apply_incremental_in_place(&mut img, &short).is_err());
     }
 
     #[test]

@@ -6,24 +6,38 @@
 //! fails to restore (silent corruption propagates into the recomputed
 //! science). The stores therefore carry a checksum per object and every
 //! read path re-verifies before handing data to the application.
+//!
+//! **Granule CRCs.** An NVM slot carries one CRC-64 per [`GRANULE`]
+//! bytes of its payload ([`granule_crcs`]), not one for the whole slot.
+//! A reader that consumes the slot a block at a time (the NDP drain)
+//! checks only the granules under the block it is about to read, so
+//! draining a slot costs one CRC pass, not one per block.
+//!
+//! **Combine.** [`Crc64::combine`] derives `crc(a ++ b)` from `crc(a)`,
+//! `crc(b)` and `b.len()` without touching the bytes (zlib's
+//! `crc32_combine`, in GF(2) matrix form). [`fold_granules`] uses it to
+//! turn a slot's granule CRCs into the whole image's CRC, so the host
+//! commit reads the image once for both the granule CRCs and
+//! `CheckpointMeta::content_crc`.
 
-/// CRC-64/XZ (ECMA-182 polynomial, reflected), table-driven.
+/// Bytes covered by one granule CRC of an NVM slot. Equal to the
+/// incremental diff block, so a granule never straddles two diff
+/// blocks.
+pub const GRANULE: usize = crate::incremental::DEFAULT_BLOCK;
+
+/// CRC-64/XZ (ECMA-182 polynomial, reflected), slicing-by-8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crc64(u64);
 
 const POLY: u64 = 0xC96C_5795_D787_0F42; // reflected ECMA-182
 
-/// Runtime table builder, kept only to cross-check the const table.
-#[cfg(test)]
-fn build_table() -> [u64; 256] {
-    build_table_const()
-}
+/// Slicing-by-8 tables (const-evaluated at compile time). `TABLES[0]`
+/// is the classic bytewise table; `TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so eight bytes fold in one step.
+static TABLES: [[u64; 256]; 8] = build_tables();
 
-/// The precomputed CRC table (const-evaluated at compile time).
-static TABLE: [u64; 256] = build_table_const();
-
-const fn build_table_const() -> [u64; 256] {
-    let mut table = [0u64; 256];
+const fn build_tables() -> [[u64; 256]; 8] {
+    let mut t = [[0u64; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u64;
@@ -36,10 +50,82 @@ const fn build_table_const() -> [u64; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// A GF(2) linear map on 64-bit CRC registers: column `i` is the image
+/// of bit `i`.
+type Gf2Matrix = [u64; 64];
+
+fn gf2_times(mat: &Gf2Matrix, mut vec: u64) -> u64 {
+    let mut sum = 0;
+    let mut i = 0;
+    while vec != 0 {
+        if vec & 1 != 0 {
+            sum ^= mat[i];
+        }
+        vec >>= 1;
+        i += 1;
+    }
+    sum
+}
+
+const fn gf2_square(mat: &Gf2Matrix) -> Gf2Matrix {
+    let mut sq = [0u64; 64];
+    let mut n = 0;
+    while n < 64 {
+        // `gf2_times(mat, mat[n])`, spelled out for const evaluation.
+        let (mut vec, mut sum, mut i) = (mat[n], 0u64, 0);
+        while vec != 0 {
+            if vec & 1 != 0 {
+                sum ^= mat[i];
+            }
+            vec >>= 1;
+            i += 1;
+        }
+        sq[n] = sum;
+        n += 1;
+    }
+    sq
+}
+
+/// `ZEROS[k]` advances a CRC register over `2^k` zero bytes.
+static ZEROS: [Gf2Matrix; 64] = build_zeros();
+
+const fn build_zeros() -> [Gf2Matrix; 64] {
+    // One zero bit: shift right, folding the polynomial in on a carry.
+    let mut op = [0u64; 64];
+    op[0] = POLY;
+    let mut n = 1;
+    while n < 64 {
+        op[n] = 1 << (n - 1);
+        n += 1;
+    }
+    // Two, four, then eight zero bits: one zero byte.
+    op = gf2_square(&op);
+    op = gf2_square(&op);
+    op = gf2_square(&op);
+    let mut zeros = [[0u64; 64]; 64];
+    zeros[0] = op;
+    let mut k = 1;
+    while k < 64 {
+        zeros[k] = gf2_square(&zeros[k - 1]);
+        k += 1;
+    }
+    zeros
 }
 
 impl Default for Crc64 {
@@ -57,9 +143,20 @@ impl Crc64 {
     /// Feeds bytes (streamable: blocks may arrive one at a time).
     pub fn update(&mut self, data: &[u8]) {
         let mut crc = self.0;
-        for &b in data {
-            let idx = ((crc ^ b as u64) & 0xFF) as usize;
-            crc = (crc >> 8) ^ TABLE[idx];
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let v = crc ^ u64::from_le_bytes(w.try_into().expect("8 bytes"));
+            crc = TABLES[7][(v & 0xFF) as usize]
+                ^ TABLES[6][((v >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((v >> 16) & 0xFF) as usize]
+                ^ TABLES[4][((v >> 24) & 0xFF) as usize]
+                ^ TABLES[3][((v >> 32) & 0xFF) as usize]
+                ^ TABLES[2][((v >> 40) & 0xFF) as usize]
+                ^ TABLES[1][((v >> 48) & 0xFF) as usize]
+                ^ TABLES[0][(v >> 56) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u64) & 0xFF) as usize];
         }
         self.0 = crc;
     }
@@ -75,11 +172,86 @@ impl Crc64 {
         c.update(data);
         c.finish()
     }
+
+    /// The checksum of `a ++ b` from `a`'s checksum, `b`'s checksum and
+    /// `b`'s length. `a`'s register is advanced over `len_b` zero bytes
+    /// (one matrix product per set bit of `len_b`), then `b` is folded
+    /// in; the CRC's initial and final inversions cancel.
+    pub fn combine(a: u64, b: u64, len_b: usize) -> u64 {
+        let mut crc = a;
+        let mut len = len_b as u64;
+        let mut k = 0;
+        while len != 0 {
+            if len & 1 != 0 {
+                crc = gf2_times(&ZEROS[k], crc);
+            }
+            len >>= 1;
+            k += 1;
+        }
+        crc ^ b
+    }
+}
+
+/// The CRC-64 of every [`GRANULE`] of `data`, in order (the last one
+/// may cover a short tail).
+pub fn granule_crcs(data: &[u8]) -> Vec<u64> {
+    data.chunks(GRANULE).map(Crc64::of).collect()
+}
+
+/// The CRC-64 of a whole `len`-byte buffer from its [`granule_crcs`].
+pub fn fold_granules(crcs: &[u64], len: usize) -> u64 {
+    // The empty prefix's CRC is 0.
+    crcs.iter().enumerate().fold(0, |acc, (i, &crc)| {
+        let granule = GRANULE.min(len - i * GRANULE);
+        Crc64::combine(acc, crc, granule)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytewise table loop the slicing-by-8 path must agree with.
+    fn bytewise(data: &[u8]) -> u64 {
+        let mut crc = u64::MAX;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u64) & 0xFF) as usize];
+        }
+        crc ^ u64::MAX
+    }
+
+    /// Bitwise CRC straight from the polynomial: the reference the
+    /// const tables are checked against.
+    fn build_table() -> [u64; 256] {
+        let mut table = [0u64; 256];
+        for (i, slot) in table.iter_mut().enumerate() {
+            let mut crc = i as u64;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ POLY
+                } else {
+                    crc >> 1
+                };
+            }
+            *slot = crc;
+        }
+        table
+    }
+
+    /// SplitMix64 byte stream.
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut s = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
 
     #[test]
     fn known_vector() {
@@ -104,6 +276,66 @@ mod tests {
     }
 
     #[test]
+    fn odd_sized_pieces_equal_one_call() {
+        let data = seeded_bytes(3, 50_000);
+        let one_shot = Crc64::of(&data);
+        let sizes = [1usize, 3, 7, 9, 13, 0, 255, 1021, 5];
+        let (mut c, mut pos, mut i) = (Crc64::new(), 0, 0);
+        while pos < data.len() {
+            let end = (pos + sizes[i % sizes.len()]).min(data.len());
+            c.update(&data[pos..end]);
+            pos = end;
+            i += 1;
+        }
+        assert_eq!(c.finish(), one_shot);
+    }
+
+    #[test]
+    fn slicing_by_8_matches_bytewise_at_every_length_and_offset() {
+        let buf = seeded_bytes(1, 72 + 8);
+        for start in 0..8 {
+            for len in 0..=72 {
+                let s = &buf[start..start + len];
+                assert_eq!(Crc64::of(s), bytewise(s), "start {start} len {len}");
+            }
+        }
+        let big = seeded_bytes(2, 1 << 20);
+        assert_eq!(Crc64::of(&big), bytewise(&big));
+    }
+
+    #[test]
+    fn combine_equals_crc_of_concatenation() {
+        let data = seeded_bytes(4, 300_000);
+        let mut s = 0x1234_5678u64;
+        let mut splits = vec![(0, 0), (0, 1000), (1000, 1000), (0, data.len())];
+        for _ in 0..40 {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let end = (s >> 33) as usize % (data.len() + 1);
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let mid = (s >> 33) as usize % (end + 1);
+            splits.push((mid, end));
+        }
+        for (mid, end) in splits {
+            let (a, b) = (&data[..mid], &data[mid..end]);
+            assert_eq!(
+                Crc64::combine(Crc64::of(a), Crc64::of(b), b.len()),
+                Crc64::of(&data[..end]),
+                "split {mid}/{end}"
+            );
+        }
+    }
+
+    #[test]
+    fn granules_fold_to_the_whole_crc() {
+        for len in [0, 1, GRANULE - 1, GRANULE, GRANULE + 1, 3 * GRANULE + 17] {
+            let data = seeded_bytes(len as u64, len);
+            let crcs = granule_crcs(&data);
+            assert_eq!(crcs.len(), len.div_ceil(GRANULE));
+            assert_eq!(fold_granules(&crcs, len), Crc64::of(&data), "len {len}");
+        }
+    }
+
+    #[test]
     fn single_bit_flips_change_the_checksum() {
         let data = vec![0xA5u8; 4096];
         let base = Crc64::of(&data);
@@ -123,8 +355,14 @@ mod tests {
     #[test]
     fn runtime_and_const_tables_agree() {
         let rt = build_table();
-        for (a, b) in rt.iter().zip(TABLE.iter()) {
+        for (a, b) in rt.iter().zip(TABLES[0].iter()) {
             assert_eq!(a, b);
+        }
+        // Each slicing table is the previous one advanced by a zero byte.
+        for pair in TABLES.windows(2) {
+            for (&prev, &next) in pair[0].iter().zip(&pair[1]) {
+                assert_eq!(next, (prev >> 8) ^ rt[(prev & 0xFF) as usize]);
+            }
         }
     }
 

@@ -614,18 +614,26 @@ impl NdpEngine {
         }
 
         // Source-integrity gate: a drain reading its slot in place must
-        // never propagate silent NVM rot into the remote object. Checked
-        // before every read — the check before the *final* read is what
-        // makes it airtight, since rot striking after the last block is
-        // read cannot affect the shipped bytes. (Delta jobs snapshot
-        // their payload at prepare time, so only the pre-prepare check
+        // never propagate silent NVM rot into the remote object. Before
+        // every read it checks the granules of the block it is about to
+        // read, so every shipped byte was checked just before it was
+        // read; rot in a block that has already shipped cannot affect
+        // the object. An incremental job still in `Prepare` checks the
+        // whole slot, because `prepare` diffs all of it. (Delta jobs
+        // snapshot their payload at prepare time, so only that check
         // applies to them.)
-        if self.queue[pos].delta.is_none()
-            && !nvm.get(self.queue[pos].slot).is_some_and(|s| s.verify())
-        {
-            self.stats.drains_source_corrupt += 1;
-            self.cancel_job(pos, nvm, io);
-            return Ok(StepOutcome::Retrying);
+        let job = &self.queue[pos];
+        if job.delta.is_none() {
+            let range = match job.phase {
+                Phase::Prepare if self.incremental.is_some() => 0..usize::MAX,
+                Phase::Compress { offset } => offset..offset + self.block_size,
+                _ => 0..self.block_size,
+            };
+            if !nvm.get(job.slot).is_some_and(|s| s.verify_range(range)) {
+                self.stats.drains_source_corrupt += 1;
+                self.cancel_job(pos, nvm, io);
+                return Ok(StepOutcome::Retrying);
+            }
         }
 
         if self.queue[pos].phase == Phase::Prepare {
@@ -930,6 +938,7 @@ impl NdpEngine {
 mod tests {
     use super::*;
     use crate::faults::FaultPlaneConfig;
+    use crate::integrity::GRANULE;
     use crate::remote::RemoteError;
     use cr_compress::registry;
 
@@ -1029,6 +1038,13 @@ mod tests {
         }
     }
 
+    /// The raw bytes of a framed remote object.
+    fn raw(blob: &[u8], codec: Option<&dyn Codec>) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame::decode(blob, codec, &mut out).unwrap();
+        out
+    }
+
     /// A plane that fires at `site` whenever consulted.
     fn armed(seed: u64, site: FaultSite) -> FaultPlaneConfig {
         FaultPlaneConfig::disabled(seed).with(site, 1.0)
@@ -1062,7 +1078,7 @@ mod tests {
         assert_eq!(rmeta.codec.as_deref(), Some("gz(1)"));
         // Framed blocks decompress back to the original bytes.
         let gz = registry::by_name("gz", 1).unwrap();
-        assert_eq!(frame::decode(&blob, Some(gz.as_ref()), 0).unwrap(), data);
+        assert_eq!(raw(&blob, Some(gz.as_ref())), data);
         // Compressible payload: remote object smaller than input.
         assert!(blob.len() < data.len() / 2);
         assert!(rig.clock.ndp_compute > 0.0 && rig.clock.io_link > 0.0);
@@ -1076,7 +1092,7 @@ mod tests {
         rig.drain();
         let (rmeta, blob) = rig.object(&meta);
         assert!(rmeta.codec.is_none());
-        assert_eq!(frame::decode(&blob, None, 0).unwrap(), data);
+        assert_eq!(raw(&blob, None), data);
     }
 
     #[test]
@@ -1153,7 +1169,7 @@ mod tests {
         rig.engine.nic.blocked = false;
         rig.drain();
         assert_eq!(rig.engine.stats.blocks_compressed, 10);
-        assert_eq!(frame::decode(&rig.object(&meta).1, None, 0).unwrap(), data);
+        assert_eq!(raw(&rig.object(&meta).1, None), data);
     }
 
     #[test]
@@ -1169,7 +1185,7 @@ mod tests {
         assert_eq!(rig.engine.stats.blocks_spilled, 2);
         rig.engine.nic.blocked = false;
         rig.drain();
-        assert_eq!(frame::decode(&rig.object(&meta).1, None, 0).unwrap(), data);
+        assert_eq!(raw(&rig.object(&meta).1, None), data);
         assert_eq!(rig.nvm.used(Region::Compressed), 0);
     }
 
@@ -1305,7 +1321,7 @@ mod tests {
         assert_eq!(rig.engine.stats.drains_cancelled, 0);
         let (rmeta, blob) = rig.object(&meta);
         assert!(rmeta.codec.is_none(), "degraded object is uncompressed");
-        assert_eq!(frame::decode(&blob, None, 0).unwrap(), data);
+        assert_eq!(raw(&blob, None), data);
     }
 
     #[test]
@@ -1364,6 +1380,109 @@ mod tests {
             "no torn object"
         );
         assert_eq!(rig.io.incomplete_count(), 0);
+    }
+
+    /// `GRANULE`-aligned test image of `granules` granules plus a short
+    /// tail, varied enough that every block compresses differently.
+    fn granule_image(granules: usize) -> Vec<u8> {
+        (0..granules * GRANULE + 1000)
+            .map(|i| ((i / 7) % 251) as u8 ^ (i >> 12) as u8)
+            .collect()
+    }
+
+    /// Steps until the head job reads from at least `offset`.
+    fn step_past(rig: &mut Rig, offset: usize) {
+        for _ in 0..10_000 {
+            if let Phase::Compress { offset: at } = rig.engine.queue[0].phase {
+                if at >= offset {
+                    return;
+                }
+            }
+            rig.step();
+        }
+        panic!("drain never reached offset {offset}");
+    }
+
+    #[test]
+    fn rot_in_an_already_shipped_block_no_longer_cancels() {
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4);
+        let data = granule_image(4);
+        let (slot, meta) = rig.enqueue(1, data.clone());
+        step_past(&mut rig, 2 * GRANULE);
+        // Granule 0 has been read, framed and handed on; rot there can
+        // no longer reach the object, so the drain runs to the end.
+        rig.nvm.tamper(slot, 100).unwrap();
+        rig.drain();
+        assert_eq!(rig.engine.stats.drains_source_corrupt, 0);
+        assert_eq!(rig.engine.stats.drains_completed, 1);
+        assert!(!rig.nvm.get(slot).unwrap().verify(), "the rot is real");
+        let gz = registry::by_name("gz", 1).unwrap();
+        let (_, blob) = rig.object(&meta);
+        assert_eq!(raw(&blob, Some(gz.as_ref())), data, "pre-rot image");
+    }
+
+    #[test]
+    fn rot_in_a_block_not_yet_read_still_cancels() {
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4);
+        // Blocks of two granules: rot in the second granule of the next
+        // block must be caught too.
+        rig.engine = NdpEngine::new(
+            Some(registry::by_name("gz", 1).unwrap()),
+            BackpressurePolicy::Pause,
+            2 * GRANULE,
+            4,
+            440e6,
+            None,
+        );
+        let (slot, meta) = rig.enqueue(1, granule_image(6));
+        step_past(&mut rig, 2 * GRANULE);
+        rig.nvm.tamper(slot, 3 * GRANULE + 10).unwrap();
+        rig.drain();
+        assert_eq!(rig.engine.stats.drains_source_corrupt, 1);
+        assert_eq!(rig.engine.stats.drains_completed, 0);
+        assert_eq!(
+            rig.io.read_verified(&ObjectKey::of(&meta)).unwrap_err(),
+            RemoteError::NoSuchObject,
+            "no torn object"
+        );
+        assert_eq!(rig.io.incomplete_count(), 0);
+        assert!(!rig.nvm.get(slot).unwrap().locked, "slot unlocked");
+    }
+
+    #[test]
+    fn incremental_prepare_checks_the_whole_slot() {
+        let last = 3 * GRANULE + 999;
+        for (keyframe, at) in [(false, 0), (false, last), (true, last)] {
+            let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4);
+            rig.engine = NdpEngine::new(
+                Some(registry::by_name("gz", 1).unwrap()),
+                BackpressurePolicy::Pause,
+                4096,
+                4,
+                440e6,
+                Some(IncrementalPolicy::default()),
+            );
+            let mut data = granule_image(3);
+            if !keyframe {
+                // A drained base, so the rotten checkpoint would be a
+                // delta that reads every granule at prepare.
+                rig.enqueue(1, data.clone());
+                rig.drain();
+                data[5] ^= 0xFF;
+            }
+            let (slot, meta) = rig.enqueue(2, data);
+            rig.nvm.tamper(slot, at).unwrap();
+            rig.drain();
+            let case = format!("keyframe {keyframe}, rot at {at}");
+            assert_eq!(rig.engine.stats.drains_source_corrupt, 1, "{case}");
+            assert_eq!(rig.engine.stats.incremental_drains, 0, "{case}");
+            assert_eq!(
+                rig.io.read_verified(&ObjectKey::of(&meta)).unwrap_err(),
+                RemoteError::NoSuchObject,
+                "{case}"
+            );
+            assert!(!rig.nvm.get(slot).unwrap().locked, "{case}");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use cr_compress::{registry, CodecError};
 
 use crate::faults::{FaultPlane, FaultPlaneConfig, FaultSite};
 use crate::frame;
+use crate::integrity::{fold_granules, granule_crcs};
 use crate::metadata::CheckpointMeta;
 use crate::ndp::{BackpressurePolicy, NdpEngine, StepOutcome};
 use crate::nvm::{NvmError, NvmStore, Region, SlotId};
@@ -268,17 +269,24 @@ impl ComputeNode {
             data.len() as u64,
             taken_at,
         );
-        // End-to-end integrity: the original image's checksum travels
-        // with the metadata through every level and encoding, so a
-        // restore can verify the final reassembled bytes.
-        meta.content_crc = crate::integrity::Crc64::of(data);
+        // End-to-end integrity: the image is read once for its granule
+        // CRCs, which both NVM commits below store as they are; the
+        // image's checksum is folded from them and travels with the
+        // metadata through every level and encoding, so a restore can
+        // verify the final reassembled bytes.
+        let crcs = granule_crcs(data);
+        meta.content_crc = fold_granules(&crcs, data.len());
 
         // Host owns the NVM for the commit: NDP paused (§4.2.1).
         self.ndp.pause();
         let mut buf = self.nvm.take_buffer();
         buf.extend_from_slice(data);
-        let result =
-            self.nvm.write(Region::Uncompressed, meta.clone(), buf);
+        let result = self.nvm.write_with_crcs(
+            Region::Uncompressed,
+            meta.clone(),
+            buf,
+            crcs.clone(),
+        );
         VClock::charge(
             &mut self.clock.host_nvm,
             data.len(),
@@ -331,7 +339,12 @@ impl ComputeNode {
             } else if let Some(partner) = &mut self.partner {
                 let mut pbuf = partner.take_buffer();
                 pbuf.extend_from_slice(data);
-                partner.write(Region::Uncompressed, meta.clone(), pbuf)?;
+                partner.write_with_crcs(
+                    Region::Uncompressed,
+                    meta.clone(),
+                    pbuf,
+                    crcs,
+                )?;
                 VClock::charge(
                     &mut self.clock.host_nvm,
                     data.len(),
@@ -475,52 +488,51 @@ impl ComputeNode {
             }
         }
         let partner_hit = self.partner.as_ref().and_then(|partner| {
-            partner_id.and_then(|pid| partner.get(pid)).map(|slot| {
-                (slot.verify(), slot.meta.clone(), slot.data.clone())
-            })
+            let slot = partner.get(partner_id?)?;
+            Some(slot.verify().then(|| {
+                (slot.meta.clone(), slot.data.clone(), slot.crcs.clone())
+            }))
         });
-        if let Some((ok, meta, data)) = partner_hit {
-            if ok {
+        match partner_hit {
+            Some(Some((meta, data, crcs))) => {
                 VClock::charge(
                     &mut self.clock.restore_io,
                     data.len(),
                     self.cfg.interconnect_bw,
                 );
                 // Reseed the local NVM so later failures recover fast.
-                let _ = self.nvm.write(
-                    Region::Uncompressed,
-                    meta.clone(),
-                    data.clone(),
-                );
+                self.reseed_local(meta.clone(), &data, crcs);
                 return Ok(Restored {
                     meta,
                     data,
                     source: RestoreSource::Partner,
                 });
             }
-            self.corruptions_detected += 1;
+            Some(None) => self.corruptions_detected += 1,
+            None => {}
         }
 
         // Slow path: stream from remote I/O, decompressing block by
         // block on the host (pipelined restore, §4.3). Incremental
         // objects chain back to their base (§7); walk the chain to a
-        // full image, then apply the deltas forward.
+        // full image, then apply the deltas forward, in place.
         let key = self
             .io
             .latest_complete(app_id, rank)
             .ok_or(NodeError::NoCheckpoint)?;
-        let (meta, mut payload) = self.fetch_remote_payload(&key)?;
+        let mut data = Vec::new();
+        let meta = self.fetch_remote_payload(&key, &mut data)?;
         let mut deltas: Vec<crate::incremental::IncrementalImage> =
             Vec::new();
-        let mut cursor = meta.clone();
-        while let Some(base_id) = cursor.base {
+        let (mut base, mut base_size) = (meta.base, meta.size);
+        while let Some(base_id) = base {
             if deltas.len() >= crate::ndp::MAX_CHAIN as usize {
                 return Err(
                     CodecError::new("incremental chain too long").into()
                 );
             }
             deltas.push(
-                crate::incremental::IncrementalImage::decode(&payload)
+                crate::incremental::IncrementalImage::decode(&data)
                     .map_err(CodecError::new)?,
             );
             let base_key = crate::remote::ObjectKey {
@@ -528,19 +540,17 @@ impl ComputeNode {
                 rank,
                 ckpt_id: base_id,
             };
-            let (base_meta, base_payload) =
-                self.fetch_remote_payload(&base_key)?;
-            cursor = base_meta;
-            payload = base_payload;
+            data.clear();
+            let base_meta = self.fetch_remote_payload(&base_key, &mut data)?;
+            (base, base_size) = (base_meta.base, base_meta.size);
         }
-        // `payload` now holds the full base image; apply deltas from
-        // oldest to newest.
-        if payload.len() != cursor.size as usize {
+        // `data` now holds the full base image; apply deltas from oldest
+        // to newest.
+        if data.len() != base_size as usize {
             return Err(CodecError::new("restored size mismatch").into());
         }
-        let mut data = payload;
         for incr in deltas.iter().rev() {
-            data = crate::incremental::apply_incremental(&data, incr)
+            crate::incremental::apply_incremental_in_place(&mut data, incr)
                 .map_err(CodecError::new)?;
         }
         if data.len() != meta.size as usize {
@@ -549,9 +559,11 @@ impl ComputeNode {
         // End-to-end verification of the reassembled image against the
         // checksum taken at checkpoint time: catches any corruption the
         // per-object CRCs cannot (e.g. rot that slipped into the drain
-        // source before shipping).
+        // source before shipping). The granule CRCs of that one pass
+        // also seal the local write-back.
+        let crcs = granule_crcs(&data);
         if meta.content_crc != 0
-            && crate::integrity::Crc64::of(&data) != meta.content_crc
+            && fold_granules(&crcs, data.len()) != meta.content_crc
         {
             self.corruptions_detected += 1;
             return Err(NodeError::Corrupt);
@@ -567,13 +579,9 @@ impl ComputeNode {
         let restored_meta = CheckpointMeta {
             codec: None,
             base: None,
-            ..meta.clone()
+            ..meta
         };
-        let _ = self.nvm.write(
-            Region::Uncompressed,
-            restored_meta.clone(),
-            data.clone(),
-        );
+        self.reseed_local(restored_meta.clone(), &data, crcs);
 
         Ok(Restored {
             meta: restored_meta,
@@ -582,12 +590,30 @@ impl ComputeNode {
         })
     }
 
-    /// Reads one remote object and decompresses its framed blocks into
-    /// the raw payload (a full image, or an encoded incremental delta).
+    /// Writes a copy of a verified restored image, with its granule
+    /// CRCs, to a fresh local slot. Best effort: a full or locked region
+    /// leaves the restore served but the local level unseeded.
+    fn reseed_local(
+        &mut self,
+        meta: CheckpointMeta,
+        data: &[u8],
+        crcs: Vec<u64>,
+    ) {
+        let mut buf = self.nvm.take_buffer();
+        buf.extend_from_slice(data);
+        let _ = self
+            .nvm
+            .write_with_crcs(Region::Uncompressed, meta, buf, crcs);
+    }
+
+    /// Reads one remote object and appends the raw payload its framed
+    /// blocks decompress to (a full image, or an encoded incremental
+    /// delta) to `out`.
     fn fetch_remote_payload(
         &mut self,
         key: &crate::remote::ObjectKey,
-    ) -> Result<(CheckpointMeta, Vec<u8>), NodeError> {
+        out: &mut Vec<u8>,
+    ) -> Result<CheckpointMeta, NodeError> {
         let (meta, blob) = match self.io.read_verified(key) {
             Ok(x) => x,
             Err(crate::remote::RemoteError::Corrupt) => {
@@ -607,8 +633,9 @@ impl ComputeNode {
                 CodecError::new(format!("unknown codec {label}"))
             })?),
         };
-        let data = frame::decode(&blob, codec.as_deref(), meta.size as usize)?;
-        Ok((meta, data))
+        out.reserve(meta.size as usize);
+        frame::decode(&blob, codec.as_deref(), out)?;
+        Ok(meta)
     }
 
     /// Virtual-time accounting so far.
