@@ -1,20 +1,18 @@
 //! `crx` — checkpoint/restart explorer.
 //!
-//! A command-line front end over the workspace: project exascale
-//! systems, evaluate C/R strategies with the analytic model and the
-//! simulator, find optimal checkpoint ratios, sweep parameters, and run
-//! the compression study.
+//! A command-line front end for what the `repro_*` binaries cannot do:
+//! evaluate one custom configuration with the analytic model and the
+//! simulator, observe a simulated run (`trace`, `report`, `export`),
+//! and gate two JSON snapshots against each other (`obs diff`).
 //!
 //! ```sh
-//! crx project
 //! crx evaluate --strategy ndp --p-local 0.85 --compress 0.73
-//! crx ratio --p-local 0.8
-//! crx sweep --param mtti --from 30 --to 150 --steps 5 --strategy ndp
-//! crx study --mb 4
+//! crx trace --failures 10
+//! crx obs diff results/INDICATORS_sim.json current.json --tol 0.01
 //! crx --help
 //! ```
 
-use ndp_checkpoint::cr_core::{analytic, daly, ndp_sizing, ratio_opt};
+use ndp_checkpoint::cr_core::{analytic, ratio_opt};
 use ndp_checkpoint::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -75,36 +73,58 @@ impl Flags {
         }
     }
 
+    /// Reads `--key` as a finite number that passes `valid`; the error
+    /// names the flag and says what it wants.
+    fn get_checked(
+        &self,
+        key: &str,
+        default: f64,
+        want: &str,
+        valid: fn(f64) -> bool,
+    ) -> Result<f64, String> {
+        let v = self.get_f64(key, default)?;
+        if v.is_finite() && valid(v) {
+            Ok(v)
+        } else {
+            Err(format!("--{key}: {v} is not {want}"))
+        }
+    }
+
+    fn get_positive(&self, key: &str, default: f64) -> Result<f64, String> {
+        self.get_checked(key, default, "a positive number", |v| v > 0.0)
+    }
+
     fn has(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
 }
 
 /// Builds `SystemParams` from common flags (`--mtti` minutes, `--size`
-/// GB, `--nvm` GB/s, `--io` MB/s per node).
+/// GB, `--nvm` GB/s, `--io` MB/s per node), each a positive number.
 fn system_from(flags: &Flags) -> Result<SystemParams, String> {
     Ok(SystemParams {
-        mtti: flags.get_f64("mtti", 30.0)? * MINUTE,
-        checkpoint_bytes: flags.get_f64("size", 112.0)? * GB,
-        local_bw: flags.get_f64("nvm", 15.0)? * GB,
-        io_bw_per_node: flags.get_f64("io", 100.0)? * MB,
+        mtti: flags.get_positive("mtti", 30.0)? * MINUTE,
+        checkpoint_bytes: flags.get_positive("size", 112.0)? * GB,
+        local_bw: flags.get_positive("nvm", 15.0)? * GB,
+        io_bw_per_node: flags.get_positive("io", 100.0)? * MB,
     })
 }
 
-/// Builds a strategy from `--strategy`, `--p-local`, `--compress`,
-/// `--ratio`, `--interval`.
+/// Builds a strategy from `--strategy`, `--p-local` (in [0, 1]),
+/// `--compress` (in (0, 1]), `--ratio` (at least 1) and `--interval`
+/// (positive seconds).
 fn strategy_from(
     flags: &Flags,
     sys: &SystemParams,
 ) -> Result<Strategy, String> {
-    let p_local = flags.get_f64("p-local", 0.85)?;
-    let interval = if flags.has("interval") {
-        Some(flags.get_f64("interval", 150.0)?)
-    } else {
-        Some(150.0)
-    };
+    let p_local = flags.get_checked("p-local", 0.85, "in [0, 1]", |v| {
+        (0.0..=1.0).contains(&v)
+    })?;
+    let interval = Some(flags.get_positive("interval", 150.0)?);
     let factor = if flags.has("compress") {
-        Some(flags.get_f64("compress", 0.73)?)
+        Some(flags.get_checked("compress", 0.73, "in (0, 1]", |v| {
+            v > 0.0 && v <= 1.0
+        })?)
     } else {
         None
     };
@@ -120,9 +140,14 @@ fn strategy_from(
             match flags.get("ratio") {
                 Some(r) => Strategy::LocalIoHost {
                     interval,
-                    ratio: r
-                        .parse()
-                        .map_err(|_| format!("--ratio: bad value {r}"))?,
+                    ratio: match r.parse::<u32>() {
+                        Ok(k) if k >= 1 => k,
+                        _ => {
+                            return Err(format!(
+                                "--ratio: {r} is not an integer >= 1"
+                            ))
+                        }
+                    },
                     p_local,
                     compression: comp,
                 },
@@ -148,24 +173,30 @@ fn strategy_from(
     Ok(strat)
 }
 
+/// Reads `--replicas`, which must be at least 1.
+fn replicas_from(flags: &Flags, default: usize) -> Result<u64, String> {
+    match flags.get_usize("replicas", default)? {
+        0 => Err("--replicas: 0 is not an integer >= 1".into()),
+        n => Ok(n as u64),
+    }
+}
+
 const USAGE: &str = "\
 crx — checkpoint/restart explorer
 
 USAGE: crx <command> [flags]
 
 COMMANDS:
-  project    print the exascale projection (Table 1) and derived C/R needs
   evaluate   evaluate one strategy on a system (analytic + simulation)
-  ratio      find the optimal locally-saved:I/O-saved checkpoint ratio
-  sweep      sweep mtti|size|p-local and print CSV progress rates
-  study      run the compression study on synthetic mini-app images
-  sizing     NDP sizing table for the paper's utilities (Table 3)
   trace      run one observed replica and render its Fig. 3 timeline
   report     run an observed fleet and print derived C/R indicators
   export     export an observed fleet as a Chrome trace (Perfetto) JSON
   obs diff   compare the numbers of two JSON snapshots (gate)
 
-SYSTEM FLAGS (evaluate/ratio/sweep):
+The paper's tables and figures have their own binaries (repro_table1,
+repro_fig5, ...; see README).
+
+SYSTEM FLAGS (each > 0):
   --mtti MIN     system MTTI in minutes        [30]
   --size GB      checkpoint size per node      [112]
   --nvm GBPS     local NVM bandwidth           [15]
@@ -174,9 +205,13 @@ SYSTEM FLAGS (evaluate/ratio/sweep):
 STRATEGY FLAGS:
   --strategy S   io-only | local | host | ndp  [ndp]
   --p-local F    P(recover from local levels)  [0.85]
-  --compress F   compression factor 0..1       [off]
-  --ratio K      host local:IO ratio           [optimal]
+  --compress F   compression factor in (0, 1]  [off]
+  --ratio K      host local:IO ratio, >= 1     [optimal]
   --interval S   local checkpoint interval     [150]
+
+EVALUATE FLAGS:
+  --replicas N   simulation replicas, >= 1     [4]
+  --failures N   failures per replica          [2000]
 
 TRACE FLAGS:
   --seed N       replica seed                  [42]
@@ -198,11 +233,6 @@ REPORT / EXPORT FLAGS:
 OBS DIFF (crx obs diff <baseline.json> <current.json>):
   --tol F        default relative tolerance    [0.05]
   --tol-key K=F  per-key override (repeatable, flattened dotted key)
-
-OTHER:
-  --replicas N   simulation replicas           [4]
-  --failures N   failures per replica          [2000]
-  --mb N         study image size in MiB       [4]
 ";
 
 /// Creates the parent directory of `path` if needed.
@@ -214,42 +244,10 @@ fn ensure_parent_dir(path: &str) {
     }
 }
 
-fn cmd_project(_flags: &Flags) -> Result<(), String> {
-    use ndp_checkpoint::cr_core::projection::ExascaleProjection;
-    let p = ExascaleProjection::paper_default();
-    println!("exascale projection (scaled from Titan Cray XK7):");
-    println!("  nodes                : {}", p.node_count);
-    println!("  node peak            : {:.0} TF", p.node_peak / TFLOPS);
-    println!("  node memory          : {}", fmt_bytes(p.node_memory));
-    println!("  system memory        : {}", fmt_bytes(p.system_memory));
-    println!("  I/O bandwidth        : {}", fmt_rate(p.io_bw));
-    println!(
-        "  system MTTI          : {:.0} min (socket model: {:.1} min)",
-        p.mtti / MINUTE,
-        p.derived_mtti / MINUTE
-    );
-    println!("derived C/R requirements for 90% progress:");
-    println!(
-        "  checkpoint size      : {} per node",
-        fmt_bytes(p.checkpoint_bytes)
-    );
-    println!(
-        "  commit time          : {:.1} s  (bandwidth {})",
-        p.required_commit_time,
-        fmt_rate(p.required_commit_bw)
-    );
-    println!(
-        "  per-node I/O share   : {} -> {} per checkpoint",
-        fmt_rate(p.io_bw_per_node),
-        fmt_secs(p.t_io_per_node())
-    );
-    Ok(())
-}
-
 fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let sys = system_from(flags)?;
     let strat = strategy_from(flags, &sys)?;
-    let replicas = flags.get_usize("replicas", 4)? as u64;
+    let replicas = replicas_from(flags, 4)?;
     let failures = flags.get_usize("failures", 2000)? as u64;
 
     let sol = analytic::solve_cycle(&sys, &strat);
@@ -285,115 +283,6 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
         f.restore_io * 100.0,
         f.rerun_local * 100.0,
         f.rerun_io * 100.0
-    );
-    Ok(())
-}
-
-fn cmd_ratio(flags: &Flags) -> Result<(), String> {
-    let sys = system_from(flags)?;
-    let p_local = flags.get_f64("p-local", 0.85)?;
-    let factor = if flags.has("compress") {
-        Some(flags.get_f64("compress", 0.73)?)
-    } else {
-        None
-    };
-    let comp = factor.map(CompressionSpec::gzip1_host_with_factor);
-    let (ratio, progress) = ratio_opt::best_host_ratio(&sys, p_local, comp);
-    println!(
-        "optimal host ratio: {ratio} (progress {:.1}%)",
-        progress * 100.0
-    );
-    let ndp_comp = factor.map(CompressionSpec::gzip1_ndp_with_factor);
-    let ndp = ratio_opt::ndp_ratio(&sys, ndp_comp);
-    println!("NDP drain ratio   : {ndp} (fastest sustainable)");
-    Ok(())
-}
-
-fn cmd_sweep(flags: &Flags) -> Result<(), String> {
-    let param = flags.get("param").unwrap_or("mtti").to_string();
-    let (lo, hi) = (
-        flags.get_f64("from", 30.0)?,
-        flags.get_f64("to", 150.0)?,
-    );
-    let steps = flags.get_usize("steps", 5)?.max(2);
-    let replicas = flags.get_usize("replicas", 3)? as u64;
-    let failures = flags.get_usize("failures", 1500)? as u64;
-
-    println!("{param},analytic,simulated");
-    for i in 0..steps {
-        let x = lo + (hi - lo) * i as f64 / (steps - 1) as f64;
-        let mut sys = system_from(flags)?;
-        let mut flags_p = String::new();
-        match param.as_str() {
-            "mtti" => sys.mtti = x * MINUTE,
-            "size" => sys.checkpoint_bytes = x * GB,
-            "p-local" => flags_p = format!("{x}"),
-            other => return Err(format!("unknown --param {other}")),
-        }
-        let strat = if flags_p.is_empty() {
-            strategy_from(flags, &sys)?
-        } else {
-            // p-local sweep: override.
-            let mut named = flags.named.clone();
-            named.push(("p-local".into(), flags_p));
-            let f2 = Flags {
-                positional: flags.positional.clone(),
-                named,
-            };
-            strategy_from(&f2, &sys)?
-        };
-        let a = analytic::progress_rate(&sys, &strat);
-        let opts = SimOptions {
-            seed: 7,
-            min_failures: failures,
-            min_work: 0.0,
-            max_wall: 1e12,
-        };
-        let s = simulate_avg(&sys, &strat, &opts, replicas).progress_rate();
-        println!("{x},{a:.4},{s:.4}");
-    }
-    Ok(())
-}
-
-fn cmd_study(flags: &Flags) -> Result<(), String> {
-    use ndp_checkpoint::cr_compress::measure::measure;
-    use ndp_checkpoint::cr_compress::registry::study_codecs;
-    use ndp_checkpoint::cr_workloads::{all_mini_apps, CheckpointGenerator};
-    let mb = flags.get_usize("mb", 4)?;
-    println!("app,codec,factor,compress_mbps,decompress_mbps");
-    for app in all_mini_apps() {
-        let image = app.generate(mb << 20, 1);
-        for codec in study_codecs() {
-            let m = measure(codec.as_ref(), &image);
-            println!(
-                "{},{},{:.4},{:.1},{:.1}",
-                app.name(),
-                codec.label(),
-                m.factor,
-                m.compress_rate / 1e6,
-                m.decompress_rate / 1e6
-            );
-        }
-    }
-    Ok(())
-}
-
-fn cmd_sizing(flags: &Flags) -> Result<(), String> {
-    let sys = system_from(flags)?;
-    println!("utility,required_mbps,ndp_cores,min_interval_s");
-    for (util, s) in ndp_sizing::table3(&sys) {
-        println!(
-            "{},{:.0},{},{:.0}",
-            util.label(),
-            s.required_rate / 1e6,
-            s.cores,
-            s.min_interval
-        );
-    }
-    let r90 = daly::ratio_for_progress(0.90);
-    println!(
-        "# 90% progress requires M/delta >= {r90:.0} -> commit <= {}",
-        fmt_secs(sys.mtti / r90)
     );
     Ok(())
 }
@@ -486,7 +375,7 @@ fn observed_fleet(
     use ndp_checkpoint::cr_sim::run_fleet_observed;
     let sys = system_from(flags)?;
     let strat = strategy_from(flags, &sys)?;
-    let replicas = flags.get_usize("replicas", default_replicas)?.max(1) as u64;
+    let replicas = replicas_from(flags, default_replicas)?;
     let opts = SimOptions {
         seed: flags.get_usize("seed", 42)? as u64,
         min_failures: flags.get_usize("failures", default_failures)? as u64,
@@ -600,22 +489,27 @@ fn cmd_obs_diff(flags: &Flags) -> Result<(), String> {
         let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
         Ok(flatten_numbers(&doc))
     };
-    let base = load(base_path)?;
-    let current = load(cur_path)?;
 
-    let tol = flags.get_f64("tol", 0.05)?;
+    // A NaN tolerance would pass every key (`rel > NaN` is false), so
+    // the gate takes only finite, non-negative tolerances.
+    const WANT: &str = "a finite tolerance >= 0";
+    let tol = flags.get_checked("tol", 0.05, WANT, |t| t >= 0.0)?;
     let mut per_key = std::collections::BTreeMap::new();
     for (k, v) in &flags.named {
         if k == "tol-key" {
             let (key, t) = v.split_once('=').ok_or_else(|| {
                 format!("--tol-key wants key=tolerance, got {v}")
             })?;
-            let t: f64 = t
-                .parse()
-                .map_err(|_| format!("--tol-key {key}: bad tolerance {t}"))?;
+            let t = t
+                .parse::<f64>()
+                .ok()
+                .filter(|t| t.is_finite() && *t >= 0.0)
+                .ok_or_else(|| format!("--tol-key {key}: {t} is not {WANT}"))?;
             per_key.insert(key.to_string(), t);
         }
     }
+    let base = load(base_path)?;
+    let current = load(cur_path)?;
 
     let diff = diff_flat(&base, &current, tol, &per_key);
     println!(
@@ -649,6 +543,22 @@ fn cmd_obs_diff(flags: &Flags) -> Result<(), String> {
     }
 }
 
+/// A subcommand: runs with the parsed flags.
+type Handler = fn(&Flags) -> Result<(), String>;
+
+/// The handler for a COMMANDS entry of `USAGE` (`obs diff` is one
+/// name), or `None` for an unknown command.
+fn command(name: &str) -> Option<Handler> {
+    Some(match name {
+        "evaluate" => cmd_evaluate,
+        "trace" => cmd_trace,
+        "report" => cmd_report,
+        "export" => cmd_export,
+        "obs diff" => cmd_obs_diff,
+        _ => return None,
+    })
+}
+
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags = Flags::parse(&args)?;
@@ -656,24 +566,13 @@ fn run() -> Result<(), String> {
         print!("{USAGE}");
         return Ok(());
     }
-    match flags.positional[0].as_str() {
-        "project" => cmd_project(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "ratio" => cmd_ratio(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "study" => cmd_study(&flags),
-        "sizing" => cmd_sizing(&flags),
-        "trace" => cmd_trace(&flags),
-        "report" => cmd_report(&flags),
-        "export" => cmd_export(&flags),
-        "obs" => match flags.positional.get(1).map(String::as_str) {
-            Some("diff") => cmd_obs_diff(&flags),
-            other => Err(format!(
-                "unknown obs subcommand {other:?} (expected: diff)\n\n{USAGE}"
-            )),
-        },
-        other => Err(format!("unknown command {other}\n\n{USAGE}")),
-    }
+    let name = match flags.positional.as_slice() {
+        [obs, sub, ..] if obs == "obs" => format!("obs {sub}"),
+        _ => flags.positional[0].clone(),
+    };
+    let handler = command(&name)
+        .ok_or_else(|| format!("unknown command {name}\n\n{USAGE}"))?;
+    handler(&flags)
 }
 
 fn main() {
@@ -744,5 +643,82 @@ mod tests {
     fn last_flag_wins() {
         let f = flags(&["x", "--mtti", "30", "--mtti", "90"]);
         assert_eq!(f.get_f64("mtti", 0.0).unwrap(), 90.0);
+    }
+
+    /// Out-of-range model flags come back as an error that names the
+    /// flag, before any library assert or allocation sees them.
+    #[test]
+    fn model_flags_are_validated() {
+        let cases: &[(&[&str], &str)] = &[
+            (&["--interval", "0"], "--interval"),
+            (&["--interval", "inf"], "--interval"),
+            (&["--p-local", "1.5"], "--p-local"),
+            (&["--p-local", "-0.1"], "--p-local"),
+            (&["--p-local", "nan"], "--p-local"),
+            (&["--mtti", "0"], "--mtti"),
+            (&["--size", "-1"], "--size"),
+            (&["--nvm", "nan"], "--nvm"),
+            (&["--io", "0"], "--io"),
+            (&["--compress", "1.5"], "--compress"),
+            (&["--compress", "0"], "--compress"),
+            (&["--compress", "nan"], "--compress"),
+            (&["--strategy", "host", "--ratio", "0"], "--ratio"),
+        ];
+        for (args, flag) in cases {
+            let f = flags(&[&["evaluate"], *args].concat());
+            let err = system_from(&f)
+                .and_then(|sys| strategy_from(&f, &sys))
+                .expect_err(&format!("{args:?} must be rejected"));
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
+        let f = flags(&["evaluate", "--replicas", "0"]);
+        assert!(replicas_from(&f, 4).unwrap_err().starts_with("--replicas"));
+
+        let edges = flags(&[
+            "evaluate", "--p-local", "1", "--compress", "1", "--interval",
+            "0.5",
+        ]);
+        let sys = system_from(&edges).unwrap();
+        assert!(strategy_from(&edges, &sys).is_ok());
+        let f = flags(&["evaluate", "--p-local", "0", "--replicas", "1"]);
+        assert!(strategy_from(&f, &sys).is_ok());
+        assert_eq!(replicas_from(&f, 4), Ok(1));
+    }
+
+    /// `rel > NaN` is always false, so a NaN tolerance would pass any
+    /// change; the gate refuses it (and negative or infinite ones)
+    /// before reading either file.
+    #[test]
+    fn obs_diff_rejects_bad_tolerances() {
+        let cases: &[(&[&str], &str)] = &[
+            (&["--tol", "nan"], "--tol"),
+            (&["--tol", "-0.01"], "--tol"),
+            (&["--tol", "inf"], "--tol"),
+            (&["--tol-key", "k=nan"], "--tol-key k"),
+            (&["--tol-key", "k=-1"], "--tol-key k"),
+        ];
+        for (args, flag) in cases {
+            let f = flags(&[&["obs", "diff", "a.json", "b.json"], *args].concat());
+            let err = cmd_obs_diff(&f).unwrap_err();
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
+    }
+
+    /// Every entry of USAGE's COMMANDS block reaches a handler.
+    #[test]
+    fn every_usage_command_has_a_handler() {
+        let names: Vec<&str> = USAGE
+            .split("COMMANDS:\n")
+            .nth(1)
+            .unwrap()
+            .lines()
+            .take_while(|l| !l.trim().is_empty())
+            .map(|l| l.trim().split("  ").next().unwrap())
+            .collect();
+        assert_eq!(names.len(), 5, "{names:?}");
+        for name in names {
+            assert!(command(name).is_some(), "{name} has no handler");
+        }
+        assert!(command("sweep").is_none());
     }
 }
