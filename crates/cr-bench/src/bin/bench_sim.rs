@@ -10,7 +10,11 @@
 //! 2. **Observed fleet** — replicas/sec with per-replica event streams
 //!    attached, again bit-identical (results *and* streams) across
 //!    thread counts.
-//! 3. **Indicators** — machine-independent pinned-seed values, also
+//! 3. **Solver** — analytic `solve_cycle` solves/s over every ratio of
+//!    one `Local + I/O-Host` configuration, and the wall time of one
+//!    cold `ratio_opt::figure5_table` (the best-ratio search). Recorded
+//!    only; nothing gates them.
+//! 4. **Indicators** — machine-independent pinned-seed values, also
 //!    written to a separate file so CI can `crx obs diff` them against
 //!    a checked-in baseline.
 //!
@@ -30,7 +34,9 @@
 use std::path::PathBuf;
 
 use cr_bench::perf::time_window;
+use cr_core::analytic::solve_cycle;
 use cr_core::params::{CompressionSpec, Strategy, SystemParams};
+use cr_core::ratio_opt::MAX_RATIO;
 use cr_obs::json::Value;
 use cr_sim::{
     run_fleet_observed_in, simulate_avg_in, AveragedResult, SimOptions,
@@ -227,6 +233,37 @@ fn fleet_section(opts: &Opts) -> Value {
     ])
 }
 
+/// Analytic solver speed: `solve_cycle` over ratios `1..=MAX_RATIO`
+/// of `Local(80%) + I/O-Host` (a solve's cost grows with its ratio, so
+/// this is a full scan's mix), and one Figure 5 table on a fresh
+/// thread, so the cycle cache starts cold as in `repro_fig5`.
+fn solve_section() -> Value {
+    println!("== analytic solver ==");
+    let system = sys();
+    let scan = time_window(|| {
+        for ratio in 1..=MAX_RATIO {
+            let strat = Strategy::local_io_host(ratio, 0.8, None);
+            std::hint::black_box(solve_cycle(&system, &strat));
+        }
+    });
+    let solves_per_s = MAX_RATIO as f64 / scan.median;
+    let fig5 = time_window(|| {
+        let table = std::thread::spawn(cr_bench::experiments::fig5);
+        std::hint::black_box(table.join().expect("figure5_table panicked"));
+    });
+    println!(
+        "solve_cycle {solves_per_s:>10.0} solves/s | cold figure5_table {:.2} ms",
+        fig5.median * 1e3
+    );
+    let mut cycle = vec![("solves".into(), Value::Num(MAX_RATIO as f64))];
+    cycle.extend(scan.fields());
+    cycle.push(("solves_per_s".into(), Value::Num(solves_per_s)));
+    Value::Obj(vec![
+        ("solve_cycle".into(), Value::Obj(cycle)),
+        ("figure5_table_cold".into(), Value::Obj(fig5.fields())),
+    ])
+}
+
 /// Machine-independent pinned-seed values: simulated progress rates,
 /// model divergence, and per-replica event counts. Everything here is
 /// derived from simulated time and event counts — never wall-clock — so
@@ -296,6 +333,7 @@ fn main() {
 
     let engine = engine_section(&opts);
     let fleet = fleet_section(&opts);
+    let solve = solve_section();
     let indicators = indicators_section();
 
     let doc = Value::Obj(vec![
@@ -315,6 +353,7 @@ fn main() {
         ),
         ("engine".into(), engine),
         ("fleet".into(), fleet),
+        ("solve".into(), solve),
         ("indicators".into(), indicators.clone()),
     ]);
     write_json(&opts.out, &doc);

@@ -90,12 +90,24 @@ impl Recovery {
     }
 }
 
+/// Whether a recovery episode can ever end: an I/O restore must have a
+/// nonzero chance to finish between two failures, unless every failure
+/// recovers locally. [`solve_cycle`] panics on a configuration that
+/// fails this; front ends check it first.
+pub fn recovery_can_succeed(sys: &SystemParams, strat: &Strategy) -> bool {
+    let d = derive_costs(sys, strat);
+    restore_can_finish(d.p_local, d.restore_io, sys.mtti)
+}
+
+fn restore_can_finish(p_local: f64, r_io: f64, mtti: f64) -> bool {
+    survival_prob(r_io, mtti) > 0.0 || p_local >= 1.0
+}
+
 /// Solves the recovery episode (see [`Recovery`]).
 fn solve_recovery(p_local: f64, r_local: f64, r_io: f64, mtti: f64) -> Recovery {
     let q_l = survival_prob(r_local, mtti);
-    let q_io = survival_prob(r_io, mtti);
     assert!(
-        q_io > 0.0 || p_local >= 1.0,
+        restore_can_finish(p_local, r_io, mtti),
         "recovery can never succeed: restore times vastly exceed MTTI"
     );
     let w_l = expected_time_before_interrupt(r_local, mtti);
@@ -475,7 +487,12 @@ fn solve_chain(
     // completing the cycle; it approaches (but never reaches) 1 for
     // configurations whose completion probability underflows. Clamp so
     // such configurations report astronomically large — but finite —
-    // cycle times (progress ≈ 0) instead of failing.
+    // cycle times (progress ≈ 0) instead of failing. Past the clamp the
+    // cycle time no longer grows with the work per cycle, so progress
+    // *rises* with the ratio in this hopeless tail (by ~1e-15, e.g.
+    // 1.7e-15 at ratio 133 and 5.2e-15 at 400 for `exascale_default`,
+    // p_local 0.2, 600 s interval); `ratio_opt`'s search must not
+    // follow it.
     let x_coef = (q0 * (1.0 - beta1)).max(1e-300);
 
     let mut out = [0.0f64; N_BUCKETS];

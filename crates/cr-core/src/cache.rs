@@ -1,14 +1,19 @@
-//! Memoized cycle solving for repeated ratio scans.
+//! Memoized cycle solving for the ratio search.
 //!
-//! The ratio scans ([`crate::ratio_opt`]) solve every ratio in
-//! `1..=MAX_RATIO`, and the sensitivity sweeps revisit identical
+//! [`crate::ratio_opt`]'s best-ratio search solves about 12 ratios per
+//! call, each at most once, and the sweeps revisit identical
 //! `(SystemParams, Strategy)` configurations across figures: the
 //! repository benchmark's `model_sweep` workload measures a hit rate of
-//! 0.396. [`solve_cycle_cached`] memoizes [`solve_cycle`] in a
-//! thread-local table keyed on the **exact bit patterns** of every `f64`
-//! in the configuration — the only quantization that can guarantee a
-//! cache hit returns a result bit-identical to an uncached solve (a
-//! property test holds this over a seeded parameter grid).
+//! 0.39. Since the search replaced the 400-ratio scan, the solves left
+//! are about 1 % of that workload, and `model_sweep` reads the same
+//! with and without this cache within its run-to-run spread; it stays
+//! only because the benchmark reports its hit rate.
+//!
+//! [`solve_cycle_cached`] memoizes [`solve_cycle`] in a thread-local
+//! table keyed on the **exact bit patterns** of every `f64` in the
+//! configuration — the only quantization that can guarantee a cache hit
+//! returns a result bit-identical to an uncached solve (a property test
+//! holds this over a seeded parameter grid).
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -112,7 +112,8 @@ fn system_from(flags: &Flags) -> Result<SystemParams, String> {
 
 /// Builds a strategy from `--strategy`, `--p-local` (in [0, 1]),
 /// `--compress` (in (0, 1]), `--ratio` (at least 1) and `--interval`
-/// (positive seconds).
+/// (positive seconds). Refuses a configuration whose recovery could
+/// never end on `sys` (the analytic model would panic on it).
 fn strategy_from(
     flags: &Flags,
     sys: &SystemParams,
@@ -129,34 +130,30 @@ fn strategy_from(
         None
     };
     let name = flags.get("strategy").unwrap_or("ndp");
-    let strat = match name {
+    let mut strat = match name {
         "io-only" => Strategy::IoOnly {
             interval: None,
             compression: factor.map(CompressionSpec::gzip1_host_with_factor),
         },
         "local" => Strategy::LocalOnly { interval: None },
-        "host" => {
-            let comp = factor.map(CompressionSpec::gzip1_host_with_factor);
-            match flags.get("ratio") {
-                Some(r) => Strategy::LocalIoHost {
-                    interval,
-                    ratio: match r.parse::<u32>() {
-                        Ok(k) if k >= 1 => k,
-                        _ => {
-                            return Err(format!(
-                                "--ratio: {r} is not an integer >= 1"
-                            ))
-                        }
-                    },
-                    p_local,
-                    compression: comp,
+        "host" => Strategy::LocalIoHost {
+            interval,
+            // Without `--ratio`, the best ratio replaces this 1 once the
+            // recovery check below has passed: the search runs the model.
+            ratio: match flags.get("ratio") {
+                None => 1,
+                Some(r) => match r.parse::<u32>() {
+                    Ok(k) if k >= 1 => k,
+                    _ => {
+                        return Err(format!(
+                            "--ratio: {r} is not an integer >= 1"
+                        ))
+                    }
                 },
-                None => ratio_opt::best_host_strategy_at(
-                    sys, p_local, comp, interval,
-                )
-                .0,
-            }
-        }
+            },
+            p_local,
+            compression: factor.map(CompressionSpec::gzip1_host_with_factor),
+        },
         "ndp" => Strategy::LocalIoNdp {
             interval,
             ratio: None,
@@ -170,13 +167,39 @@ fn strategy_from(
             ))
         }
     };
+    if !analytic::recovery_can_succeed(sys, &strat) {
+        return Err(format!(
+            "--mtti: {} min is too short: an I/O restore could never \
+             finish between two failures",
+            sys.mtti / MINUTE
+        ));
+    }
+    if let Strategy::LocalIoHost {
+        interval,
+        ratio,
+        p_local,
+        compression,
+    } = &mut strat
+    {
+        if !flags.has("ratio") {
+            *ratio = ratio_opt::best_host_ratio_at(
+                sys,
+                *p_local,
+                *compression,
+                *interval,
+            )
+            .0;
+        }
+    }
     Ok(strat)
 }
 
-/// Reads `--replicas`, which must be at least 1.
-fn replicas_from(flags: &Flags, default: usize) -> Result<u64, String> {
-    match flags.get_usize("replicas", default)? {
-        0 => Err("--replicas: 0 is not an integer >= 1".into()),
+/// Reads `--replicas` or `--failures` where a simulated mean is
+/// printed: it must be at least 1, since a run with no replica or no
+/// failure measures nothing.
+fn count_from(flags: &Flags, key: &str, default: usize) -> Result<u64, String> {
+    match flags.get_usize(key, default)? {
+        0 => Err(format!("--{key}: 0 is not an integer >= 1")),
         n => Ok(n as u64),
     }
 }
@@ -211,7 +234,7 @@ STRATEGY FLAGS:
 
 EVALUATE FLAGS:
   --replicas N   simulation replicas, >= 1     [4]
-  --failures N   failures per replica          [2000]
+  --failures N   failures per replica, >= 1    [2000]
 
 TRACE FLAGS:
   --seed N       replica seed                  [42]
@@ -228,6 +251,7 @@ REPORT / EXPORT FLAGS:
   --seed N       base replica seed             [42]
   --replicas N   observed replicas (fleet)     [report 4, export 2]
   --failures N   failures per replica          [report 400, export 25]
+                 (report needs >= 1)
   --out F        write JSON to F instead of stdout summary only
 
 OBS DIFF (crx obs diff <baseline.json> <current.json>):
@@ -247,8 +271,8 @@ fn ensure_parent_dir(path: &str) {
 fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let sys = system_from(flags)?;
     let strat = strategy_from(flags, &sys)?;
-    let replicas = replicas_from(flags, 4)?;
-    let failures = flags.get_usize("failures", 2000)? as u64;
+    let replicas = count_from(flags, "replicas", 4)?;
+    let failures = count_from(flags, "failures", 2000)?;
 
     let sol = analytic::solve_cycle(&sys, &strat);
     let opts = SimOptions {
@@ -366,19 +390,20 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
 type FleetRuns =
     Vec<(ndp_checkpoint::cr_sim::SimResult, Vec<ndp_checkpoint::cr_obs::Event>)>;
 
-/// Runs an observed fleet with the report/export flag conventions.
+/// Runs an observed fleet of replicas of at least `failures` failures
+/// each, with the report/export flag conventions.
 fn observed_fleet(
     flags: &Flags,
     default_replicas: usize,
-    default_failures: usize,
+    failures: u64,
 ) -> Result<(SystemParams, Strategy, SimOptions, FleetRuns), String> {
     use ndp_checkpoint::cr_sim::run_fleet_observed;
     let sys = system_from(flags)?;
     let strat = strategy_from(flags, &sys)?;
-    let replicas = replicas_from(flags, default_replicas)?;
+    let replicas = count_from(flags, "replicas", default_replicas)?;
     let opts = SimOptions {
         seed: flags.get_usize("seed", 42)? as u64,
-        min_failures: flags.get_usize("failures", default_failures)? as u64,
+        min_failures: failures,
         min_work: 0.0,
         max_wall: 1e12,
     };
@@ -389,7 +414,8 @@ fn observed_fleet(
 fn cmd_report(flags: &Flags) -> Result<(), String> {
     use ndp_checkpoint::cr_obs::analyze::{analyze, merge_percentiles};
 
-    let (sys, strat, opts, fleet) = observed_fleet(flags, 4, 400)?;
+    let (sys, strat, opts, fleet) =
+        observed_fleet(flags, 4, count_from(flags, "failures", 400)?)?;
     let per_node: Vec<_> = fleet
         .iter()
         .enumerate()
@@ -448,7 +474,8 @@ fn cmd_export(flags: &Flags) -> Result<(), String> {
         chrome_trace_merged, validate_chrome_trace,
     };
 
-    let (_sys, strat, opts, fleet) = observed_fleet(flags, 2, 25)?;
+    let failures = flags.get_usize("failures", 25)? as u64;
+    let (_sys, strat, opts, fleet) = observed_fleet(flags, 2, failures)?;
     let streams: Vec<&[ndp_checkpoint::cr_obs::Event]> =
         fleet.iter().map(|(_, e)| e.as_slice()).collect();
     let text = chrome_trace_merged(&streams);
@@ -663,6 +690,9 @@ mod tests {
             (&["--compress", "0"], "--compress"),
             (&["--compress", "nan"], "--compress"),
             (&["--strategy", "host", "--ratio", "0"], "--ratio"),
+            (&["--mtti", "0.01"], "--mtti"),
+            (&["--mtti", "0.01", "--strategy", "host"], "--mtti"),
+            (&["--mtti", "0.01", "--strategy", "io-only"], "--mtti"),
         ];
         for (args, flag) in cases {
             let f = flags(&[&["evaluate"], *args].concat());
@@ -671,8 +701,14 @@ mod tests {
                 .expect_err(&format!("{args:?} must be rejected"));
             assert!(err.starts_with(flag), "{args:?}: {err}");
         }
-        let f = flags(&["evaluate", "--replicas", "0"]);
-        assert!(replicas_from(&f, 4).unwrap_err().starts_with("--replicas"));
+        for key in ["replicas", "failures"] {
+            let flag = format!("--{key}");
+            let err = count_from(&flags(&["evaluate", &flag, "0"]), key, 4);
+            assert!(err.unwrap_err().starts_with(&flag));
+        }
+        // Every failure recovers locally: no I/O restore has to finish.
+        let f = flags(&["evaluate", "--mtti", "0.01", "--strategy", "local"]);
+        assert!(strategy_from(&f, &system_from(&f).unwrap()).is_ok());
 
         let edges = flags(&[
             "evaluate", "--p-local", "1", "--compress", "1", "--interval",
@@ -682,7 +718,7 @@ mod tests {
         assert!(strategy_from(&edges, &sys).is_ok());
         let f = flags(&["evaluate", "--p-local", "0", "--replicas", "1"]);
         assert!(strategy_from(&f, &sys).is_ok());
-        assert_eq!(replicas_from(&f, 4), Ok(1));
+        assert_eq!(count_from(&f, "replicas", 4), Ok(1));
     }
 
     /// `rel > NaN` is always false, so a NaN tolerance would pass any

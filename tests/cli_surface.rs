@@ -76,6 +76,9 @@ fn crx_rejects_out_of_range_flags() {
         (&["evaluate", "--interval", "0"], "--interval"),
         (&["evaluate", "--p-local", "1.5"], "--p-local"),
         (&["evaluate", "--mtti", "0"], "--mtti"),
+        (&["evaluate", "--mtti", "0.01"], "--mtti"),
+        (&["evaluate", "--failures", "0"], "--failures"),
+        (&["report", "--failures", "0"], "--failures"),
         (&["evaluate", "--replicas", "0"], "--replicas"),
         (&["evaluate", "--compress", "nan"], "--compress"),
         (&["trace", "--size", "-5"], "--size"),
