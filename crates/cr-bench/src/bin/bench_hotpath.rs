@@ -8,7 +8,11 @@
 //!    compress/decompress MB/s for every study codec (Table 2's speed
 //!    columns), over one image per mini-app. Each direction is one
 //!    pass over all the images; the MB/s come from the median pass.
-//! 2. **Drain indicators** — the `indicators/v1` values folded from the
+//! 2. **CRC-64 throughput** — MB/s of `Crc64::of` over the 64 KiB NVM
+//!    granules of a `BENCH_MB`-sized image and over the whole image,
+//!    with the path `Crc64::update` takes on this CPU. Recorded, not
+//!    gated.
+//! 3. **Drain indicators** — the `indicators/v1` values folded from the
 //!    event bus of one full drain of a `BENCH_MB`-sized image.
 //!
 //! Every timed row repeats its work for at least one second
@@ -27,6 +31,7 @@ use std::path::PathBuf;
 use cr_bench::perf::{mb_per_s, time_window, Timing};
 use cr_compress::compression_factor;
 use cr_compress::registry::study_codecs;
+use cr_node::integrity::{granule_crcs, Crc64, GRANULE};
 use cr_node::ndp::StepOutcome;
 use cr_node::node::{ComputeNode, NodeConfig};
 use cr_obs::json::Value;
@@ -127,6 +132,42 @@ fn codec_section(images: &[(String, Vec<u8>)]) -> Value {
     Value::Arr(rows)
 }
 
+/// The CRC-64 path `Crc64::update` takes for inputs of at least 128
+/// bytes on this CPU.
+fn crc64_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("pclmulqdq") {
+        return "pclmulqdq";
+    }
+    "slicing_by_8"
+}
+
+fn crc64_section(image: &[u8]) -> Value {
+    println!("== CRC-64 throughput ==");
+    let path = crc64_path();
+    let granules = time_window(|| {
+        std::hint::black_box(granule_crcs(std::hint::black_box(image)));
+    });
+    let whole = time_window(|| {
+        std::hint::black_box(Crc64::of(std::hint::black_box(image)));
+    });
+    let granule_mb_s = mb_per_s(image.len(), granules.median);
+    let image_mb_s = mb_per_s(image.len(), whole.median);
+    println!(
+        "{path:16} granules {granule_mb_s:>9.1} MB/s  whole image {image_mb_s:>9.1} MB/s"
+    );
+    let mut row = vec![
+        ("path".into(), Value::str(path)),
+        ("input_bytes".into(), Value::Num(image.len() as f64)),
+        ("granule_bytes".into(), Value::Num(GRANULE as f64)),
+        ("granule_mb_s".into(), Value::Num(granule_mb_s)),
+        ("image_mb_s".into(), Value::Num(image_mb_s)),
+    ];
+    row.extend(prefixed("granule", &granules));
+    row.extend(prefixed("image", &whole));
+    Value::Obj(row)
+}
+
 /// Drives the full drain pipeline (host checkpoint -> NVM -> NDP
 /// compress -> NIC -> remote object) and returns the `indicators/v1`
 /// values folded from the node's event stream (drain jobs, stalls,
@@ -168,11 +209,12 @@ fn main() {
         .iter()
         .map(|a| (a.name().to_string(), a.generate(per_app, SEED)))
         .collect();
-    // Drain input: the full-size image of the first app (CoMD-like,
-    // mixed compressibility).
+    // Drain and CRC input: the full-size image of the first app
+    // (CoMD-like, mixed compressibility).
     let drain_image = apps[0].generate(opts.image_mb << 20, SEED + 1);
 
     let codecs = codec_section(&images);
+    let crc64 = crc64_section(&drain_image);
     let indicators = drain_indicators(&drain_image);
 
     let doc = Value::Obj(vec![
@@ -199,6 +241,7 @@ fn main() {
             ]),
         ),
         ("codecs".into(), codecs),
+        ("crc64".into(), crc64),
         ("indicators".into(), indicators),
     ]);
 

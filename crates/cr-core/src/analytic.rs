@@ -91,23 +91,25 @@ impl Recovery {
 }
 
 /// Whether a recovery episode can ever end: an I/O restore must have a
-/// nonzero chance to finish between two failures, unless every failure
-/// recovers locally. [`solve_cycle`] panics on a configuration that
-/// fails this; front ends check it first.
+/// nonzero chance to finish between two failures, or, when every
+/// failure recovers locally, a local restore must. [`solve_cycle`]
+/// panics on a configuration that fails this; front ends check it
+/// first.
 pub fn recovery_can_succeed(sys: &SystemParams, strat: &Strategy) -> bool {
     let d = derive_costs(sys, strat);
-    restore_can_finish(d.p_local, d.restore_io, sys.mtti)
+    restore_can_finish(d.p_local, d.restore_local, d.restore_io, sys.mtti)
 }
 
-fn restore_can_finish(p_local: f64, r_io: f64, mtti: f64) -> bool {
-    survival_prob(r_io, mtti) > 0.0 || p_local >= 1.0
+fn restore_can_finish(p_local: f64, r_local: f64, r_io: f64, mtti: f64) -> bool {
+    let last_resort = if p_local >= 1.0 { r_local } else { r_io };
+    survival_prob(last_resort, mtti) > 0.0
 }
 
 /// Solves the recovery episode (see [`Recovery`]).
 fn solve_recovery(p_local: f64, r_local: f64, r_io: f64, mtti: f64) -> Recovery {
     let q_l = survival_prob(r_local, mtti);
     assert!(
-        restore_can_finish(p_local, r_io, mtti),
+        restore_can_finish(p_local, r_local, r_io, mtti),
         "recovery can never succeed: restore times vastly exceed MTTI"
     );
     let w_l = expected_time_before_interrupt(r_local, mtti);
@@ -556,6 +558,23 @@ mod tests {
             assert!(e >= last && e <= exec);
             last = e;
         }
+    }
+
+    #[test]
+    fn recovery_needs_a_restore_that_can_finish() {
+        // A 7.5 s local restore at a 6 ms MTTI never finishes; with
+        // every failure local, nothing else can end the episode.
+        let tiny = SystemParams {
+            mtti: 0.006,
+            ..sys()
+        };
+        let local = Strategy::LocalOnly { interval: None };
+        assert!(!recovery_can_succeed(&tiny, &local));
+        assert!(recovery_can_succeed(&sys(), &local));
+        // The I/O restore decides once some failures are not local.
+        let host = Strategy::local_io_host(4, 0.85, None);
+        assert!(!recovery_can_succeed(&tiny, &host));
+        assert!(recovery_can_succeed(&sys(), &host));
     }
 
     #[test]

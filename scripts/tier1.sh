@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a commit must pass, with no network access.
 #
-#   build (release)  ->  tests  ->  clippy (deny warnings)
+#   build (release)  ->  tests  ->  cr-node tests (release)
+#   ->  clippy (deny warnings)
 #
 # Each phase prints its wall time. Tests run without `--quiet`, so every
 # test binary's `Running ...` line sits above its `finished in Ns` line.
@@ -22,6 +23,9 @@ phase() {
 
 phase "release build" cargo build --release --offline --workspace
 phase "tests" cargo test --offline --workspace
+# `cr-node` holds the workspace's unsafe code (the CRC-64 kernel); its
+# tests run optimized too, where debug assertions are compiled out.
+phase "cr-node tests (release)" cargo test --release --offline -p cr-node
 phase "clippy (deny warnings)" \
     cargo clippy --offline --workspace --all-targets -- -D warnings
 

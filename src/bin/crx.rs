@@ -12,6 +12,7 @@
 //! crx --help
 //! ```
 
+use ndp_checkpoint::cr_core::params::derive_costs;
 use ndp_checkpoint::cr_core::{analytic, ratio_opt};
 use ndp_checkpoint::prelude::*;
 
@@ -110,10 +111,19 @@ fn system_from(flags: &Flags) -> Result<SystemParams, String> {
     })
 }
 
+/// Lowest analytic progress rate a simulated configuration may have.
+/// The simulator stops only after a successful commit or at `max_wall`
+/// (1e12 s), so a run far below this rate would not end in practice.
+const MIN_PROGRESS: f64 = 1e-6;
+
 /// Builds a strategy from `--strategy`, `--p-local` (in [0, 1]),
-/// `--compress` (in (0, 1]), `--ratio` (at least 1) and `--interval`
-/// (positive seconds). Refuses a configuration whose recovery could
-/// never end on `sys` (the analytic model would panic on it).
+/// `--compress` (in (0, 1]), `--ratio` (in [1, MAX_RATIO]) and
+/// `--interval` (positive seconds). Refuses a configuration whose
+/// recovery could never end on `sys` (the analytic model would panic on
+/// it), an NDP one that would need more than `MAX_RATIO` intervals to
+/// drain one checkpoint (the ratio sizes the model's state chain), and
+/// one whose analytic progress rate is below [`MIN_PROGRESS`] or not
+/// finite (its simulation would never end).
 fn strategy_from(
     flags: &Flags,
     sys: &SystemParams,
@@ -143,10 +153,11 @@ fn strategy_from(
             ratio: match flags.get("ratio") {
                 None => 1,
                 Some(r) => match r.parse::<u32>() {
-                    Ok(k) if k >= 1 => k,
+                    Ok(k) if (1..=ratio_opt::MAX_RATIO).contains(&k) => k,
                     _ => {
                         return Err(format!(
-                            "--ratio: {r} is not an integer >= 1"
+                            "--ratio: {r} is not an integer in [1, {}]",
+                            ratio_opt::MAX_RATIO
                         ))
                     }
                 },
@@ -169,10 +180,22 @@ fn strategy_from(
     };
     if !analytic::recovery_can_succeed(sys, &strat) {
         return Err(format!(
-            "--mtti: {} min is too short: an I/O restore could never \
-             finish between two failures",
+            "--mtti: {} min is too short: a restore could never finish \
+             between two failures",
             sys.mtti / MINUTE
         ));
+    }
+    if let Strategy::LocalIoNdp { .. } = strat {
+        let d = derive_costs(sys, &strat);
+        if d.ratio > ratio_opt::MAX_RATIO {
+            return Err(format!(
+                "--interval: {} s is too short: draining one checkpoint \
+                 ({:.0} s) would take more than {} intervals",
+                d.interval,
+                d.ndp_drain_time,
+                ratio_opt::MAX_RATIO
+            ));
+        }
     }
     if let Strategy::LocalIoHost {
         interval,
@@ -190,6 +213,15 @@ fn strategy_from(
             )
             .0;
         }
+    }
+    let progress = analytic::solve_cycle(sys, &strat).progress_rate();
+    if !(progress >= MIN_PROGRESS && progress.is_finite()) {
+        return Err(format!(
+            "--mtti: {} min is too short: the analytic progress rate is \
+             {progress:e}, below {MIN_PROGRESS:e}, so a simulated run \
+             would never finish",
+            sys.mtti / MINUTE
+        ));
     }
     Ok(strat)
 }
@@ -690,9 +722,18 @@ mod tests {
             (&["--compress", "0"], "--compress"),
             (&["--compress", "nan"], "--compress"),
             (&["--strategy", "host", "--ratio", "0"], "--ratio"),
+            (&["--strategy", "host", "--ratio", "401"], "--ratio"),
             (&["--mtti", "0.01"], "--mtti"),
             (&["--mtti", "0.01", "--strategy", "host"], "--mtti"),
             (&["--mtti", "0.01", "--strategy", "io-only"], "--mtti"),
+            // The drain ratio (drain time over interval) sizes the
+            // model's state chain.
+            (&["--strategy", "ndp", "--interval", "1e-7"], "--interval"),
+            (&["--strategy", "ndp", "--interval", "2"], "--interval"),
+            // Progress rate ~6e-12: the simulation would never end.
+            (&["--mtti", "0.01", "--strategy", "local"], "--mtti"),
+            // Not even a local restore can finish.
+            (&["--mtti", "0.0001", "--strategy", "local"], "--mtti"),
         ];
         for (args, flag) in cases {
             let f = flags(&[&["evaluate"], *args].concat());
@@ -706,13 +747,22 @@ mod tests {
             let err = count_from(&flags(&["evaluate", &flag, "0"]), key, 4);
             assert!(err.unwrap_err().starts_with(&flag));
         }
-        // Every failure recovers locally: no I/O restore has to finish.
-        let f = flags(&["evaluate", "--mtti", "0.01", "--strategy", "local"]);
+        // Every failure recovers locally: no I/O restore has to finish
+        // (a 10 s one at a 12 ms MTTI never does).
+        let args = ["--mtti", "0.0002", "--size", "1"];
+        let f = flags(&[&["evaluate", "--strategy", "local"], &args[..]].concat());
+        assert!(strategy_from(&f, &system_from(&f).unwrap()).is_ok());
+        let f = flags(&[&["evaluate", "--strategy", "ndp"], &args[..]].concat());
+        let err = strategy_from(&f, &system_from(&f).unwrap()).unwrap_err();
+        assert!(err.starts_with("--mtti"), "{err}");
+        // Ratio 374: the longest drain that fits.
+        let f = flags(&["evaluate", "--strategy", "ndp", "--interval", "3"]);
         assert!(strategy_from(&f, &system_from(&f).unwrap()).is_ok());
 
+        // Drain ratio 254 (a 0.5 s interval would need 508).
         let edges = flags(&[
             "evaluate", "--p-local", "1", "--compress", "1", "--interval",
-            "0.5",
+            "1",
         ]);
         let sys = system_from(&edges).unwrap();
         assert!(strategy_from(&edges, &sys).is_ok());

@@ -1,7 +1,7 @@
 //! The command-line surface the README documents, held against the real
 //! `crx` binary and the `examples/` directory. None of these tests runs
 //! a simulation: they read `--help`, or feed `crx` flags it must reject
-//! before any model code runs.
+//! before any simulation starts.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -72,11 +72,23 @@ fn crx_rejects_out_of_range_flags() {
         .join("results/INDICATORS_sim.json");
     let snapshot = snapshot.to_str().unwrap();
     let self_diff = ["obs", "diff", snapshot, snapshot];
+    let ndp = ["evaluate", "--strategy", "ndp"];
+    let local = [
+        "evaluate", "--strategy", "local", "--replicas", "1", "--failures", "50",
+    ];
     let cases: &[(&[&str], &str)] = &[
         (&["evaluate", "--interval", "0"], "--interval"),
         (&["evaluate", "--p-local", "1.5"], "--p-local"),
         (&["evaluate", "--mtti", "0"], "--mtti"),
         (&["evaluate", "--mtti", "0.01"], "--mtti"),
+        (&[&ndp[..], &["--interval", "1e-7"]].concat(), "--interval"),
+        (&["evaluate", "--strategy", "host", "--ratio", "4000000000"], "--ratio"),
+        // Progress rates far below 1e-6: the simulations would not end.
+        (&[&local[..], &["--mtti", "0.01"]].concat(), "--mtti"),
+        (&[&local[..], &["--mtti", "0.0001"]].concat(), "--mtti"),
+        (&["trace", "--strategy", "local", "--mtti", "0.01"], "--mtti"),
+        (&["report", "--strategy", "local", "--mtti", "0.01"], "--mtti"),
+        (&["export", "--strategy", "local", "--mtti", "0.01"], "--mtti"),
         (&["evaluate", "--failures", "0"], "--failures"),
         (&["report", "--failures", "0"], "--failures"),
         (&["evaluate", "--replicas", "0"], "--replicas"),
