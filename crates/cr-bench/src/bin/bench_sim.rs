@@ -243,7 +243,7 @@ fn solve_section() -> Value {
     let scan = time_window(|| {
         for ratio in 1..=MAX_RATIO {
             let strat = Strategy::local_io_host(ratio, 0.8, None);
-            std::hint::black_box(solve_cycle(&system, &strat));
+            let _ = std::hint::black_box(solve_cycle(&system, &strat));
         }
     });
     let solves_per_s = MAX_RATIO as f64 / scan.median;

@@ -465,7 +465,9 @@ pub fn fig7(opts: &ReproOpts) -> Vec<Fig7Row> {
             Fig7Row {
                 label,
                 sim: avg.pooled,
-                analytic: analytic::evaluate(&sys, &analytic_strat),
+                analytic: analytic::solve_cycle(&sys, &analytic_strat)
+                    .expect("admitted")
+                    .breakdown,
             }
         })
         .collect()

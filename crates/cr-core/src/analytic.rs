@@ -36,9 +36,48 @@
 //! the rerun split between levels uses a proportional attribution
 //! documented on [`solve_cycle`].
 
+use std::fmt;
+
 use crate::breakdown::Breakdown;
 use crate::daly::{expected_time_before_interrupt, survival_prob};
 use crate::params::{derive_costs, DrainLagModel, Strategy, SystemParams};
+use crate::ratio_opt::MAX_RATIO;
+
+/// Lowest progress rate [`solve_cycle`] admits: a simulation stops
+/// only after a successful commit, so one far slower would not end.
+pub const MIN_PROGRESS: f64 = 1e-6;
+
+/// Why [`solve_cycle`] refuses a configuration. Each variant's doc and
+/// `Display` start with the parameter at fault.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Refusal {
+    /// `interval`: a cycle would need more than [`MAX_RATIO`] segments
+    /// (an NDP drain far longer than the interval).
+    ChainTooLong,
+    /// `mtti`: no restore can finish between two failures.
+    RestoreNeverFinishes,
+    /// `mtti`: the cycle time is not finite, or the progress rate it
+    /// carries (0 for NaN) is below [`MIN_PROGRESS`].
+    NoProgress(f64),
+}
+
+impl fmt::Display for Refusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Refusal::ChainTooLong => write!(
+                f,
+                "interval: too short: over {MAX_RATIO} segments per cycle"
+            ),
+            Refusal::RestoreNeverFinishes => f.write_str(
+                "mtti: too short: no restore can finish between two failures",
+            ),
+            Refusal::NoProgress(p) => write!(
+                f,
+                "mtti: too short: progress {p:.2e} is below {MIN_PROGRESS:e}"
+            ),
+        }
+    }
+}
 
 /// Expected time spent in the *compute prefix* of an interrupted
 /// activity: `E[min(X, exec) | X < a]` for `X ~ Exp(1/M)`.
@@ -90,28 +129,9 @@ impl Recovery {
     }
 }
 
-/// Whether a recovery episode can ever end: an I/O restore must have a
-/// nonzero chance to finish between two failures, or, when every
-/// failure recovers locally, a local restore must. [`solve_cycle`]
-/// panics on a configuration that fails this; front ends check it
-/// first.
-pub fn recovery_can_succeed(sys: &SystemParams, strat: &Strategy) -> bool {
-    let d = derive_costs(sys, strat);
-    restore_can_finish(d.p_local, d.restore_local, d.restore_io, sys.mtti)
-}
-
-fn restore_can_finish(p_local: f64, r_local: f64, r_io: f64, mtti: f64) -> bool {
-    let last_resort = if p_local >= 1.0 { r_local } else { r_io };
-    survival_prob(last_resort, mtti) > 0.0
-}
-
 /// Solves the recovery episode (see [`Recovery`]).
 fn solve_recovery(p_local: f64, r_local: f64, r_io: f64, mtti: f64) -> Recovery {
     let q_l = survival_prob(r_local, mtti);
-    assert!(
-        restore_can_finish(p_local, r_local, r_io, mtti),
-        "recovery can never succeed: restore times vastly exceed MTTI"
-    );
     let w_l = expected_time_before_interrupt(r_local, mtti);
 
     // Absorbing I/O mode: repeat the I/O restore until it completes
@@ -124,9 +144,9 @@ fn solve_recovery(p_local: f64, r_local: f64, r_io: f64, mtti: f64) -> Recovery 
 
     // Local mode: attempt the local restore; interruption re-samples
     // survivability — stay local with prob p_local, fall into I/O mode
-    // otherwise.
-    let denom = 1.0 - (1.0 - q_l) * p_local;
-    debug_assert!(denom > 0.0);
+    // otherwise. The denominator is 1 − (1 − q_l)·p_local, written
+    // without the cancellation that rounds it to 0 when q_l is tiny.
+    let denom = q_l + (1.0 - q_l) * (1.0 - p_local);
     // P(episode in local mode ends locally).
     let p_ends_local = q_l / denom;
     // E[local-restore time while in local mode].
@@ -241,16 +261,32 @@ impl CycleSolution {
 /// percent in all evaluated regimes (see the cross-validation
 /// integration tests).
 ///
+/// # Errors
+///
+/// Refuses a configuration outside the model's domain, checking the
+/// [`Refusal`] variants in order. An admitted one has a finite,
+/// validated breakdown.
+///
 /// # Panics
 ///
-/// Panics if the configuration diverges (expected cycle time infinite),
-/// which under this model requires restore times enormously larger than
-/// the MTTI.
-pub fn solve_cycle(sys: &SystemParams, strat: &Strategy) -> CycleSolution {
+/// Panics on a malformed strategy (see [`derive_costs`]).
+pub fn solve_cycle(
+    sys: &SystemParams,
+    strat: &Strategy,
+) -> Result<CycleSolution, Refusal> {
     let d = derive_costs(sys, strat);
     let mtti = sys.mtti;
     let tau = d.interval;
     let k = effective_k(strat, d.ratio);
+    if k > MAX_RATIO {
+        return Err(Refusal::ChainTooLong);
+    }
+    // A recovery ends only if its last-resort restore (the local one
+    // when every failure recovers locally) can finish between failures.
+    let last_resort = if d.p_local >= 1.0 { d.restore_local } else { d.restore_io };
+    if survival_prob(last_resort, mtti) == 0.0 {
+        return Err(Refusal::RestoreNeverFinishes);
+    }
 
     let recovery = solve_recovery(d.p_local, d.restore_local, d.restore_io, mtti);
 
@@ -294,18 +330,6 @@ pub fn solve_cycle(sys: &SystemParams, strat: &Strategy) -> CycleSolution {
     let totals = solve_chain(&states, mtti, recovery, redo_cycle);
     let work_per_cycle = k as f64 * tau;
 
-    // Exact identity check: buckets partition total time.
-    let bucket_sum = totals.exec
-        + totals.ckpt_local
-        + totals.ckpt_io
-        + totals.restore_local
-        + totals.restore_io;
-    debug_assert!(
-        (bucket_sum - totals.total).abs() <= 1e-6 * totals.total.max(1.0),
-        "bucket accounting mismatch: {bucket_sum} vs {}",
-        totals.total
-    );
-
     let rerun_total = (totals.exec - work_per_cycle).max(0.0);
     let lost_sum = totals.raw_lost_local + totals.raw_lost_io;
     let (rerun_local, rerun_io) = if lost_sum > 0.0 {
@@ -324,27 +348,41 @@ pub fn solve_cycle(sys: &SystemParams, strat: &Strategy) -> CycleSolution {
         rerun_local,
         rerun_io,
     };
+    let progress = breakdown.progress_rate();
+    if !(totals.total.is_finite() && progress >= MIN_PROGRESS) {
+        return Err(Refusal::NoProgress(progress.max(0.0)));
+    }
+
+    // Exact identity check: buckets partition total time.
+    let bucket_sum = totals.exec
+        + totals.ckpt_local
+        + totals.ckpt_io
+        + totals.restore_local
+        + totals.restore_io;
+    debug_assert!(
+        (bucket_sum - totals.total).abs() <= 1e-6 * totals.total.max(1.0),
+        "bucket accounting mismatch: {bucket_sum} vs {}",
+        totals.total
+    );
     debug_assert!(breakdown.validate().is_ok());
 
-    CycleSolution {
+    Ok(CycleSolution {
         breakdown,
         cycle_time: totals.total,
         work_per_cycle,
         ratio: k,
         interval: tau,
-    }
-}
-
-/// Evaluates a configuration, returning the expected execution-time
-/// breakdown (per cycle; all derived ratios are scale-free).
-pub fn evaluate(sys: &SystemParams, strat: &Strategy) -> Breakdown {
-    solve_cycle(sys, strat).breakdown
+    })
 }
 
 /// Progress rate (efficiency) of a configuration under the analytic
 /// model.
+///
+/// # Panics
+///
+/// Panics on a configuration [`solve_cycle`] refuses.
 pub fn progress_rate(sys: &SystemParams, strat: &Strategy) -> f64 {
-    solve_cycle(sys, strat).progress_rate()
+    solve_cycle(sys, strat).expect("refused configuration").progress_rate()
 }
 
 /// The number of segments per cycle for the chain.
@@ -447,9 +485,10 @@ fn solve_chain(
             }
         }
 
+        // 0 when a state never finishes and every failure recovers
+        // locally: the cycle time is not finite, and `solve_cycle` refuses.
         let a_coef = 1.0 - fail * pi_l;
         let bx_coef = fail * (1.0 - pi_l);
-        debug_assert!(a_coef > 0.0);
 
         for b in 0..N_BUCKETS {
             alpha[b] = (c[b] + q * alpha[b]) / a_coef;
@@ -489,11 +528,12 @@ fn solve_chain(
     // completing the cycle; it approaches (but never reaches) 1 for
     // configurations whose completion probability underflows. Clamp so
     // such configurations report astronomically large — but finite —
-    // cycle times (progress ≈ 0) instead of failing. Past the clamp the
-    // cycle time no longer grows with the work per cycle, so progress
-    // *rises* with the ratio in this hopeless tail (by ~1e-15, e.g.
-    // 1.7e-15 at ratio 133 and 5.2e-15 at 400 for `exascale_default`,
-    // p_local 0.2, 600 s interval); `ratio_opt`'s search must not
+    // cycle times instead of dividing by 0. Past the clamp the cycle
+    // time no longer grows with the work per cycle, so progress rises
+    // with the ratio (by ~1e-15, e.g. 1.7e-15 at ratio 133 and 5.2e-15
+    // at 400 for `exascale_default`, p_local 0.2, 600 s interval).
+    // `solve_cycle` refuses that tail, far below `MIN_PROGRESS`, but the
+    // refusal carries the rate, and `ratio_opt`'s search must not
     // follow it.
     let x_coef = (q0 * (1.0 - beta1)).max(1e-300);
 
@@ -535,6 +575,7 @@ fn local_only_cycle_costs(
 mod tests {
     use super::*;
     use crate::params::CompressionSpec;
+    use crate::units::MINUTE;
 
 
     fn sys() -> SystemParams {
@@ -568,13 +609,57 @@ mod tests {
             mtti: 0.006,
             ..sys()
         };
+        let never = Refusal::RestoreNeverFinishes;
         let local = Strategy::LocalOnly { interval: None };
-        assert!(!recovery_can_succeed(&tiny, &local));
-        assert!(recovery_can_succeed(&sys(), &local));
+        assert_eq!(solve_cycle(&tiny, &local), Err(never));
+        assert!(solve_cycle(&sys(), &local).is_ok());
         // The I/O restore decides once some failures are not local.
         let host = Strategy::local_io_host(4, 0.85, None);
-        assert!(!recovery_can_succeed(&tiny, &host));
-        assert!(recovery_can_succeed(&sys(), &host));
+        assert_eq!(solve_cycle(&tiny, &host), Err(never));
+        assert!(solve_cycle(&sys(), &host).is_ok());
+        assert!(never.to_string().starts_with("mtti: "));
+    }
+
+    #[test]
+    fn refusals_name_the_parameter_at_fault() {
+        // An NDP drain of 1120 s at a 1 s interval needs 1120 segments.
+        let ndp = Strategy::LocalIoNdp {
+            interval: Some(1.0),
+            ratio: None,
+            p_local: 0.85,
+            compression: None,
+            drain_lag: DrainLagModel::Pipelined,
+        };
+        let r = solve_cycle(&sys(), &ndp).unwrap_err();
+        assert_eq!(r, Refusal::ChainTooLong);
+        assert!(r.to_string().starts_with("interval: "), "{r}");
+        // A 0.6 s MTTI: the local restore can finish, but progress is
+        // ~e^-12 of a cycle.
+        let short = SystemParams { mtti: 0.6, ..sys() };
+        let local = Strategy::LocalOnly { interval: None };
+        let r = solve_cycle(&short, &local).unwrap_err();
+        assert!(
+            matches!(r, Refusal::NoProgress(p) if (0.0..1e-9).contains(&p)),
+            "{r:?}"
+        );
+        assert!(r.to_string().starts_with("mtti: "), "{r}");
+    }
+
+    #[test]
+    fn local_only_near_the_progress_floor_validates() {
+        // At 10^(-5/3) min the local-only progress rate is ~3.5e-6 and
+        // q_l is tiny: the recovery denominator 1 - (1 - q_l)·p_local,
+        // computed by subtraction, loses q_l to rounding here and gives
+        // negative restore and rerun times.
+        let s = SystemParams {
+            mtti: 10f64.powf(-5.0 / 3.0) * MINUTE,
+            ..sys()
+        };
+        let sol =
+            solve_cycle(&s, &Strategy::LocalOnly { interval: None }).unwrap();
+        sol.breakdown.validate().unwrap();
+        let p = sol.progress_rate();
+        assert!((MIN_PROGRESS..1e-5).contains(&p), "progress {p}");
     }
 
     #[test]
@@ -599,7 +684,7 @@ mod tests {
         let strat = Strategy::LocalOnly {
             interval: Some(tau),
         };
-        let sol = solve_cycle(&sys, &strat);
+        let sol = solve_cycle(&sys, &strat).unwrap();
         let delta = sys.delta_local();
         let m = sys.mtti;
         let daly =
@@ -619,7 +704,7 @@ mod tests {
             interval: None,
             compression: None,
         };
-        let sol = solve_cycle(&sys, &strat);
+        let sol = solve_cycle(&sys, &strat).unwrap();
         let t_io = sys.t_io_uncompressed();
         let tau = sol.interval;
         let m = sys.mtti;
@@ -708,7 +793,7 @@ mod tests {
             compression: Some(CompressionSpec::gzip1_ndp()),
             drain_lag: DrainLagModel::Ignore,
         };
-        let sol = solve_cycle(&s, &strat);
+        let sol = solve_cycle(&s, &strat).unwrap();
         let p = sol.progress_rate();
         assert!(p > 0.86 && p < 0.91, "progress = {p}");
         // No host-blocking I/O checkpoint time at all.
@@ -728,7 +813,7 @@ mod tests {
             compression: None,
             drain_lag: DrainLagModel::Ignore,
         };
-        let b = evaluate(&s, &strat);
+        let b = solve_cycle(&s, &strat).unwrap().breakdown;
         let f = b.as_fractions();
         assert!(
             (f.rerun_io - 0.012).abs() < 0.006,
@@ -779,7 +864,7 @@ mod tests {
             },
             Strategy::LocalOnly { interval: None },
         ] {
-            let sol = solve_cycle(&s, &strat);
+            let sol = solve_cycle(&s, &strat).unwrap();
             let b = sol.breakdown;
             assert!(
                 (b.total() - sol.cycle_time).abs()
@@ -801,7 +886,8 @@ mod tests {
             ..sys()
         };
         let k = 10;
-        let sol = solve_cycle(&s, &Strategy::local_io_host(k, 0.8, None));
+        let sol =
+            solve_cycle(&s, &Strategy::local_io_host(k, 0.8, None)).unwrap();
         let tau = 150.0;
         let delta = s.delta_local();
         let t_io = s.t_io_uncompressed();

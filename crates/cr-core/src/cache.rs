@@ -18,7 +18,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use crate::analytic::{solve_cycle, CycleSolution};
+use crate::analytic::{solve_cycle, CycleSolution, Refusal};
 use crate::params::{
     CompressionSpec, DrainLagModel, Strategy, SystemParams,
 };
@@ -143,10 +143,10 @@ impl CycleKey {
     }
 }
 
-/// A memo table over [`solve_cycle`] results.
+/// A memo table over [`solve_cycle`] results, refusals included.
 #[derive(Debug, Default)]
 struct CycleCache {
-    map: HashMap<CycleKey, CycleSolution>,
+    map: HashMap<CycleKey, Result<CycleSolution, Refusal>>,
     hits: u64,
     misses: u64,
 }
@@ -159,7 +159,7 @@ impl CycleCache {
         &mut self,
         sys: &SystemParams,
         strat: &Strategy,
-    ) -> CycleSolution {
+    ) -> Result<CycleSolution, Refusal> {
         let key = CycleKey::new(sys, strat);
         if let Some(sol) = self.map.get(&key) {
             self.hits += 1;
@@ -183,7 +183,7 @@ thread_local! {
 pub fn solve_cycle_cached(
     sys: &SystemParams,
     strat: &Strategy,
-) -> CycleSolution {
+) -> Result<CycleSolution, Refusal> {
     GLOBAL
         .try_with(|cache| {
             let mut cache = cache.borrow_mut();
@@ -232,7 +232,13 @@ mod tests {
         }
     }
 
-    fn assert_identical(a: &CycleSolution, b: &CycleSolution) {
+    fn assert_identical(
+        a: &Result<CycleSolution, Refusal>,
+        b: &Result<CycleSolution, Refusal>,
+    ) {
+        let (Ok(a), Ok(b)) = (a, b) else {
+            return assert_eq!(a, b);
+        };
         assert_eq!(a.breakdown, b.breakdown);
         assert_eq!(a.cycle_time.to_bits(), b.cycle_time.to_bits());
         assert_eq!(
@@ -301,6 +307,7 @@ mod tests {
         let mut cache = CycleCache::default();
         let a = cache.solve(&sys(), &Strategy::local_io_host(10, 0.8, None));
         let b = cache.solve(&sys(), &Strategy::local_io_host(11, 0.8, None));
+        let (a, b) = (a.unwrap(), b.unwrap());
         assert_ne!(
             a.breakdown.progress_rate(),
             b.breakdown.progress_rate()

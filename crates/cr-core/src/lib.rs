@@ -51,7 +51,7 @@
 //! // Multilevel checkpointing, host writes to global I/O, 80% of
 //! // failures recoverable from node-local NVM, no compression.
 //! let strat = Strategy::local_io_host(12, 0.8, None);
-//! let outcome = analytic::evaluate(&sys, &strat);
+//! let outcome = analytic::solve_cycle(&sys, &strat).expect("admitted");
 //! assert!(outcome.progress_rate() > 0.0 && outcome.progress_rate() < 1.0);
 //! ```
 

@@ -9,7 +9,7 @@
 //! smallest sustainable one (computed in [`crate::params::derive_costs`]).
 
 use crate::breakdown::Breakdown;
-use crate::analytic::solve_cycle;
+use crate::analytic::{solve_cycle, CycleSolution, Refusal};
 use crate::cache::solve_cycle_cached;
 use crate::params::{CompressionSpec, Strategy, SystemParams};
 
@@ -19,7 +19,8 @@ use crate::params::{CompressionSpec, Strategy, SystemParams};
 pub const MAX_RATIO: u32 = 400;
 
 /// Progress rate of `Local + I/O-Host` for every ratio in `1..=max`
-/// (Figure 4's x-axis sweep). Returns `(ratio, breakdown)` pairs.
+/// (Figure 4's x-axis sweep). Returns `(ratio, breakdown)` pairs; the
+/// ratios the model refuses are left out.
 pub fn host_overhead_sweep(
     sys: &SystemParams,
     p_local: f64,
@@ -27,11 +28,22 @@ pub fn host_overhead_sweep(
     max: u32,
 ) -> Vec<(u32, Breakdown)> {
     (1..=max)
-        .map(|ratio| {
+        .filter_map(|ratio| {
             let strat = Strategy::local_io_host(ratio, p_local, compression);
-            (ratio, solve_cycle(sys, &strat).breakdown)
+            Some((ratio, solve_cycle(sys, &strat).ok()?.breakdown))
         })
         .collect()
+}
+
+/// A solve's score in the search: its progress rate, which a refusal
+/// for too little progress carries too, else 0. Refused ratios rank
+/// below every admitted one, yet still rise towards an admitted peak.
+fn score(sol: Result<CycleSolution, Refusal>) -> f64 {
+    match sol {
+        Ok(s) => s.progress_rate(),
+        Err(Refusal::NoProgress(progress)) => progress,
+        Err(_) => 0.0,
+    }
 }
 
 /// Finds the ratio maximising progress rate for `Local + I/O-Host` with
@@ -39,7 +51,8 @@ pub fn host_overhead_sweep(
 /// level, used by the §6.5 sensitivity sweeps where the hardware
 /// varies). Returns `(best_ratio, best_progress)`: the first maximum
 /// over `1..=MAX_RATIO`, exactly as a full scan would find it, from
-/// about 12 solves instead of 400.
+/// about 12 solves instead of 400. A refused ratio ranks below every
+/// admitted one, so the best is refused only if every ratio is.
 pub fn best_host_ratio_at(
     sys: &SystemParams,
     p_local: f64,
@@ -53,7 +66,7 @@ pub fn best_host_ratio_at(
             p_local,
             compression,
         };
-        solve_cycle_cached(sys, &strat).progress_rate()
+        score(solve_cycle_cached(sys, &strat))
     })
 }
 
@@ -65,10 +78,10 @@ const WINDOW: u32 = 9;
 ///
 /// Progress over ratio rises to one peak and then falls, up to
 /// reversals of a few 1e-16 near the peak. Past the point where a
-/// configuration becomes hopeless it rises again, by ~1e-15, because
-/// the solver clamps the cycle time (see `analytic::solve_cycle`), so
-/// a plain ternary search over the whole range can land on
-/// `MAX_RATIO`. The search therefore:
+/// configuration becomes hopeless the model refuses it, and the rate
+/// the refusal carries rises again, by ~1e-15, as the solver clamps the
+/// cycle time (see `analytic::solve_cycle`), so a plain ternary search
+/// over the whole range can land on `MAX_RATIO`. The search therefore:
 ///
 /// 1. gallops from 1 (1, 2, 4, …, capped at `MAX_RATIO`) to the first
 ///    step that does not improve, which stops well before that tail;
@@ -301,8 +314,8 @@ mod tests {
             _ => quad(137.0)(r),
         };
         // A peak at 3, nothing in between, then a clamped tail that
-        // rises with ratio and outranks the middle (as `solve_cycle`'s
-        // clamp produces at a 600 s interval).
+        // rises with ratio and outranks the middle (as the rates of
+        // `solve_cycle`'s refusals do at a 600 s interval).
         let clamped_tail = |r: u32| {
             if r < 133 {
                 0.159 * (-((r as f64 - 3.0).powi(2)) / 50.0).exp()
@@ -328,7 +341,7 @@ mod tests {
     /// Every `(system, p_local, compression, interval)` cell of the
     /// oracle grid: the Figure 5 grid, the §6.5 sensitivity systems at
     /// the Daly interval, a 600 s interval at p_local <= 0.2 (where
-    /// progress rises again in the clamped tail), and a mixed fill.
+    /// the model refuses every ratio past the optimum), and a mixed fill.
     fn oracle_grid() -> Vec<(SystemParams, f64, Option<f64>, Option<f64>)> {
         let base = sys();
         let mut cells = Vec::new();
@@ -404,7 +417,7 @@ mod tests {
             let cell = format!(
                 "{s:?} p_local {p_local} factor {factor:?} interval {interval:?}"
             );
-            let curve: Vec<f64> = (1..=MAX_RATIO)
+            let solves: Vec<_> = (1..=MAX_RATIO)
                 .map(|ratio| {
                     let strat = Strategy::LocalIoHost {
                         interval,
@@ -412,24 +425,42 @@ mod tests {
                         p_local,
                         compression: comp,
                     };
-                    solve_cycle(&s, &strat).progress_rate()
+                    solve_cycle(&s, &strat)
                 })
                 .collect();
+            let curve: Vec<f64> = solves.iter().map(|&s| score(s)).collect();
             let at = |r: u32| curve[r as usize - 1];
             calls += search_matches_scan(at, &cell);
             let want = scan(at);
             let best = best_host_ratio_at(&s, p_local, comp, interval);
             assert_eq!(best.0, want.0, "{cell}");
             assert_eq!(best.1.to_bits(), want.1.to_bits(), "{cell}");
-            // Progress falls past the optimum, then rises again to the
-            // last ratio: the clamped tail a plain ternary search follows.
+            // Progress falls past the optimum, then the rate its
+            // refusals carry rises again to the last ratio: the clamped
+            // tail a plain ternary search follows. The model refuses
+            // all of it.
             if want.0 < MAX_RATIO / 2 && at(MAX_RATIO) > at(MAX_RATIO / 2) {
+                let tail = &solves[MAX_RATIO as usize / 2 - 1..];
+                assert!(tail.iter().all(Result::is_err), "{cell}");
                 tails += 1;
             }
         }
         assert!(tails >= 20, "only {tails} clamped-tail cells");
         // The scan made 400 solves per cell; the search about 12.
         assert!(calls <= 20 * cells, "{calls} calls over {cells} cells");
+    }
+
+    #[test]
+    fn search_climbs_refused_ratios_to_an_admitted_peak() {
+        // A 1 min MTTI with every failure local: the I/O commit is pure
+        // cost, and ratios 1 to 57 make too little progress to admit.
+        let s = sys().with_mtti(60.0);
+        let one = Strategy::local_io_host(1, 1.0, None);
+        assert!(solve_cycle(&s, &one).is_err());
+        let (ratio, progress) = best_host_ratio(&s, 1.0, None);
+        let best = Strategy::local_io_host(ratio, 1.0, None);
+        let sol = solve_cycle(&s, &best).unwrap();
+        assert_eq!(sol.progress_rate(), progress);
     }
 
     #[test]

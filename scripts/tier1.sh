@@ -4,6 +4,9 @@
 #   build (release)  ->  tests  ->  cr-node tests (release)
 #   ->  clippy (deny warnings)
 #
+# The debug `cargo test` phase is the only place `debug_assert!`s run;
+# the model sweep in `tests/model_properties.rs` guards them there.
+#
 # Each phase prints its wall time. Tests run without `--quiet`, so every
 # test binary's `Running ...` line sits above its `finished in Ns` line.
 #

@@ -12,8 +12,8 @@
 //! crx --help
 //! ```
 
-use ndp_checkpoint::cr_core::params::derive_costs;
-use ndp_checkpoint::cr_core::{analytic, ratio_opt};
+use ndp_checkpoint::cr_core::analytic::{self, CycleSolution};
+use ndp_checkpoint::cr_core::ratio_opt;
 use ndp_checkpoint::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -111,23 +111,15 @@ fn system_from(flags: &Flags) -> Result<SystemParams, String> {
     })
 }
 
-/// Lowest analytic progress rate a simulated configuration may have.
-/// The simulator stops only after a successful commit or at `max_wall`
-/// (1e12 s), so a run far below this rate would not end in practice.
-const MIN_PROGRESS: f64 = 1e-6;
-
 /// Builds a strategy from `--strategy`, `--p-local` (in [0, 1]),
-/// `--compress` (in (0, 1]), `--ratio` (in [1, MAX_RATIO]) and
-/// `--interval` (positive seconds). Refuses a configuration whose
-/// recovery could never end on `sys` (the analytic model would panic on
-/// it), an NDP one that would need more than `MAX_RATIO` intervals to
-/// drain one checkpoint (the ratio sizes the model's state chain), and
-/// one whose analytic progress rate is below [`MIN_PROGRESS`] or not
-/// finite (its simulation would never end).
+/// `--compress` (in (0, 1]), `--ratio` (in [1, MAX_RATIO]; the best
+/// ratio without it) and `--interval` (positive seconds), and solves it
+/// on `sys`. A configuration the analytic model refuses is an error
+/// that names the flag at fault.
 fn strategy_from(
     flags: &Flags,
     sys: &SystemParams,
-) -> Result<Strategy, String> {
+) -> Result<(Strategy, CycleSolution), String> {
     let p_local = flags.get_checked("p-local", 0.85, "in [0, 1]", |v| {
         (0.0..=1.0).contains(&v)
     })?;
@@ -140,31 +132,31 @@ fn strategy_from(
         None
     };
     let name = flags.get("strategy").unwrap_or("ndp");
-    let mut strat = match name {
+    let strat = match name {
         "io-only" => Strategy::IoOnly {
             interval: None,
             compression: factor.map(CompressionSpec::gzip1_host_with_factor),
         },
         "local" => Strategy::LocalOnly { interval: None },
-        "host" => Strategy::LocalIoHost {
-            interval,
-            // Without `--ratio`, the best ratio replaces this 1 once the
-            // recovery check below has passed: the search runs the model.
-            ratio: match flags.get("ratio") {
-                None => 1,
-                Some(r) => match r.parse::<u32>() {
-                    Ok(k) if (1..=ratio_opt::MAX_RATIO).contains(&k) => k,
-                    _ => {
-                        return Err(format!(
+        "host" => {
+            let comp = factor.map(CompressionSpec::gzip1_host_with_factor);
+            let ratio = match flags.get("ratio") {
+                None => {
+                    ratio_opt::best_host_ratio_at(sys, p_local, comp, interval).0
+                }
+                Some(r) => r
+                    .parse()
+                    .ok()
+                    .filter(|k| (1..=ratio_opt::MAX_RATIO).contains(k))
+                    .ok_or_else(|| {
+                        format!(
                             "--ratio: {r} is not an integer in [1, {}]",
                             ratio_opt::MAX_RATIO
-                        ))
-                    }
-                },
-            },
-            p_local,
-            compression: factor.map(CompressionSpec::gzip1_host_with_factor),
-        },
+                        )
+                    })?,
+            };
+            Strategy::LocalIoHost { interval, ratio, p_local, compression: comp }
+        }
         "ndp" => Strategy::LocalIoNdp {
             interval,
             ratio: None,
@@ -178,52 +170,8 @@ fn strategy_from(
             ))
         }
     };
-    if !analytic::recovery_can_succeed(sys, &strat) {
-        return Err(format!(
-            "--mtti: {} min is too short: a restore could never finish \
-             between two failures",
-            sys.mtti / MINUTE
-        ));
-    }
-    if let Strategy::LocalIoNdp { .. } = strat {
-        let d = derive_costs(sys, &strat);
-        if d.ratio > ratio_opt::MAX_RATIO {
-            return Err(format!(
-                "--interval: {} s is too short: draining one checkpoint \
-                 ({:.0} s) would take more than {} intervals",
-                d.interval,
-                d.ndp_drain_time,
-                ratio_opt::MAX_RATIO
-            ));
-        }
-    }
-    if let Strategy::LocalIoHost {
-        interval,
-        ratio,
-        p_local,
-        compression,
-    } = &mut strat
-    {
-        if !flags.has("ratio") {
-            *ratio = ratio_opt::best_host_ratio_at(
-                sys,
-                *p_local,
-                *compression,
-                *interval,
-            )
-            .0;
-        }
-    }
-    let progress = analytic::solve_cycle(sys, &strat).progress_rate();
-    if !(progress >= MIN_PROGRESS && progress.is_finite()) {
-        return Err(format!(
-            "--mtti: {} min is too short: the analytic progress rate is \
-             {progress:e}, below {MIN_PROGRESS:e}, so a simulated run \
-             would never finish",
-            sys.mtti / MINUTE
-        ));
-    }
-    Ok(strat)
+    let sol = analytic::solve_cycle(sys, &strat).map_err(|r| format!("--{r}"))?;
+    Ok((strat, sol))
 }
 
 /// Reads `--replicas` or `--failures` where a simulated mean is
@@ -302,11 +250,10 @@ fn ensure_parent_dir(path: &str) {
 
 fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let sys = system_from(flags)?;
-    let strat = strategy_from(flags, &sys)?;
+    let (strat, sol) = strategy_from(flags, &sys)?;
     let replicas = count_from(flags, "replicas", 4)?;
     let failures = count_from(flags, "failures", 2000)?;
 
-    let sol = analytic::solve_cycle(&sys, &strat);
     let opts = SimOptions {
         seed: 42,
         min_failures: failures,
@@ -325,10 +272,14 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
         "  analytic : progress {:.1}%",
         sol.progress_rate() * 100.0
     );
+    let spread = if replicas > 1 {
+        format!("+-{:.2} s.e. over {replicas} replicas", sim.sem_progress() * 100.0)
+    } else {
+        "1 replica".into()
+    };
     println!(
-        "  simulated: progress {:.1}% (+-{:.2} s.e. over {replicas} replicas)",
-        sim.progress_rate() * 100.0,
-        sim.sem_progress() * 100.0
+        "  simulated: progress {:.1}% ({spread})",
+        sim.progress_rate() * 100.0
     );
     let f = sim.fractions();
     println!(
@@ -349,7 +300,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     use ndp_checkpoint::cr_sim::{run_engine, Trace};
 
     let sys = system_from(flags)?;
-    let strat = strategy_from(flags, &sys)?;
+    let (strat, _) = strategy_from(flags, &sys)?;
     let opts = SimOptions {
         seed: flags.get_usize("seed", 42)? as u64,
         min_failures: flags.get_usize("failures", 25)? as u64,
@@ -428,10 +379,10 @@ fn observed_fleet(
     flags: &Flags,
     default_replicas: usize,
     failures: u64,
-) -> Result<(SystemParams, Strategy, SimOptions, FleetRuns), String> {
+) -> Result<(CycleSolution, Strategy, SimOptions, FleetRuns), String> {
     use ndp_checkpoint::cr_sim::run_fleet_observed;
     let sys = system_from(flags)?;
-    let strat = strategy_from(flags, &sys)?;
+    let (strat, sol) = strategy_from(flags, &sys)?;
     let replicas = count_from(flags, "replicas", default_replicas)?;
     let opts = SimOptions {
         seed: flags.get_usize("seed", 42)? as u64,
@@ -440,13 +391,13 @@ fn observed_fleet(
         max_wall: 1e12,
     };
     let fleet = run_fleet_observed(&sys, &strat, &opts, replicas);
-    Ok((sys, strat, opts, fleet))
+    Ok((sol, strat, opts, fleet))
 }
 
 fn cmd_report(flags: &Flags) -> Result<(), String> {
     use ndp_checkpoint::cr_obs::analyze::{analyze, merge_percentiles};
 
-    let (sys, strat, opts, fleet) =
+    let (sol, strat, opts, fleet) =
         observed_fleet(flags, 4, count_from(flags, "failures", 400)?)?;
     let per_node: Vec<_> = fleet
         .iter()
@@ -469,7 +420,6 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
 
     // Analytic-model-vs-sim divergence: predicted progress rate from
     // the Markov-renewal solution against the pooled simulated rate.
-    let sol = analytic::solve_cycle(&sys, &strat);
     let predicted = sol.progress_rate();
     let (mut compute, mut wall) = (0.0, 0.0);
     for (r, _) in &fleet {
@@ -479,14 +429,8 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
     let observed = if wall > 0.0 { compute / wall } else { 0.0 };
     report.set("model_progress_predicted", predicted);
     report.set("model_progress_observed", observed);
-    report.set(
-        "model_divergence",
-        if predicted > 0.0 {
-            (observed - predicted).abs() / predicted
-        } else {
-            0.0
-        },
-    );
+    // An admitted configuration's predicted progress is positive.
+    report.set("model_divergence", (observed - predicted).abs() / predicted);
 
     println!("indicators: {}", report.label);
     for (k, v) in report.values() {
@@ -507,7 +451,7 @@ fn cmd_export(flags: &Flags) -> Result<(), String> {
     };
 
     let failures = flags.get_usize("failures", 25)? as u64;
-    let (_sys, strat, opts, fleet) = observed_fleet(flags, 2, failures)?;
+    let (_, strat, opts, fleet) = observed_fleet(flags, 2, failures)?;
     let streams: Vec<&[ndp_checkpoint::cr_obs::Event]> =
         fleet.iter().map(|(_, e)| e.as_slice()).collect();
     let text = chrome_trace_merged(&streams);
@@ -675,7 +619,7 @@ mod tests {
         let sys = system_from(&f).unwrap();
         assert_eq!(sys.mtti, 3600.0);
         assert_eq!(sys.checkpoint_bytes, 56.0 * GB);
-        let strat = strategy_from(&f, &sys).unwrap();
+        let (strat, _) = strategy_from(&f, &sys).unwrap();
         assert!(matches!(strat, Strategy::LocalIoNdp { .. }));
         assert!(strat.compression().is_some());
     }
@@ -684,7 +628,8 @@ mod tests {
     fn host_strategy_with_explicit_ratio() {
         let f = flags(&["evaluate", "--strategy", "host", "--ratio", "12"]);
         let sys = system_from(&f).unwrap();
-        let strat = strategy_from(&f, &sys).unwrap();
+        let (strat, sol) = strategy_from(&f, &sys).unwrap();
+        assert_eq!(sol.ratio, 12);
         match strat {
             Strategy::LocalIoHost { ratio, .. } => assert_eq!(ratio, 12),
             other => panic!("wrong strategy {other:?}"),

@@ -1,7 +1,7 @@
 //! The command-line surface the README documents, held against the real
-//! `crx` binary and the `examples/` directory. None of these tests runs
-//! a simulation: they read `--help`, or feed `crx` flags it must reject
-//! before any simulation starts.
+//! `crx` binary and the `examples/` directory. Most of these tests read
+//! `--help`, or feed `crx` flags it must reject before any simulation
+//! starts; one runs a single short replica.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -89,6 +89,11 @@ fn crx_rejects_out_of_range_flags() {
         (&["trace", "--strategy", "local", "--mtti", "0.01"], "--mtti"),
         (&["report", "--strategy", "local", "--mtti", "0.01"], "--mtti"),
         (&["export", "--strategy", "local", "--mtti", "0.01"], "--mtti"),
+        // Past the restore rule, refused by the progress floor before
+        // the solver's debug asserts run.
+        (&[&ndp[..], &["--mtti", "0.1"]].concat(), "--mtti"),
+        (&["evaluate", "--strategy", "host", "--mtti", "0.3"], "--mtti"),
+        (&["evaluate", "--strategy", "io-only", "--mtti", "0.1"], "--mtti"),
         (&["evaluate", "--failures", "0"], "--failures"),
         (&["report", "--failures", "0"], "--failures"),
         (&["evaluate", "--replicas", "0"], "--replicas"),
@@ -107,4 +112,18 @@ fn crx_rejects_out_of_range_flags() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+/// One replica has no standard error, so `evaluate` prints none rather
+/// than a NaN.
+#[test]
+fn evaluate_prints_no_nan_for_one_replica() {
+    let out = crx(&[
+        "evaluate", "--strategy", "local", "--replicas", "1", "--failures",
+        "50",
+    ]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("simulated: progress"), "{stdout}");
+    assert!(!stdout.contains("NaN"), "{stdout}");
 }

@@ -143,7 +143,8 @@ fn breakdown_components_agree_for_host_mode() {
     // Beyond scalar progress: the per-bucket decomposition must match.
     let sys = SystemParams::exascale_default();
     let strat = Strategy::local_io_host(25, 0.96, None);
-    let a = analytic::evaluate(&sys, &strat).as_fractions();
+    let a = analytic::solve_cycle(&sys, &strat).unwrap().breakdown;
+    let a = a.as_fractions();
     let opts = SimOptions {
         seed: 606,
         min_failures: 3000,

@@ -82,7 +82,7 @@ fn analytic_progress_is_valid_probability() {
     for case in 0..24 {
         let sys = g.system();
         let strat = g.host_strategy();
-        let sol = cr_core::analytic::solve_cycle(&sys, &strat);
+        let sol = cr_core::analytic::solve_cycle(&sys, &strat).unwrap();
         let p = sol.progress_rate();
         assert!(p > 0.0 && p <= 1.0, "case {case}: progress {p}");
         assert!(sol.breakdown.validate().is_ok(), "case {case}");
@@ -228,4 +228,67 @@ fn sim_and_analytic_agree_loosely_on_host_configs() {
             "case {case}: analytic {a} vs sim {s} (ratio {ratio}, p {p_local})"
         );
     }
+}
+
+/// The model's admission rule over a grid far wider than any
+/// experiment: MTTI from 1e-6 to 1e3 minutes (10^(i/6) steps) × every
+/// strategy kind × p_local × compression. In a debug build the
+/// solver's `debug_assert!`s run, so each point must be a typed
+/// refusal or a finite, validated solution, and never a panic.
+#[test]
+fn every_configuration_is_refused_or_solved_cleanly() {
+    use cr_core::analytic::{solve_cycle, MIN_PROGRESS};
+    let (mut points, mut refused) = (0, 0);
+    for i in 0..=54 {
+        let sys = SystemParams::exascale_default()
+            .with_mtti(10f64.powf(-6.0 + i as f64 / 6.0) * MINUTE);
+        for p_local in [0.0, 0.2, 0.8, 1.0] {
+            for factor in [None, Some(0.73)] {
+                let host_comp =
+                    factor.map(CompressionSpec::gzip1_host_with_factor);
+                let host =
+                    ratio_opt::best_host_strategy(&sys, p_local, host_comp).0;
+                let strategies = [
+                    Strategy::IoOnly {
+                        interval: None,
+                        compression: host_comp,
+                    },
+                    Strategy::LocalOnly { interval: None },
+                    host,
+                    Strategy::local_io_ndp(
+                        p_local,
+                        factor.map(CompressionSpec::gzip1_ndp_with_factor),
+                    ),
+                ];
+                for strat in strategies {
+                    points += 1;
+                    let at = format!("mtti {} s, {strat:?}", sys.mtti);
+                    let Ok(sol) = solve_cycle(&sys, &strat) else {
+                        refused += 1;
+                        // The search settles on a refused ratio only
+                        // when the model refuses every ratio.
+                        if strat == host {
+                            let any_ok = (1..=ratio_opt::MAX_RATIO).any(|r| {
+                                let s =
+                                    Strategy::local_io_host(r, p_local, host_comp);
+                                solve_cycle(&sys, &s).is_ok()
+                            });
+                            assert!(!any_ok, "{at}: an admitted ratio exists");
+                        }
+                        continue;
+                    };
+                    let valid = sol.breakdown.validate();
+                    valid.unwrap_or_else(|e| panic!("{at}: {e}"));
+                    let p = sol.progress_rate();
+                    assert!(
+                        p.is_finite() && (MIN_PROGRESS..=1.0).contains(&p),
+                        "{at}: progress {p}"
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(points, 1760);
+    // The grid spans both sides of the rule.
+    assert!(refused > 0 && refused < points, "{refused} of {points} refused");
 }

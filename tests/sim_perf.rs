@@ -153,8 +153,8 @@ fn cached_solver_is_bit_identical_to_direct_solver_in_sweeps() {
     for pass in 0..2 {
         for ratio in 1..=50 {
             let strat = Strategy::local_io_host(ratio, 0.8, None);
-            let want = analytic::solve_cycle(&s, &strat);
-            let got = solve_cycle_cached(&s, &strat);
+            let want = analytic::solve_cycle(&s, &strat).unwrap();
+            let got = solve_cycle_cached(&s, &strat).unwrap();
             assert_eq!(got.breakdown, want.breakdown, "pass {pass}");
             assert_eq!(
                 got.cycle_time.to_bits(),
