@@ -9,7 +9,9 @@
 //!    columns), over one image per mini-app. Each direction is one
 //!    pass over all the images; the MB/s come from the median pass.
 //! 2. **CRC-64 throughput** — MB/s of `Crc64::of` over the 64 KiB NVM
-//!    granules of a `BENCH_MB`-sized image and over the whole image,
+//!    granules of a `BENCH_MB`-sized image and over the whole image, of
+//!    `Crc64Jones::of` over the granules, and of the incremental
+//!    drain's `BlockHasher::fingerprint_image` (both CRCs per granule),
 //!    with the path `Crc64::update` takes on this CPU. Recorded, not
 //!    gated.
 //! 3. **Drain indicators** — the `indicators/v1` values folded from the
@@ -31,7 +33,8 @@ use std::path::PathBuf;
 use cr_bench::perf::{mb_per_s, time_window, Timing};
 use cr_compress::compression_factor;
 use cr_compress::registry::study_codecs;
-use cr_node::integrity::{granule_crcs, Crc64, GRANULE};
+use cr_node::incremental::BlockHasher;
+use cr_node::integrity::{granule_crcs, Crc64, Crc64Jones, GRANULE};
 use cr_node::ndp::StepOutcome;
 use cr_node::node::{ComputeNode, NodeConfig};
 use cr_obs::json::Value;
@@ -143,18 +146,34 @@ fn crc64_path() -> &'static str {
 }
 
 fn crc64_section(image: &[u8]) -> Value {
+    use std::hint::black_box;
     println!("== CRC-64 throughput ==");
     let path = crc64_path();
     let granules = time_window(|| {
-        std::hint::black_box(granule_crcs(std::hint::black_box(image)));
+        black_box(granule_crcs(black_box(image)));
     });
     let whole = time_window(|| {
-        std::hint::black_box(Crc64::of(std::hint::black_box(image)));
+        black_box(Crc64::of(black_box(image)));
+    });
+    let jones = time_window(|| {
+        let crcs: Vec<u64> =
+            black_box(image).chunks(GRANULE).map(Crc64Jones::of).collect();
+        black_box(crcs);
+    });
+    let hasher = BlockHasher::new(GRANULE);
+    let fingerprints = time_window(|| {
+        black_box(hasher.fingerprint_image(black_box(image)));
     });
     let granule_mb_s = mb_per_s(image.len(), granules.median);
     let image_mb_s = mb_per_s(image.len(), whole.median);
+    let jones_mb_s = mb_per_s(image.len(), jones.median);
+    let fingerprint_mb_s = mb_per_s(image.len(), fingerprints.median);
     println!(
         "{path:16} granules {granule_mb_s:>9.1} MB/s  whole image {image_mb_s:>9.1} MB/s"
+    );
+    println!(
+        "{:16} jones    {jones_mb_s:>9.1} MB/s  fingerprint {:>9.1} MB/s",
+        "", fingerprint_mb_s
     );
     let mut row = vec![
         ("path".into(), Value::str(path)),
@@ -162,9 +181,13 @@ fn crc64_section(image: &[u8]) -> Value {
         ("granule_bytes".into(), Value::Num(GRANULE as f64)),
         ("granule_mb_s".into(), Value::Num(granule_mb_s)),
         ("image_mb_s".into(), Value::Num(image_mb_s)),
+        ("jones_mb_s".into(), Value::Num(jones_mb_s)),
+        ("fingerprint_mb_s".into(), Value::Num(fingerprint_mb_s)),
     ];
     row.extend(prefixed("granule", &granules));
     row.extend(prefixed("image", &whole));
+    row.extend(prefixed("jones", &jones));
+    row.extend(prefixed("fingerprint", &fingerprints));
     Value::Obj(row)
 }
 

@@ -3,16 +3,25 @@
 //! for consecutive checkpoints"), in the style of libhashckpt \[22\].
 //! Cross-rank deduplication, the second, is not implemented.
 //!
-//! * [`BlockHasher`] — 128-bit per-block fingerprints (two independent
-//!   64-bit FNV-1a variants; collision odds ~2⁻¹²⁸ per pair).
+//! * [`BlockHasher`] — 128-bit per-block fingerprints: the block's
+//!   CRC-64 under the ECMA-182 polynomial and under the Jones
+//!   polynomial ([`crate::integrity`]). A changed block keeps both
+//!   halves only if its XOR difference is a multiple of both
+//!   polynomials; they are coprime, so of their degree-128 product.
 //! * [`IncrementalEncoder`] — diffs a checkpoint against the previous
 //!   one block-by-block, emitting only changed blocks plus an
-//!   unchanged-block map; [`apply_incremental`] reconstructs.
+//!   unchanged-block map; [`apply_incremental`] reconstructs. At the
+//!   default block size the ECMA-182 halves are the NVM slot's stored
+//!   granule CRCs ([`IncrementalEncoder::encode_with_granule_crcs`]),
+//!   so a diff makes one CRC pass over the image.
+
+use crate::integrity::{Crc64, Crc64Jones, GRANULE};
 
 /// Default diff granularity, bytes.
 pub const DEFAULT_BLOCK: usize = 64 * 1024;
 
-/// A 128-bit content fingerprint.
+/// A 128-bit content fingerprint: the CRC-64 under ECMA-182, then under
+/// the Jones polynomial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fingerprint(pub u64, pub u64);
 
@@ -32,27 +41,32 @@ impl BlockHasher {
 
     /// Fingerprints one block.
     pub fn fingerprint(data: &[u8]) -> Fingerprint {
-        // Two FNV-1a streams with distinct offsets/primes.
-        let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut b: u64 = 0x6c62_272e_07bb_0142;
-        for &byte in data {
-            a ^= byte as u64;
-            a = a.wrapping_mul(0x0000_0100_0000_01B3);
-            b ^= (byte as u64).rotate_left(17) ^ 0xA5;
-            b = b.wrapping_mul(0x0000_0001_0000_01B3 | 1);
-        }
-        // Finalization avalanche.
-        a ^= a >> 33;
-        a = a.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        b ^= b >> 29;
-        b = b.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-        Fingerprint(a ^ (b >> 7), b ^ (a >> 13))
+        Fingerprint(Crc64::of(data), Crc64Jones::of(data))
     }
 
     /// Fingerprints every block of an image.
     pub fn fingerprint_image(&self, data: &[u8]) -> Vec<Fingerprint> {
         data.chunks(self.block_size)
             .map(Self::fingerprint)
+            .collect()
+    }
+
+    /// [`BlockHasher::fingerprint_image`], taking the ECMA-182 halves
+    /// from `crcs`, the image's [`crate::integrity::granule_crcs`], when
+    /// the blocks are granules. Any other block size, or `crcs` of
+    /// another length, computes both halves.
+    fn fingerprint_granules(
+        &self,
+        data: &[u8],
+        crcs: &[u64],
+    ) -> Vec<Fingerprint> {
+        let blocks = data.chunks(self.block_size);
+        if self.block_size != GRANULE || crcs.len() != blocks.len() {
+            return self.fingerprint_image(data);
+        }
+        blocks
+            .zip(crcs)
+            .map(|(block, &crc)| Fingerprint(crc, Crc64Jones::of(block)))
             .collect()
     }
 }
@@ -230,6 +244,31 @@ impl IncrementalEncoder {
     /// checkpoint) when no compatible base exists.
     pub fn encode(&mut self, data: &[u8]) -> Option<IncrementalImage> {
         let hashes = self.hasher.fingerprint_image(data);
+        self.diff(data, hashes)
+    }
+
+    /// [`IncrementalEncoder::encode`] for an image whose
+    /// [`crate::integrity::granule_crcs`] are already known: at a
+    /// [`GRANULE`] block size they are the fingerprints' first halves,
+    /// and only the second is computed. Other block sizes compute both.
+    /// `crcs` must be the CRCs of `data` as it is now: a stale CRC
+    /// would hide a change.
+    pub fn encode_with_granule_crcs(
+        &mut self,
+        data: &[u8],
+        crcs: &[u64],
+    ) -> Option<IncrementalImage> {
+        let hashes = self.hasher.fingerprint_granules(data, crcs);
+        self.diff(data, hashes)
+    }
+
+    /// Diffs `data`, whose block fingerprints are `hashes`, against the
+    /// base, then makes it the base.
+    fn diff(
+        &mut self,
+        data: &[u8],
+        hashes: Vec<Fingerprint>,
+    ) -> Option<IncrementalImage> {
         let result = match &self.prev {
             Some((len, prev_hashes)) if *len == data.len() => {
                 let blocks = data
@@ -535,6 +574,43 @@ mod tests {
         let mut short = incr.clone();
         short.blocks.pop();
         assert!(apply_incremental_in_place(&mut img, &short).is_err());
+    }
+
+    #[test]
+    fn stored_granule_crcs_give_the_same_images_as_encode() {
+        use crate::integrity::granule_crcs;
+        let len = 5 * GRANULE + 333;
+        let v1 = image(7, len);
+        let mut v2 = v1.clone();
+        for at in [10, GRANULE + 5, 3 * GRANULE - 1, len - 1] {
+            v2[at] ^= 0x5A;
+        }
+        // 60 KiB blocks number as many as the granules here, yet are
+        // not granules: the stored CRCs must not stand in for them.
+        for block in [GRANULE, 256, 1024, 16 * 1024, 60 * 1024] {
+            let mut plain = IncrementalEncoder::new(block);
+            let mut stored = IncrementalEncoder::new(block);
+            for data in [&v1, &v2, &v2, &v1] {
+                assert_eq!(
+                    stored.encode_with_granule_crcs(data, &granule_crcs(data)),
+                    plain.encode(data),
+                    "block {block}"
+                );
+            }
+        }
+        // At granule blocks the stored CRCs are what the diff trusts:
+        // the first halves come from `crcs`, not from the bytes.
+        let hasher = BlockHasher::new(GRANULE);
+        let fake = vec![7u64; len.div_ceil(GRANULE)];
+        let prints = hasher.fingerprint_granules(&v1, &fake);
+        assert!(prints.iter().all(|f| f.0 == 7), "first halves from crcs");
+        assert_eq!(prints.len(), fake.len());
+        // Other block sizes ignore them.
+        let small = BlockHasher::new(1024);
+        assert_eq!(
+            small.fingerprint_granules(&v1, &fake),
+            small.fingerprint_image(&v1)
+        );
     }
 
     #[test]

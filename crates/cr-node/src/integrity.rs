@@ -28,25 +28,49 @@
 //! shorter than 128 bytes, and every other target, take the
 //! portable slicing-by-8 loop, which is also the reference the kernel
 //! is tested against. Both paths give bit-identical CRCs.
+//!
+//! **Two polynomials.** [`Crc64Over`] is generic over the reflected
+//! polynomial: its slicing-by-8 tables, zero-advance matrices and fold
+//! constants are const-evaluated per polynomial, and the kernel and the
+//! table loop are one body each. [`Crc64`] (ECMA-182) checksums every
+//! stored object; [`Crc64Jones`] is the second half of the incremental
+//! drain's 128-bit block fingerprint, whose first half is the slot's
+//! stored granule CRC.
 
 /// Bytes covered by one granule CRC of an NVM slot. Equal to the
 /// incremental diff block, so a granule never straddles two diff
 /// blocks.
 pub const GRANULE: usize = crate::incremental::DEFAULT_BLOCK;
 
-/// CRC-64/XZ (ECMA-182 polynomial, reflected): a carry-less-multiply
-/// kernel where the CPU has one, slicing-by-8 otherwise.
+/// The ECMA-182 polynomial, reflected (CRC-64/XZ's).
+pub const ECMA_182: u64 = 0xC96C_5795_D787_0F42;
+
+/// The Jones polynomial `0xAD93D23594C935A9`, reflected (CRC-64/Jones,
+/// as Redis uses it). Its GF(2) gcd with [`ECMA_182`] is 1, so a
+/// difference both CRCs miss is a multiple of their degree-128 product.
+pub const JONES: u64 = 0x95AC_9329_AC4B_C9B5;
+
+/// A CRC-64 over the reflected polynomial `P`, with an all-ones initial
+/// register and final XOR: a carry-less-multiply kernel where the CPU
+/// has one, slicing-by-8 otherwise. Every polynomial runs the same two
+/// loop bodies; only the const-evaluated tables and fold constants
+/// differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crc64(u64);
+pub struct Crc64Over<const P: u64>(u64);
 
-const POLY: u64 = 0xC96C_5795_D787_0F42; // reflected ECMA-182
+/// CRC-64/XZ (ECMA-182): the checksum of every stored object.
+pub type Crc64 = Crc64Over<ECMA_182>;
 
-/// Slicing-by-8 tables (const-evaluated at compile time). `TABLES[0]`
-/// is the classic bytewise table; `TABLES[k][b]` is the CRC of byte `b`
-/// followed by `k` zero bytes, so eight bytes fold in one step.
-static TABLES: [[u64; 256]; 8] = build_tables();
+/// The Jones-polynomial CRC-64: the second half of an incremental block
+/// fingerprint ([`crate::incremental::BlockHasher`]).
+pub type Crc64Jones = Crc64Over<JONES>;
 
-const fn build_tables() -> [[u64; 256]; 8] {
+/// Slicing-by-8 tables. `[0]` is the classic bytewise table; `[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, so eight bytes
+/// fold in one step.
+type SlicingTables = [[u64; 256]; 8];
+
+const fn build_tables(poly: u64) -> SlicingTables {
     let mut t = [[0u64; 256]; 8];
     let mut i = 0;
     while i < 256 {
@@ -54,7 +78,7 @@ const fn build_tables() -> [[u64; 256]; 8] {
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ POLY
+                (crc >> 1) ^ poly
             } else {
                 crc >> 1
             };
@@ -112,13 +136,12 @@ const fn gf2_square(mat: &Gf2Matrix) -> Gf2Matrix {
     sq
 }
 
-/// `ZEROS[k]` advances a CRC register over `2^k` zero bytes.
-static ZEROS: [Gf2Matrix; 64] = build_zeros();
-
-const fn build_zeros() -> [Gf2Matrix; 64] {
+/// `build_zeros(poly)[k]` advances a CRC register over `2^k` zero
+/// bytes.
+const fn build_zeros(poly: u64) -> [Gf2Matrix; 64] {
     // One zero bit: shift right, folding the polynomial in on a carry.
     let mut op = [0u64; 64];
-    op[0] = POLY;
+    op[0] = poly;
     let mut n = 1;
     while n < 64 {
         op[n] = 1 << (n - 1);
@@ -138,16 +161,21 @@ const fn build_zeros() -> [Gf2Matrix; 64] {
     zeros
 }
 
-impl Default for Crc64 {
+impl<const P: u64> Default for Crc64Over<P> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Crc64 {
+impl<const P: u64> Crc64Over<P> {
+    /// Slicing-by-8 tables, const-evaluated per polynomial.
+    const TABLES: &'static SlicingTables = &build_tables(P);
+    /// `ZEROS[k]` advances a CRC register over `2^k` zero bytes.
+    const ZEROS: &'static [Gf2Matrix; 64] = &build_zeros(P);
+
     /// Starts a new checksum.
     pub fn new() -> Self {
-        Crc64(u64::MAX)
+        Crc64Over(u64::MAX)
     }
 
     /// Feeds bytes (streamable: blocks may arrive one at a time).
@@ -155,10 +183,10 @@ impl Crc64 {
         #[cfg(target_arch = "x86_64")]
         if data.len() >= CLMUL_MIN && is_x86_feature_detected!("pclmulqdq") {
             // SAFETY: `pclmulqdq` was detected on this CPU just above.
-            self.0 = unsafe { clmul::update(self.0, data) };
+            self.0 = unsafe { clmul::update::<P>(self.0, data) };
             return;
         }
-        self.0 = slicing_by_8(self.0, data);
+        self.0 = slicing_by_8::<P>(self.0, data);
     }
 
     /// Finalizes to the checksum value.
@@ -168,7 +196,7 @@ impl Crc64 {
 
     /// One-shot checksum of a buffer.
     pub fn of(data: &[u8]) -> u64 {
-        let mut c = Crc64::new();
+        let mut c = Self::new();
         c.update(data);
         c.finish()
     }
@@ -183,7 +211,7 @@ impl Crc64 {
         let mut k = 0;
         while len != 0 {
             if len & 1 != 0 {
-                crc = gf2_times(&ZEROS[k], crc);
+                crc = gf2_times(&Self::ZEROS[k], crc);
             }
             len >>= 1;
             k += 1;
@@ -192,23 +220,24 @@ impl Crc64 {
     }
 }
 
-/// The portable path: advances the CRC register `crc` over `data`
-/// eight bytes per step, then bytewise over the tail.
-fn slicing_by_8(mut crc: u64, data: &[u8]) -> u64 {
+/// The portable path: advances the CRC register `crc` of polynomial
+/// `P` over `data` eight bytes per step, then bytewise over the tail.
+fn slicing_by_8<const P: u64>(mut crc: u64, data: &[u8]) -> u64 {
+    let t = Crc64Over::<P>::TABLES;
     let mut words = data.chunks_exact(8);
     for w in &mut words {
         let v = crc ^ u64::from_le_bytes(w.try_into().expect("8 bytes"));
-        crc = TABLES[7][(v & 0xFF) as usize]
-            ^ TABLES[6][((v >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((v >> 16) & 0xFF) as usize]
-            ^ TABLES[4][((v >> 24) & 0xFF) as usize]
-            ^ TABLES[3][((v >> 32) & 0xFF) as usize]
-            ^ TABLES[2][((v >> 40) & 0xFF) as usize]
-            ^ TABLES[1][((v >> 48) & 0xFF) as usize]
-            ^ TABLES[0][(v >> 56) as usize];
+        crc = t[7][(v & 0xFF) as usize]
+            ^ t[6][((v >> 8) & 0xFF) as usize]
+            ^ t[5][((v >> 16) & 0xFF) as usize]
+            ^ t[4][((v >> 24) & 0xFF) as usize]
+            ^ t[3][((v >> 32) & 0xFF) as usize]
+            ^ t[2][((v >> 40) & 0xFF) as usize]
+            ^ t[1][((v >> 48) & 0xFF) as usize]
+            ^ t[0][(v >> 56) as usize];
     }
     for &b in words.remainder() {
-        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u64) & 0xFF) as usize];
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u64) & 0xFF) as usize];
     }
     crc
 }
@@ -218,14 +247,14 @@ fn slicing_by_8(mut crc: u64, data: &[u8]) -> u64 {
 /// cost more than slicing-by-8 saves.
 const CLMUL_MIN: usize = 128;
 
-/// `x^n mod P` in the reflected bit order of a CRC register (bit `i`
+/// `x^n mod poly` in the reflected bit order of a CRC register (bit `i`
 /// holds the coefficient of `x^(63 - i)`). Multiplying by `x` is one
 /// step of the bitwise CRC loop.
-const fn xpow_mod(n: u32) -> u64 {
+const fn xpow_mod(poly: u64, n: u32) -> u64 {
     let mut r = 1u64 << 63; // x^0
     let mut i = 0;
     while i < n {
-        r = if r & 1 != 0 { (r >> 1) ^ POLY } else { r >> 1 };
+        r = if r & 1 != 0 { (r >> 1) ^ poly } else { r >> 1 };
         i += 1;
     }
     r
@@ -250,10 +279,15 @@ mod clmul {
 
     use super::{slicing_by_8, xpow_mod};
 
-    /// Fold one lane over 512 bits: the next 64-byte block.
-    const FOLD_BLOCK: (u64, u64) = (xpow_mod(575), xpow_mod(511));
-    /// Fold one lane over 128 bits: the next lane.
-    const FOLD_LANE: (u64, u64) = (xpow_mod(191), xpow_mod(127));
+    /// The fold constant pairs of polynomial `P`.
+    struct Fold<const P: u64>;
+
+    impl<const P: u64> Fold<P> {
+        /// Fold one lane over 512 bits: the next 64-byte block.
+        const BLOCK: (u64, u64) = (xpow_mod(P, 575), xpow_mod(P, 511));
+        /// Fold one lane over 128 bits: the next lane.
+        const LANE: (u64, u64) = (xpow_mod(P, 191), xpow_mod(P, 127));
+    }
 
     /// The four 16-byte lanes of a 64-byte block (SSE2 loads, part of
     /// the x86-64 baseline).
@@ -268,7 +302,9 @@ mod clmul {
     }
 
     /// `H·k_h + L·k_l` for `lane = H·x^64 + L` and `(k_h, k_l)`, one of
-    /// the fold constant pairs above.
+    /// the fold constant pairs above. `#[inline]` so that an `update`
+    /// instantiated in another crate still inlines it.
+    #[inline]
     #[target_feature(enable = "pclmulqdq")]
     fn fold(lane: __m128i, (k_h, k_l): (u64, u64)) -> __m128i {
         let k = _mm_set_epi64x(k_l as i64, k_h as i64);
@@ -278,7 +314,8 @@ mod clmul {
         )
     }
 
-    /// Advances the CRC register `crc` over `data`, like
+    /// Advances the CRC register `crc` of polynomial `P` over `data`,
+    /// like
     /// [`slicing_by_8`](super::slicing_by_8); inputs shorter than one
     /// 64-byte block go to it directly.
     ///
@@ -287,10 +324,10 @@ mod clmul {
     /// The CPU must support `pclmulqdq`
     /// (`is_x86_feature_detected!("pclmulqdq")`).
     #[target_feature(enable = "pclmulqdq")]
-    pub(super) unsafe fn update(crc: u64, data: &[u8]) -> u64 {
+    pub(super) unsafe fn update<const P: u64>(crc: u64, data: &[u8]) -> u64 {
         let (blocks, tail) = data.as_chunks::<64>();
         let Some((first, rest)) = blocks.split_first() else {
-            return slicing_by_8(crc, data);
+            return slicing_by_8::<P>(crc, data);
         };
         let mut lanes = load(first);
         // The register folds into the first eight bytes, as the table
@@ -298,19 +335,19 @@ mod clmul {
         lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi64_si128(crc as i64));
         for block in rest {
             for (lane, next) in lanes.iter_mut().zip(load(block)) {
-                *lane = _mm_xor_si128(fold(*lane, FOLD_BLOCK), next);
+                *lane = _mm_xor_si128(fold(*lane, Fold::<P>::BLOCK), next);
             }
         }
         let mut acc = lanes[0];
         for &lane in &lanes[1..] {
-            acc = _mm_xor_si128(fold(acc, FOLD_LANE), lane);
+            acc = _mm_xor_si128(fold(acc, Fold::<P>::LANE), lane);
         }
         // The remaining 16 bytes and the tail are a message whose CRC
         // register starts at 0: the table loop reduces them.
         let lo = _mm_cvtsi128_si64(acc) as u64;
         let hi = _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc, acc)) as u64;
         let folded = ((hi as u128) << 64 | lo as u128).to_le_bytes();
-        slicing_by_8(slicing_by_8(0, &folded), tail)
+        slicing_by_8::<P>(slicing_by_8::<P>(0, &folded), tail)
     }
 }
 
@@ -333,42 +370,28 @@ pub fn fold_granules(crcs: &[u64], len: usize) -> u64 {
 mod tests {
     use super::*;
 
-    /// The bytewise table loop the slicing-by-8 path must agree with.
-    fn bytewise(data: &[u8]) -> u64 {
-        let mut crc = u64::MAX;
+    /// Advances a CRC register over `data` one bit at a time, straight
+    /// from the polynomial: the reference the tables and both fast
+    /// paths are checked against.
+    fn bitwise<const P: u64>(mut crc: u64, data: &[u8]) -> u64 {
         for &b in data {
-            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u64) & 0xFF) as usize];
+            crc ^= b as u64;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ P } else { crc >> 1 };
+            }
         }
-        crc ^ u64::MAX
+        crc
     }
 
     /// The carry-less-multiply kernel, where this CPU has it.
-    fn kernel() -> Option<fn(u64, &[u8]) -> u64> {
+    fn kernel<const P: u64>() -> Option<fn(u64, &[u8]) -> u64> {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("pclmulqdq") {
             // SAFETY: the closure exists only once `pclmulqdq` was
             // detected just above.
-            return Some(|crc, data| unsafe { clmul::update(crc, data) });
+            return Some(|crc, data| unsafe { clmul::update::<P>(crc, data) });
         }
         None
-    }
-
-    /// Bitwise CRC straight from the polynomial: the reference the
-    /// const tables are checked against.
-    fn build_table() -> [u64; 256] {
-        let mut table = [0u64; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u64;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ POLY
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
-        }
-        table
     }
 
     /// SplitMix64 byte stream.
@@ -425,21 +448,34 @@ mod tests {
 
     #[test]
     fn slicing_by_8_matches_bytewise_at_every_length_and_offset() {
-        let portable = |s: &[u8]| slicing_by_8(u64::MAX, s) ^ u64::MAX;
+        slicing_by_8_matches_bitwise::<ECMA_182>();
+        slicing_by_8_matches_bitwise::<JONES>();
+    }
+
+    fn slicing_by_8_matches_bitwise<const P: u64>() {
         let buf = seeded_bytes(1, 72 + 8);
         for start in 0..8 {
             for len in 0..=72 {
                 let s = &buf[start..start + len];
-                assert_eq!(portable(s), bytewise(s), "start {start} len {len}");
+                assert_eq!(
+                    slicing_by_8::<P>(u64::MAX, s),
+                    bitwise::<P>(u64::MAX, s),
+                    "poly {P:#x} start {start} len {len}"
+                );
             }
         }
         let big = seeded_bytes(2, 1 << 20);
-        assert_eq!(portable(&big), bytewise(&big));
+        assert_eq!(slicing_by_8::<P>(0, &big), bitwise::<P>(0, &big));
     }
 
     #[test]
     fn kernel_matches_slicing_by_8_at_every_length_offset_and_register() {
-        let Some(kernel) = kernel() else { return };
+        kernel_matches_slicing_by_8::<ECMA_182>();
+        kernel_matches_slicing_by_8::<JONES>();
+    }
+
+    fn kernel_matches_slicing_by_8<const P: u64>() {
+        let Some(kernel) = kernel::<P>() else { return };
         let buf = seeded_bytes(5, 600 + 16);
         for crc in [u64::MAX, 0, 0x0123_4567_89AB_CDEF] {
             for start in 0..16 {
@@ -447,14 +483,14 @@ mod tests {
                     let s = &buf[start..start + len];
                     assert_eq!(
                         kernel(crc, s),
-                        slicing_by_8(crc, s),
-                        "register {crc:#x} start {start} len {len}"
+                        slicing_by_8::<P>(crc, s),
+                        "poly {P:#x} register {crc:#x} start {start} len {len}"
                     );
                 }
             }
         }
         let big = seeded_bytes(6, 4 << 20);
-        assert_eq!(kernel(u64::MAX, &big), slicing_by_8(u64::MAX, &big));
+        assert_eq!(kernel(u64::MAX, &big), slicing_by_8::<P>(u64::MAX, &big));
     }
 
     #[test]
@@ -470,7 +506,8 @@ mod tests {
             pos = end;
             i += 1;
         }
-        assert_eq!(c.finish(), slicing_by_8(u64::MAX, &data) ^ u64::MAX);
+        let whole = slicing_by_8::<ECMA_182>(u64::MAX, &data) ^ u64::MAX;
+        assert_eq!(c.finish(), whole);
     }
 
     #[test]
@@ -524,16 +561,60 @@ mod tests {
 
     #[test]
     fn runtime_and_const_tables_agree() {
-        let rt = build_table();
-        for (a, b) in rt.iter().zip(TABLES[0].iter()) {
-            assert_eq!(a, b);
+        tables_agree_with_bitwise::<ECMA_182>();
+        tables_agree_with_bitwise::<JONES>();
+    }
+
+    fn tables_agree_with_bitwise<const P: u64>() {
+        let tables = Crc64Over::<P>::TABLES;
+        for (b, &entry) in tables[0].iter().enumerate() {
+            assert_eq!(entry, bitwise::<P>(b as u64, &[0]), "poly {P:#x}");
         }
         // Each slicing table is the previous one advanced by a zero byte.
-        for pair in TABLES.windows(2) {
+        for pair in tables.windows(2) {
             for (&prev, &next) in pair[0].iter().zip(&pair[1]) {
-                assert_eq!(next, (prev >> 8) ^ rt[(prev & 0xFF) as usize]);
+                assert_eq!(next, bitwise::<P>(prev, &[0]), "poly {P:#x}");
             }
         }
+    }
+
+    #[test]
+    fn jones_known_vector() {
+        // CRC-64/REDIS (the Jones polynomial, register 0 in and out) of
+        // "123456789" is 0xE9C6D914C4B8D9CA: ties `JONES` to the
+        // published polynomial.
+        let redis = slicing_by_8::<JONES>(0, b"123456789");
+        assert_eq!(redis, 0xE9C6_D914_C4B8_D9CA);
+        assert_eq!(Crc64Jones::of(b"123456789"), 0x3558_E8E9_79F6_0D7E);
+    }
+
+    /// The degree-64 polynomial of a reflected CRC-64 constant, with
+    /// its `x^64` term, as bits of a `u128` (bit `i` is `x^i`).
+    fn full_poly(reflected: u64) -> u128 {
+        1 << 64 | reflected.reverse_bits() as u128
+    }
+
+    /// GCD of two GF(2) polynomials (Euclid with carry-less remainder).
+    fn gf2_gcd(mut a: u128, mut b: u128) -> u128 {
+        while b != 0 {
+            let mut r = a;
+            while r != 0 && r.ilog2() >= b.ilog2() {
+                r ^= b << (r.ilog2() - b.ilog2());
+            }
+            (a, b) = (b, r);
+        }
+        a
+    }
+
+    #[test]
+    fn fingerprint_polynomials_are_coprime() {
+        // The 128-bit fingerprint argument: a difference both CRCs miss
+        // is a multiple of both polynomials, hence of their product.
+        assert_eq!(gf2_gcd(full_poly(ECMA_182), full_poly(JONES)), 1);
+        // The check can fail: CRC-64/MS's polynomial (0x259C84CBA6426349)
+        // shares x^2 + 1 with ECMA-182.
+        let ms = 1 << 64 | 0x259C_84CB_A642_6349u128;
+        assert_eq!(gf2_gcd(full_poly(ECMA_182), ms), 0b101);
     }
 
     #[test]

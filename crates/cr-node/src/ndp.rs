@@ -743,10 +743,9 @@ impl NdpEngine {
     ) -> Result<(), CodecError> {
         let job = &mut self.queue[pos];
         if let Some(policy) = self.incremental {
-            let slot_data = &nvm
+            let slot = nvm
                 .get(job.slot)
-                .ok_or_else(|| CodecError::new("drain source vanished"))?
-                .data;
+                .ok_or_else(|| CodecError::new("drain source vanished"))?;
             let state = self
                 .incr_state
                 .entry((job.meta.app_id.clone(), job.meta.rank))
@@ -756,8 +755,15 @@ impl NdpEngine {
                     chain_len: 0,
                 });
             let want_delta = state.chain_len < policy.max_chain
-                && state.encoder.has_base(slot_data.len());
-            let delta = state.encoder.encode(slot_data);
+                && state.encoder.has_base(slot.data.len());
+            // The slot's commit-time granule CRCs stand in for the
+            // fingerprints' first halves. That is sound only because
+            // `compress` has just run `verify_range(0..usize::MAX)` on
+            // this slot, in this step: the stored CRCs are the CRCs of
+            // the bytes being diffed. A slot that failed that check was
+            // cancelled before reaching here.
+            let delta =
+                state.encoder.encode_with_granule_crcs(&slot.data, &slot.crcs);
             match (want_delta, delta) {
                 (true, Some(incr)) => {
                     job.meta = job.meta.incremental_over(state.last_drained_id);
@@ -938,6 +944,7 @@ impl NdpEngine {
 mod tests {
     use super::*;
     use crate::faults::FaultPlaneConfig;
+    use crate::incremental::IncrementalImage;
     use crate::integrity::GRANULE;
     use crate::remote::RemoteError;
     use cr_compress::registry;
@@ -1483,6 +1490,58 @@ mod tests {
             );
             assert!(!rig.nvm.get(slot).unwrap().locked, "{case}");
         }
+    }
+
+    #[test]
+    fn rot_before_prepare_never_reaches_the_fingerprints() {
+        let gz = registry::by_name("gz", 1).unwrap();
+        let mut rig = Rig::new(BackpressurePolicy::Pause, true, 4);
+        rig.engine = NdpEngine::new(
+            Some(registry::by_name("gz", 1).unwrap()),
+            BackpressurePolicy::Pause,
+            4096,
+            4,
+            440e6,
+            Some(IncrementalPolicy::default()),
+        );
+        let base = granule_image(3);
+        rig.enqueue(1, base.clone());
+        rig.drain();
+        let mut next = base.clone();
+        next[GRANULE + 5] ^= 0xFF;
+        // Rot in granule 2, which did not change: its stored CRC, now
+        // stale, still equals the base's.
+        let (slot, meta) = rig.enqueue(2, next.clone());
+        rig.nvm.tamper(slot, 2 * GRANULE + 7).unwrap();
+        rig.drain();
+        assert_eq!(rig.engine.stats.drains_source_corrupt, 1);
+        assert_eq!(rig.engine.stats.incremental_drains, 0);
+        assert_eq!(
+            rig.io.read_verified(&ObjectKey::of(&meta)).unwrap_err(),
+            RemoteError::NoSuchObject,
+            "no delta object"
+        );
+        // Nothing of the rotten slot reached the rank's encoder: the
+        // cancel dropped its state, so a clean copy drains as a keyframe,
+        // and the next delta matches a fresh encoder's.
+        assert!(rig.engine.incr_state.is_empty());
+        let (_, meta) = rig.enqueue(3, next.clone());
+        rig.drain();
+        let (rmeta, blob) = rig.object(&meta);
+        assert_eq!(rmeta.base, None);
+        assert_eq!(raw(&blob, Some(gz.as_ref())), next);
+        let mut last = next.clone();
+        last[2 * GRANULE + 7] ^= 0x01;
+        let (_, meta) = rig.enqueue(4, last.clone());
+        rig.drain();
+        assert_eq!(rig.engine.stats.incremental_drains, 1);
+        let mut reference = IncrementalEncoder::new(GRANULE);
+        reference.encode(&next);
+        let want = reference.encode(&last).unwrap();
+        let (rmeta, blob) = rig.object(&meta);
+        assert_eq!(rmeta.base, Some(3));
+        let got = IncrementalImage::decode(&raw(&blob, Some(gz.as_ref())));
+        assert_eq!(got.unwrap(), want);
     }
 
     #[test]

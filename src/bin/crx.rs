@@ -263,11 +263,17 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let sim = simulate_avg(&sys, &strat, &opts, replicas);
 
     println!("strategy: {}", strat.label());
-    println!(
-        "  interval {} | local:IO ratio {}",
-        fmt_secs(sol.interval),
-        sol.ratio
-    );
+    // Only the two-level strategies keep a local:IO ratio.
+    match strat {
+        Strategy::LocalIoHost { .. } | Strategy::LocalIoNdp { .. } => println!(
+            "  interval {} | local:IO ratio {}",
+            fmt_secs(sol.interval),
+            sol.ratio
+        ),
+        Strategy::IoOnly { .. } | Strategy::LocalOnly { .. } => {
+            println!("  interval {}", fmt_secs(sol.interval))
+        }
+    }
     println!(
         "  analytic : progress {:.1}%",
         sol.progress_rate() * 100.0

@@ -127,3 +127,25 @@ fn evaluate_prints_no_nan_for_one_replica() {
     assert!(stdout.contains("simulated: progress"), "{stdout}");
     assert!(!stdout.contains("NaN"), "{stdout}");
 }
+
+/// `evaluate` prints a local:IO ratio only for the strategies that keep
+/// one: Local + I/O on the host or the NDP.
+#[test]
+fn evaluate_prints_a_ratio_only_for_two_level_strategies() {
+    for (strategy, has_ratio) in
+        [("host", true), ("ndp", true), ("local", false), ("io-only", false)]
+    {
+        let out = crx(&[
+            "evaluate", "--strategy", strategy, "--replicas", "1",
+            "--failures", "50",
+        ]);
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(out.status.success(), "{strategy}: {stdout}");
+        assert!(stdout.contains("  interval "), "{strategy}: {stdout}");
+        assert_eq!(
+            stdout.contains("local:IO ratio"),
+            has_ratio,
+            "{strategy}: {stdout}"
+        );
+    }
+}
