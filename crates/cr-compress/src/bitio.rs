@@ -1,5 +1,12 @@
 //! LSB-first bit stream writer and reader shared by the Huffman-based
 //! codecs.
+//!
+//! Both sides move whole 64-bit words: the writer stores its bit buffer
+//! with one 8-byte append and keeps the complete bytes, and the reader
+//! refills with one unaligned 8-byte load while 8 unread bytes remain
+//! (bytewise only in the last 7). The `gz` decoder's fast loop drives
+//! the reader through the crate-private `*_word`/`*_fast` methods,
+//! which skip the bounds checks a caller has already made.
 
 use crate::CodecError;
 
@@ -17,17 +24,32 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates a writer that appends to the bytes already in `out`, so
+    /// a codec can write its bit stream straight after its header.
+    pub fn from_vec(out: Vec<u8>) -> Self {
+        BitWriter {
+            out,
+            ..Self::default()
+        }
+    }
+
     /// Appends the low `count` bits of `bits` (count ≤ 57 per call).
     #[inline]
     pub fn write_bits(&mut self, bits: u64, count: u32) {
         debug_assert!(count <= 57);
-        debug_assert!(count == 64 || bits < (1u64 << count));
+        debug_assert!(bits < (1u64 << count));
+        // At most 7 bits are pending between calls, so the sum fits.
         self.bit_buf |= bits << self.bit_count;
         self.bit_count += count;
-        while self.bit_count >= 8 {
-            self.out.push((self.bit_buf & 0xFF) as u8);
-            self.bit_buf >>= 8;
-            self.bit_count -= 8;
+        if self.bit_count >= 8 {
+            // Append the whole word, then keep only its complete bytes:
+            // one fixed-size store instead of a push per byte.
+            let whole = self.bit_count / 8;
+            let len = self.out.len();
+            self.out.extend_from_slice(&self.bit_buf.to_le_bytes());
+            self.out.truncate(len + whole as usize);
+            self.bit_buf = self.bit_buf.checked_shr(whole * 8).unwrap_or(0);
+            self.bit_count &= 7;
         }
     }
 
@@ -39,13 +61,17 @@ impl BitWriter {
         self.out
     }
 
-    /// Number of complete bytes written so far.
+    /// Number of complete bytes in the output so far.
     pub fn byte_len(&self) -> usize {
         self.out.len()
     }
 }
 
 /// Reads bits LSB-first from a byte slice.
+///
+/// Bits of `bit_buf` above `bit_count` are either zero or the next
+/// unread bits of the stream (a word refill loads a few bits past the
+/// bytes it counts), so a later refill ORs the same bits in again.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     data: &'a [u8],
@@ -67,11 +93,57 @@ impl<'a> BitReader<'a> {
 
     #[inline]
     fn refill(&mut self) {
+        if self.has_word() {
+            self.refill_word();
+            return;
+        }
         while self.bit_count <= 56 && self.pos < self.data.len() {
             self.bit_buf |= (self.data[self.pos] as u64) << self.bit_count;
             self.pos += 1;
             self.bit_count += 8;
         }
+    }
+
+    /// True while at least 8 bytes of the stream are not yet buffered,
+    /// so [`Self::refill_word`] may run.
+    #[inline]
+    pub(crate) fn has_word(&self) -> bool {
+        self.data.len() - self.pos >= 8
+    }
+
+    /// Tops the buffer up to at least 56 bits with one 8-byte load.
+    /// Needs [`Self::has_word`].
+    #[inline]
+    pub(crate) fn refill_word(&mut self) {
+        debug_assert!(self.bit_count < 64);
+        let word = u64::from_le_bytes(
+            self.data[self.pos..self.pos + 8]
+                .try_into()
+                .expect("an 8-byte slice"),
+        );
+        self.bit_buf |= word << self.bit_count;
+        // Count only the whole bytes that fit; the bits of the next
+        // byte that also landed are reloaded by the next refill.
+        self.pos += (63 - self.bit_count as usize) / 8;
+        self.bit_count |= 56;
+    }
+
+    /// The buffered bits, next bit lowest. Only the low `bit_count`
+    /// bits are guaranteed; after [`Self::refill_word`] that is 56.
+    #[inline]
+    pub(crate) fn peek_fast(&self) -> u64 {
+        self.bit_buf
+    }
+
+    /// Takes `count` buffered bits without a refill or a check against
+    /// the stream's end; the caller has counted them in.
+    #[inline]
+    pub(crate) fn take_fast(&mut self, count: u32) -> u64 {
+        debug_assert!(count <= self.bit_count && count < 64);
+        let v = self.bit_buf & ((1u64 << count) - 1);
+        self.bit_buf >>= count;
+        self.bit_count -= count;
+        v
     }
 
     /// Reads `count` bits (count ≤ 57). Fails if the stream is
@@ -85,15 +157,7 @@ impl<'a> BitReader<'a> {
                 return Err(CodecError::new("bit stream exhausted"));
             }
         }
-        let mask = if count == 64 {
-            u64::MAX
-        } else {
-            (1u64 << count) - 1
-        };
-        let v = self.bit_buf & mask;
-        self.bit_buf >>= count;
-        self.bit_count -= count;
-        Ok(v)
+        Ok(self.take_fast(count))
     }
 
     /// Reads a single bit.
@@ -119,15 +183,7 @@ impl<'a> BitReader<'a> {
     /// remain.
     #[inline]
     pub fn consume(&mut self, count: u32) -> Result<(), CodecError> {
-        if self.bit_count < count {
-            self.refill();
-            if self.bit_count < count {
-                return Err(CodecError::new("bit stream exhausted"));
-            }
-        }
-        self.bit_buf >>= count;
-        self.bit_count -= count;
-        Ok(())
+        self.read_bits(count).map(drop)
     }
 }
 

@@ -16,6 +16,10 @@ const EOB: usize = 258;
 const ALPHABET: usize = 259;
 const CODE_LEN_BITS: u32 = 4;
 const MAX_CODE_LEN: u32 = 15;
+/// Largest block any level writes (level 9).
+const MAX_BLOCK: usize = 9 * BLOCK_UNIT;
+/// Bits of a block header: length, primary index and code lengths.
+const BLOCK_HEADER_BITS: usize = 64 + ALPHABET * CODE_LEN_BITS as usize;
 
 /// The `bwz` codec at a given level (1..=9).
 #[derive(Debug, Clone, Copy)]
@@ -259,16 +263,25 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         return Err(CodecError::new("bad bwz header"));
     }
     let total = u64::from_le_bytes(input[2..10].try_into().unwrap()) as usize;
-    out.reserve(total);
+    let body = &input[10..];
+    // Every block starts with its full header and is at most level 9's
+    // size, so reserve no more than the blocks the body can hold,
+    // whatever a corrupt length field claims.
+    let max_blocks = body.len() * 8 / BLOCK_HEADER_BITS;
+    out.reserve(total.min(max_blocks.saturating_mul(MAX_BLOCK)));
+    let start = out.len();
     if total == 0 {
         return Ok(());
     }
-    let mut r = BitReader::new(&input[10..]);
+    let mut r = BitReader::new(body);
     let mut symbols: Vec<u16> = Vec::new();
-    while out.len() < total {
+    while out.len() - start < total {
         let block_len = r.read_bits(32)? as usize;
         let primary = r.read_bits(32)? as u32;
-        if block_len == 0 || out.len() + block_len > total {
+        if block_len == 0
+            || block_len > MAX_BLOCK
+            || out.len() - start + block_len > total
+        {
             return Err(CodecError::new("invalid block length"));
         }
         let mut lens = vec![0u32; ALPHABET];
@@ -312,12 +325,11 @@ impl Codec for Bwz {
         compress_impl(self, input, out);
     }
 
-    fn decompress(
+    fn decompress_append(
         &self,
         input: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        out.clear();
         decompress_impl(input, out)
     }
 }

@@ -5,32 +5,40 @@
 //! *optimal* under a maximum-length constraint (no post-hoc fixups).
 //! Codes are assigned canonically (by length, then symbol) and emitted
 //! bit-reversed so they can be written LSB-first through
-//! [`crate::bitio::BitWriter`]; the decoder uses a flat
-//! `2^max_len`-entry lookup table.
+//! [`crate::bitio::BitWriter`]. The decoder looks codes up in a
+//! two-level table: a primary table indexed by the next
+//! `min(max_len, 10)` bits resolves every code of up to 10 bits, and
+//! each primary slot that prefixes longer codes links to a subtable
+//! indexed by the following `max_len - 10` bits.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::CodecError;
 
-/// Maximum supported code length (table size `2^15` = 32 Ki entries).
+/// Maximum supported code length.
 pub const MAX_CODE_LEN: u32 = 15;
+
+/// Bits that index the decoder's primary table.
+const PRIMARY_BITS: u32 = 10;
 
 /// Computes optimal length-limited code lengths for `freqs` via
 /// package-merge. Symbols with zero frequency get length 0. `max_len`
 /// must satisfy `2^max_len >= used symbols`.
 pub fn build_lengths(freqs: &[u64], max_len: u32) -> Vec<u32> {
     assert!((1..=MAX_CODE_LEN).contains(&max_len));
-    let used: Vec<u16> = freqs
+    // Used symbols by ascending weight; the stable sort keeps ties in
+    // symbol order.
+    let mut leaves: Vec<(u64, u16)> = freqs
         .iter()
         .enumerate()
         .filter(|(_, &f)| f > 0)
-        .map(|(i, _)| i as u16)
+        .map(|(i, &f)| (f, i as u16))
         .collect();
     let mut lengths = vec![0u32; freqs.len()];
-    match used.len() {
+    match leaves.len() {
         0 => return lengths,
         1 => {
             // A single symbol still needs one bit on the wire.
-            lengths[used[0] as usize] = 1;
+            lengths[leaves[0].1 as usize] = 1;
             return lengths;
         }
         m => assert!(
@@ -38,55 +46,55 @@ pub fn build_lengths(freqs: &[u64], max_len: u32) -> Vec<u32> {
             "alphabet of {m} does not fit in {max_len}-bit codes"
         ),
     }
+    leaves.sort_by_key(|&(w, _)| w);
+    let m = leaves.len();
 
-    // Package-merge. An item is (weight, constituent original symbols).
-    type Item = (u64, Vec<u16>);
-    let originals: Vec<Item> = {
-        let mut v: Vec<Item> = used
-            .iter()
-            .map(|&s| (freqs[s as usize], vec![s]))
-            .collect();
-        v.sort_by_key(|(w, _)| *w);
-        v
-    };
-
-    let mut prev: Vec<Item> = Vec::new();
-    for _level in 0..max_len {
-        // Packages from the previous (deeper) level: pair adjacent items.
-        let mut packages: Vec<Item> = Vec::with_capacity(prev.len() / 2);
-        let mut it = prev.into_iter();
-        while let (Some(a), Some(b)) = (it.next(), it.next()) {
-            let mut syms = a.1;
-            syms.extend_from_slice(&b.1);
-            packages.push((a.0 + b.0, syms));
-        }
-        // Merge originals and packages by weight (both sorted).
-        let mut merged =
-            Vec::with_capacity(originals.len() + packages.len());
+    // Package-merge on weights alone. Each level merges the leaves with
+    // the packages of the level below, each package the sum of two
+    // adjacent items there; a leaf goes first on equal weight.
+    // `is_package` records every level's item kinds, `level_end[l]`
+    // where level `l` ends in it.
+    let mut below: Vec<u64> = Vec::with_capacity(2 * m);
+    let mut level: Vec<u64> = Vec::with_capacity(2 * m);
+    let mut is_package = Vec::with_capacity(max_len as usize * 2 * m);
+    let mut level_end = Vec::with_capacity(max_len as usize);
+    for _ in 0..max_len {
+        level.clear();
+        let packages = below.len() / 2;
         let (mut i, mut j) = (0, 0);
-        while i < originals.len() && j < packages.len() {
-            if originals[i].0 <= packages[j].0 {
-                merged.push(originals[i].clone());
-                i += 1;
-            } else {
-                merged.push(std::mem::take(&mut packages[j]));
-                j += 1;
+        while i < m || j < packages {
+            let package = below.get(2 * j..2 * j + 2).map(|p| p[0] + p[1]);
+            match package {
+                Some(w) if i == m || w < leaves[i].0 => {
+                    level.push(w);
+                    is_package.push(true);
+                    j += 1;
+                }
+                _ => {
+                    level.push(leaves[i].0);
+                    is_package.push(false);
+                    i += 1;
+                }
             }
         }
-        merged.extend_from_slice(&originals[i..]);
-        for p in packages.drain(j..) {
-            merged.push(p);
-        }
-        prev = merged;
+        level_end.push(is_package.len());
+        std::mem::swap(&mut below, &mut level);
     }
 
-    // Select the 2m-2 cheapest items; each inclusion of a symbol adds one
-    // to its code length.
-    let take = 2 * used.len() - 2;
-    for (_, syms) in prev.into_iter().take(take) {
-        for s in syms {
+    // Select the 2m-2 cheapest items of the last level, and count back
+    // down: the selected leaves are a prefix of `leaves`, each adding
+    // one to its symbol's length, and `p` selected packages select the
+    // first `2p` items of the level below.
+    let mut take = 2 * m - 2;
+    for l in (0..max_len as usize).rev() {
+        let start = if l == 0 { 0 } else { level_end[l - 1] };
+        let level = &is_package[start..level_end[l]];
+        let selected = &level[..take.min(level.len())];
+        let packages = selected.iter().filter(|&&p| p).count();
+        for &(_, s) in &leaves[..selected.len() - packages] {
             lengths[s as usize] += 1;
         }
+        take = 2 * packages;
     }
     debug_assert!(kraft_ok(&lengths));
     lengths
@@ -164,9 +172,17 @@ impl Encoder {
     /// Emits the code for `sym`.
     #[inline]
     pub fn write(&self, w: &mut BitWriter, sym: usize) {
+        let (code, len) = self.code(sym);
+        w.write_bits(code, len);
+    }
+
+    /// The bit-reversed code of `sym` and its length, for a caller that
+    /// packs several fields into one [`BitWriter::write_bits`].
+    #[inline]
+    pub(crate) fn code(&self, sym: usize) -> (u64, u32) {
         let len = self.lengths[sym];
         debug_assert!(len > 0, "encoding symbol {sym} with no code");
-        w.write_bits(self.codes[sym] as u64, len);
+        (self.codes[sym] as u64, len)
     }
 
     /// Code length of `sym` (0 = unused).
@@ -175,12 +191,20 @@ impl Encoder {
     }
 }
 
-/// Canonical Huffman decoder backed by a flat `2^max_len` lookup table.
+/// A decoder table entry: `symbol << 16 | code_len` for a code, `offset
+/// << 16 | LINK` for a primary slot whose codes continue in the
+/// subtable at `offset`, and 0 for a prefix no code starts with.
+type Entry = u32;
+
+const LINK: Entry = 1 << 8;
+
+/// Canonical Huffman decoder backed by a two-level lookup table.
 #[derive(Debug)]
 pub struct Decoder {
-    /// `table[peeked_bits] = (symbol, code_len)`; `code_len == 0` marks
-    /// an invalid prefix.
-    table: Vec<(u16, u8)>,
+    /// The `2^primary_bits` primary entries, then the subtables, each
+    /// `2^(max_len - primary_bits)` entries.
+    table: Vec<Entry>,
+    primary_bits: u32,
     max_len: u32,
 }
 
@@ -191,7 +215,8 @@ impl Decoder {
         let max = lengths.iter().copied().max().unwrap_or(0);
         if max == 0 {
             return Ok(Decoder {
-                table: Vec::new(),
+                table: vec![0],
+                primary_bits: 0,
                 max_len: 0,
             });
         }
@@ -210,7 +235,10 @@ impl Decoder {
         }
 
         let codes = canonical_codes(lengths);
-        let mut table = vec![(0u16, 0u8); 1usize << max];
+        let primary_bits = max.min(PRIMARY_BITS);
+        let primary_len = 1usize << primary_bits;
+        let sub_bits = max - primary_bits;
+        let mut table = vec![0; primary_len];
         for (sym, (&len, &code)) in
             lengths.iter().zip(codes.iter()).enumerate()
         {
@@ -218,32 +246,61 @@ impl Decoder {
                 continue;
             }
             // The reversed code occupies the low `len` bits of the peek;
-            // fill every table slot whose low bits match.
-            let step = 1usize << len;
-            let mut idx = code as usize;
-            while idx < table.len() {
-                table[idx] = (sym as u16, len as u8);
-                idx += step;
+            // fill every slot whose low bits match.
+            let entry = (sym as Entry) << 16 | len;
+            let code = code as usize;
+            let (start, end, code, len) = if len <= primary_bits {
+                (0, primary_len, code, len)
+            } else {
+                let slot = code & (primary_len - 1);
+                if table[slot] == 0 {
+                    table[slot] = (table.len() as Entry) << 16 | LINK;
+                    table.resize(table.len() + (1 << sub_bits), 0);
+                }
+                let start = (table[slot] >> 16) as usize;
+                let code = code >> primary_bits;
+                (start, start + (1 << sub_bits), code, len - primary_bits)
+            };
+            let mut idx = start + code;
+            while idx < end {
+                table[idx] = entry;
+                idx += 1 << len;
             }
         }
         Ok(Decoder {
             table,
+            primary_bits,
             max_len: max,
         })
+    }
+
+    /// Looks up the code at the low bits of `bits`, which must hold the
+    /// stream's next `max_len` bits (zero past its end): `(symbol,
+    /// code length)`.
+    #[inline]
+    pub(crate) fn lookup(&self, bits: u64) -> Result<(u16, u32), CodecError> {
+        let primary = bits as usize & ((1 << self.primary_bits) - 1);
+        let mut e = self.table[primary];
+        if e & LINK != 0 {
+            let sub = (bits >> self.primary_bits) as usize
+                & ((1 << (self.max_len - self.primary_bits)) - 1);
+            e = self.table[(e >> 16) as usize + sub];
+        }
+        if e == 0 {
+            return Err(CodecError::new(if self.max_len == 0 {
+                "decoding with empty code"
+            } else {
+                "invalid Huffman prefix"
+            }));
+        }
+        Ok(((e >> 16) as u16, e & 0xFF))
     }
 
     /// Decodes one symbol.
     #[inline]
     pub fn read(&self, r: &mut BitReader<'_>) -> Result<u16, CodecError> {
-        if self.max_len == 0 {
-            return Err(CodecError::new("decoding with empty code"));
-        }
-        let peek = r.peek_bits(self.max_len) as usize;
-        let (sym, len) = self.table[peek];
-        if len == 0 {
-            return Err(CodecError::new("invalid Huffman prefix"));
-        }
-        r.consume(len as u32)?;
+        let (sym, len) = self.lookup(r.peek_bits(self.max_len))?;
+        r.consume(len)?;
         Ok(sym)
     }
 }
@@ -251,6 +308,119 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Package-merge over item lists, each item cloning the symbols it
+    /// packs: the former `build_lengths`, kept as the reference for the
+    /// weights-only version.
+    fn build_lengths_reference(freqs: &[u64], max_len: u32) -> Vec<u32> {
+        let used: Vec<u16> = freqs
+            .iter()
+            .enumerate()
+            .filter(|(_, &f)| f > 0)
+            .map(|(i, _)| i as u16)
+            .collect();
+        let mut lengths = vec![0u32; freqs.len()];
+        match used.len() {
+            0 => return lengths,
+            1 => {
+                lengths[used[0] as usize] = 1;
+                return lengths;
+            }
+            _ => {}
+        }
+        type Item = (u64, Vec<u16>);
+        let mut originals: Vec<Item> = used
+            .iter()
+            .map(|&s| (freqs[s as usize], vec![s]))
+            .collect();
+        originals.sort_by_key(|(w, _)| *w);
+        let mut prev: Vec<Item> = Vec::new();
+        for _level in 0..max_len {
+            let mut packages: Vec<Item> = Vec::new();
+            let mut it = prev.into_iter();
+            while let (Some(a), Some(b)) = (it.next(), it.next()) {
+                let mut syms = a.1;
+                syms.extend_from_slice(&b.1);
+                packages.push((a.0 + b.0, syms));
+            }
+            let mut merged = Vec::new();
+            let (mut i, mut j) = (0, 0);
+            while i < originals.len() && j < packages.len() {
+                if originals[i].0 <= packages[j].0 {
+                    merged.push(originals[i].clone());
+                    i += 1;
+                } else {
+                    merged.push(std::mem::take(&mut packages[j]));
+                    j += 1;
+                }
+            }
+            merged.extend_from_slice(&originals[i..]);
+            merged.extend(packages.drain(j..));
+            prev = merged;
+        }
+        for (_, syms) in prev.into_iter().take(2 * used.len() - 2) {
+            for s in syms {
+                lengths[s as usize] += 1;
+            }
+        }
+        lengths
+    }
+
+    fn fibonacci(n: usize) -> Vec<u64> {
+        let (mut a, mut b) = (1u64, 1u64);
+        (0..n)
+            .map(|_| {
+                let f = a;
+                (a, b) = (b, a + b);
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn weights_only_package_merge_matches_the_item_lists() {
+        let check = |freqs: &[u64], max_len: u32| {
+            assert_eq!(
+                build_lengths(freqs, max_len),
+                build_lengths_reference(freqs, max_len),
+                "max_len {max_len}, freqs {freqs:?}"
+            );
+        };
+        check(&[], 15);
+        check(&[0, 0, 0], 15);
+        check(&[0, 7, 0], 15);
+        check(&[0, 7, 0], 1);
+        check(&fibonacci(20), 5);
+        check(&fibonacci(32), 5);
+        check(&fibonacci(40), 15);
+        // Seeded alphabets of the gz and bwz sizes. Weights from a few
+        // small values give many ties; wide weights and sparse
+        // alphabets push lengths to the limit.
+        let mut x = 0x9AC4u64;
+        let mut next = move || {
+            // SplitMix64.
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for case in 0..400 {
+            let n = [2, 3, 30, 259, 286][case % 5];
+            let spread = [1, 3, 8, 1 << 20][(case / 5) % 4];
+            let freqs: Vec<u64> = (0..n)
+                .map(|_| match next() % 4 {
+                    0 if case % 3 == 0 => 0,
+                    _ => next() % spread + 1,
+                })
+                .collect();
+            let used = freqs.iter().filter(|&&f| f > 0).count() as u64;
+            for max_len in [7, 9, 12, 15] {
+                if used <= 1 << max_len {
+                    check(&freqs, max_len);
+                }
+            }
+        }
+    }
 
     fn round_trip(freqs: &[u64], message: &[usize]) {
         let (enc, lengths) = Encoder::from_freqs(freqs, MAX_CODE_LEN);
@@ -269,6 +439,44 @@ mod tests {
     #[test]
     fn two_symbols() {
         round_trip(&[5, 3], &[0, 1, 1, 0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn two_level_table_matches_a_flat_table() {
+        // Every `max_len`-bit peek must resolve as a flat
+        // `2^max_len`-entry table would: same symbol and length, or
+        // invalid. Lengths up to 15 bits, complete and incomplete codes.
+        let mut cases = vec![
+            build_lengths(&fibonacci(40), 15),
+            build_lengths(&fibonacci(24), 12),
+            build_lengths(&fibonacci(20), 5),
+            vec![2, 2, 2],
+            vec![0, 11, 1, 0, 11, 3, 4],
+        ];
+        let mut incomplete = build_lengths(&fibonacci(30), 15);
+        incomplete[29] = 0;
+        cases.push(incomplete);
+        for lengths in cases {
+            let max = *lengths.iter().max().unwrap();
+            let dec = Decoder::from_lengths(&lengths).unwrap();
+            let mut flat = vec![None; 1 << max];
+            for (sym, (&len, &code)) in
+                lengths.iter().zip(&canonical_codes(&lengths)).enumerate()
+            {
+                let mut i = code as usize;
+                while len > 0 && i < flat.len() {
+                    flat[i] = Some((sym as u16, len));
+                    i += 1 << len;
+                }
+            }
+            for (peek, want) in flat.iter().enumerate() {
+                let got = dec.lookup(peek as u64).ok();
+                assert_eq!(got, *want, "peek {peek:#x}, lengths {lengths:?}");
+                // Bits above `max_len` are ignored.
+                let high = dec.lookup(peek as u64 | 0xFFFF << max).ok();
+                assert_eq!(high, *want);
+            }
+        }
     }
 
     #[test]
@@ -300,14 +508,7 @@ mod tests {
     fn length_limit_is_respected() {
         // Fibonacci-ish frequencies force deep optimal trees; limiting
         // to 5 bits must still produce a valid code for 20 symbols.
-        let mut freqs = vec![0u64; 20];
-        let (mut a, mut b) = (1u64, 1u64);
-        for f in freqs.iter_mut() {
-            *f = a;
-            let c = a + b;
-            a = b;
-            b = c;
-        }
+        let freqs = fibonacci(20);
         let lengths = build_lengths(&freqs, 5);
         assert!(lengths.iter().all(|&l| l <= 5 && l > 0));
         assert!(kraft_ok(&lengths));

@@ -97,11 +97,28 @@ pub trait Codec: Send + Sync {
         self.compress_append(input, out);
     }
 
-    /// Decompresses `input`, appending to `out` (which is cleared
-    /// first). Fails on malformed input but must never panic on
-    /// arbitrary bytes.
-    fn decompress(&self, input: &[u8], out: &mut Vec<u8>)
-        -> Result<(), CodecError>;
+    /// Decompresses `input`, appending the raw bytes to `out` *without*
+    /// clearing it, so a caller can decode several containers into one
+    /// buffer (the restore path decodes each framed block straight into
+    /// the image this way). Back-references never reach into the bytes
+    /// `out` held before. Fails on malformed input, leaving `out` with
+    /// its earlier bytes and possibly part of this container's, but
+    /// must never panic on arbitrary bytes.
+    fn decompress_append(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError>;
+
+    /// Decompresses `input` into `out`, which is cleared first.
+    fn decompress(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        out.clear();
+        self.decompress_append(input, out)
+    }
 
     /// `name(level)` label matching the paper's notation.
     fn label(&self) -> String {

@@ -21,6 +21,9 @@
 //!   steps further between probes (LZ4-style), and long matches insert
 //!   chain entries with a stride instead of per byte, so zero pages and
 //!   turbulent state both stay cheap.
+//! * **One hash per probed position** — a position's 4-byte hash serves
+//!   both its chain probe and its insert (and the lazy look-ahead's
+//!   hash serves the deferred match start's insert).
 
 use std::cell::RefCell;
 
@@ -169,29 +172,37 @@ impl<'a, 's> MatchFinder<'a, 's> {
         }
     }
 
-    /// Inserts position `pos` into the chains.
+    /// The hash of the 4 bytes at `pos`; `None` within 3 bytes of the
+    /// end, where no match starts and nothing is inserted.
     #[inline(always)]
-    fn insert(&mut self, pos: usize) {
-        if pos + 4 > self.data.len() {
-            return;
-        }
-        let h = hash4(self.data, pos);
+    fn hash_at(&self, pos: usize) -> Option<usize> {
+        (pos + 4 <= self.data.len()).then(|| hash4(self.data, pos))
+    }
+
+    /// Inserts position `pos`, whose 4-byte hash is `h`, into the chains.
+    #[inline(always)]
+    fn insert_hashed(&mut self, pos: usize, h: usize) {
         let gp = self.base + pos as u32;
         self.prev[gp as usize & self.window_mask] = self.head[h];
         self.head[h] = gp;
     }
 
-    /// Finds the best match at `pos`, returning `(len, dist)` when at
-    /// least `MIN_MATCH` long.
-    fn best_match(&self, pos: usize) -> Option<(u32, u32)> {
-        let data = self.data;
-        if pos + 4 > data.len() {
-            return None;
+    /// Inserts position `pos` into the chains.
+    #[inline(always)]
+    fn insert(&mut self, pos: usize) {
+        if let Some(h) = self.hash_at(pos) {
+            self.insert_hashed(pos, h);
         }
+    }
+
+    /// Finds the best match at `pos`, whose 4-byte hash is `h`,
+    /// returning `(len, dist)` when at least `MIN_MATCH` long.
+    fn best_match(&self, pos: usize, h: usize) -> Option<(u32, u32)> {
+        let data = self.data;
         let max_len = self.params.max_match.min(data.len() - pos);
         let gp = self.base + pos as u32;
         let first4 = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-        let mut cand = self.head[hash4(data, pos)];
+        let mut cand = self.head[h];
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0u32;
         let mut chain = self.params.max_chain;
@@ -312,8 +323,9 @@ pub fn tokenize_with(
     // Consecutive literal count driving the probe stride.
     let mut miss: u32 = 0;
     while pos < input.len() {
-        let found = mf.best_match(pos);
-        match found {
+        // The position's hash serves both its probe and its insert.
+        let h = mf.hash_at(pos);
+        match h.and_then(|h| Some((h, mf.best_match(pos, h)?))) {
             None => {
                 // Incompressible run: probe less often the longer it
                 // gets. The skipped bytes are emitted as literals
@@ -325,7 +337,9 @@ pub fn tokenize_with(
                 } else {
                     1
                 };
-                mf.insert(pos);
+                if let Some(h) = h {
+                    mf.insert_hashed(pos, h);
+                }
                 let end = (pos + step).min(input.len());
                 for &b in &input[pos..end] {
                     tokens.push(Token::Literal(b));
@@ -333,20 +347,22 @@ pub fn tokenize_with(
                 miss += (end - pos) as u32;
                 pos = end;
             }
-            Some((mut len, mut dist)) => {
+            Some((h, (mut len, mut dist))) => {
                 miss = 0;
                 if params.lazy && (len as usize) < params.nice_len {
                     // Peek one position ahead; if it matches longer, emit
                     // a literal and take the later match.
-                    mf.insert(pos);
-                    if let Some((len2, dist2)) = mf.best_match(pos + 1) {
+                    mf.insert_hashed(pos, h);
+                    let next = mf.hash_at(pos + 1);
+                    let later = next.and_then(|h2| mf.best_match(pos + 1, h2));
+                    if let (Some(h2), Some((len2, dist2))) = (next, later) {
                         if len2 > len + 1 {
                             tokens.push(Token::Literal(input[pos]));
                             pos += 1;
                             // The deferred match start needs its own
                             // chain entry (the old start already has
                             // one).
-                            mf.insert(pos);
+                            mf.insert_hashed(pos, h2);
                             len = len2;
                             dist = dist2;
                         }

@@ -207,7 +207,11 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         return Err(CodecError::new("truncated lzf header"));
     }
     let total = u64::from_le_bytes(input[1..9].try_into().unwrap()) as usize;
-    out.reserve(total);
+    // An input byte decodes to at most 255 output bytes (a match length
+    // extension byte), so reserve no more than the input can produce,
+    // whatever a corrupt length field claims.
+    out.reserve(total.min((input.len() - 9).saturating_mul(255)));
+    let start = out.len();
     let mut pos = 9usize;
     if total == 0 {
         return Ok(());
@@ -249,20 +253,20 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
             match_len = read_len(input, &mut pos, 15)?;
         }
         match_len += MIN_MATCH;
-        if offset > out.len() {
+        if offset > out.len() - start {
             return Err(CodecError::new("match offset before stream start"));
         }
-        let start = out.len() - offset;
+        let from = out.len() - offset;
         for i in 0..match_len {
-            let b = out[start + i];
+            let b = out[from + i];
             out.push(b);
         }
     }
 
-    if out.len() != total {
+    if out.len() - start != total {
         return Err(CodecError::new(format!(
             "length mismatch: expected {total}, got {}",
-            out.len()
+            out.len() - start
         )));
     }
     Ok(())
@@ -281,12 +285,11 @@ impl Codec for Lzf {
         compress_impl(input, out);
     }
 
-    fn decompress(
+    fn decompress_append(
         &self,
         input: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        out.clear();
         decompress_impl(input, out)
     }
 }

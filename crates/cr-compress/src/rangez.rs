@@ -348,7 +348,12 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         return Err(CodecError::new("bad rz header"));
     }
     let total = u64::from_le_bytes(input[2..10].try_into().unwrap()) as usize;
-    out.reserve(total);
+    // A range coder spends a fraction of a bit on a likely symbol, so
+    // the input gives no useful bound on the output: reserve at most 64
+    // bytes per input byte, whatever a corrupt length field claims, and
+    // let `out` grow past that if a stream really expands further.
+    out.reserve(total.min(input.len().saturating_mul(64)));
+    let start = out.len();
     if total == 0 {
         return Ok(());
     }
@@ -356,7 +361,7 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
     let mut model = Model::new();
     let mut prev_byte = 0u8;
 
-    while out.len() < total {
+    while out.len() - start < total {
         // A corrupted length header must not make the decoder run on
         // zeros towards an arbitrary size.
         if dec.exhausted() {
@@ -371,15 +376,15 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
             let slot = model.slot_tree.decode(&mut dec);
             let (base, extra_bits) = slot_base(slot);
             let dist = (base + dec.decode_direct(extra_bits)) as usize;
-            if dist > out.len() {
+            if dist > out.len() - start {
                 return Err(CodecError::new("rz distance before start"));
             }
-            if out.len() + len as usize > total {
+            if out.len() - start + len as usize > total {
                 return Err(CodecError::new("rz output overrun"));
             }
-            let start = out.len() - dist;
+            let from = out.len() - dist;
             for i in 0..len as usize {
-                let b = out[start + i];
+                let b = out[from + i];
                 out.push(b);
             }
             prev_byte = *out.last().expect("non-empty after match");
@@ -401,12 +406,11 @@ impl Codec for Rangez {
         compress_impl(self, input, out);
     }
 
-    fn decompress(
+    fn decompress_append(
         &self,
         input: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        out.clear();
         decompress_impl(input, out)
     }
 }

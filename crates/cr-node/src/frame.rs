@@ -32,15 +32,15 @@ fn read32(b: &[u8]) -> usize {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize
 }
 
-/// Decodes every frame of `blob` and appends the raw bytes to `out`. A
-/// truncated header, a payload overrunning the blob, or a block that
-/// does not decode to its recorded length is an error.
+/// Decodes every frame of `blob` and appends the raw bytes to `out`,
+/// each codec container straight into `out`. A truncated header, a
+/// payload overrunning the blob, or a block that does not decode to its
+/// recorded length is an error.
 pub fn decode(
     blob: &[u8],
     codec: Option<&dyn Codec>,
     out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
-    let mut part = Vec::new();
     let mut rest = blob;
     while !rest.is_empty() {
         if rest.len() < HEADER {
@@ -53,17 +53,14 @@ pub fn decode(
         }
         let (payload, tail) = rest.split_at(comp_len);
         rest = tail;
-        let raw = match codec {
-            Some(c) => {
-                c.decompress(payload, &mut part)?;
-                &part[..]
-            }
-            None => payload,
-        };
-        if raw.len() != raw_len {
+        let start = out.len();
+        match codec {
+            Some(c) => c.decompress_append(payload, out)?,
+            None => out.extend_from_slice(payload),
+        }
+        if out.len() - start != raw_len {
             return Err(CodecError::new("block length mismatch"));
         }
-        out.extend_from_slice(raw);
     }
     Ok(())
 }
