@@ -26,7 +26,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{Decoder, Encoder};
-use crate::lz::{tokenize, LzParams, Token};
+use crate::lz::{copy_match, tokenize, LzParams, Token};
 use crate::{Codec, CodecError};
 
 const MAGIC: u8 = 0x47; // 'G'
@@ -352,33 +352,6 @@ fn dist_base(sym: u16) -> Result<(usize, u32), CodecError> {
         Some(&(base, extra)) => Ok((base as usize, extra)),
         None => Err(CodecError::new("invalid distance code")),
     }
-}
-
-/// Appends the `len` bytes that start `dist` bytes back, which must lie
-/// in the current block. A match clear of the bytes it writes is one
-/// `extend_from_within`; an overlapping one repeats its `dist`-byte
-/// period, copied in doubling chunks.
-#[inline]
-fn copy_match(
-    out: &mut Vec<u8>,
-    block_start: usize,
-    dist: usize,
-    len: usize,
-) -> Result<(), CodecError> {
-    if dist == 0 || dist > out.len() - block_start {
-        return Err(CodecError::new("distance out of block"));
-    }
-    let from = out.len() - dist;
-    if dist >= len {
-        out.extend_from_within(from..from + len);
-    } else {
-        let end = out.len() + len;
-        while out.len() < end {
-            let n = (end - out.len()).min(out.len() - from);
-            out.extend_from_within(from..from + n);
-        }
-    }
-    Ok(())
 }
 
 impl Codec for Deflate {

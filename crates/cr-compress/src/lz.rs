@@ -27,6 +27,8 @@
 
 use std::cell::RefCell;
 
+use crate::CodecError;
+
 /// Minimum match length worth emitting.
 pub const MIN_MATCH: usize = 3;
 
@@ -383,25 +385,47 @@ pub fn tokenize_with(
 }
 
 /// Reconstructs bytes from tokens (shared by decoder tests; the real
-/// decoders inline this against their output buffers).
+/// decoders copy matches with `copy_match` against their output
+/// buffers).
 pub fn detokenize(tokens: &[Token], out: &mut Vec<u8>) -> Result<(), String> {
     for t in tokens {
         match *t {
             Token::Literal(b) => out.push(b),
             Token::Match { len, dist } => {
-                let dist = dist as usize;
-                if dist == 0 || dist > out.len() {
-                    return Err(format!(
-                        "invalid distance {dist} at output {}",
-                        out.len()
-                    ));
-                }
-                let start = out.len() - dist;
-                for i in 0..len as usize {
-                    let b = out[start + i];
-                    out.push(b);
-                }
+                let at = out.len();
+                copy_match(out, 0, dist as usize, len as usize).map_err(|_| {
+                    format!("invalid distance {dist} at output {at}")
+                })?;
             }
+        }
+    }
+    Ok(())
+}
+
+/// Appends the `len` bytes that start `dist` bytes back, which must lie
+/// at or after `start` (the first output byte of the current block or
+/// stream). A match clear of the bytes it writes is one
+/// `extend_from_within`; an overlapping one repeats its `dist`-byte
+/// period, copied in doubling chunks. Every LZ decoder copies its
+/// matches here.
+#[inline]
+pub(crate) fn copy_match(
+    out: &mut Vec<u8>,
+    start: usize,
+    dist: usize,
+    len: usize,
+) -> Result<(), CodecError> {
+    if dist == 0 || dist > out.len() - start {
+        return Err(CodecError::new("distance out of block"));
+    }
+    let from = out.len() - dist;
+    if dist >= len {
+        out.extend_from_within(from..from + len);
+    } else {
+        let end = out.len() + len;
+        while out.len() < end {
+            let n = (end - out.len()).min(out.len() - from);
+            out.extend_from_within(from..from + n);
         }
     }
     Ok(())

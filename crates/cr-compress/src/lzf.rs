@@ -11,7 +11,7 @@
 
 use std::cell::RefCell;
 
-use crate::lz::common_prefix_from;
+use crate::lz::{common_prefix_from, copy_match};
 use crate::{Codec, CodecError};
 
 const MAGIC: u8 = 0x4C;
@@ -256,11 +256,7 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
         if offset > out.len() - start {
             return Err(CodecError::new("match offset before stream start"));
         }
-        let from = out.len() - offset;
-        for i in 0..match_len {
-            let b = out[from + i];
-            out.push(b);
-        }
+        copy_match(out, start, offset, match_len)?;
     }
 
     if out.len() - start != total {

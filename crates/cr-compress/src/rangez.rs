@@ -4,7 +4,7 @@
 //! and distance slots with direct bits. Slow and strong, matching the
 //! paper's `xz` profile.
 
-use crate::lz::{tokenize, LzParams, Token};
+use crate::lz::{copy_match, tokenize, LzParams, Token};
 use crate::{Codec, CodecError};
 
 const MAGIC: u8 = 0x52; // 'R'
@@ -382,11 +382,7 @@ fn decompress_impl(input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
             if out.len() - start + len as usize > total {
                 return Err(CodecError::new("rz output overrun"));
             }
-            let from = out.len() - dist;
-            for i in 0..len as usize {
-                let b = out[from + i];
-                out.push(b);
-            }
+            copy_match(out, start, dist, len as usize)?;
             prev_byte = *out.last().expect("non-empty after match");
         }
     }

@@ -106,9 +106,9 @@ impl Breakdown {
         }
     }
 
-    /// Checks internal sanity: all fields finite and non-negative.
-    pub fn validate(&self) -> Result<(), String> {
-        let fields = [
+    /// The seven buckets as `(field name, value)`, in declaration order.
+    pub fn buckets(&self) -> [(&'static str, f64); 7] {
+        [
             ("compute", self.compute),
             ("checkpoint_local", self.checkpoint_local),
             ("checkpoint_io", self.checkpoint_io),
@@ -116,8 +116,12 @@ impl Breakdown {
             ("restore_io", self.restore_io),
             ("rerun_local", self.rerun_local),
             ("rerun_io", self.rerun_io),
-        ];
-        for (name, v) in fields {
+        ]
+    }
+
+    /// Checks internal sanity: all fields finite and non-negative.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, v) in self.buckets() {
             if !v.is_finite() {
                 return Err(format!("{name} is not finite: {v}"));
             }

@@ -106,12 +106,10 @@ impl IndicatorReport {
 }
 
 /// Merges per-node reports into one deterministic summary: for every
-/// key present in any input, the merged report carries
-/// `<key>_p10` / `<key>_p50` / `<key>_p90` (nearest-rank percentiles
-/// over the nodes that have the key) and `<key>_mean`, plus a `nodes`
-/// count. Input order does not matter — values are sorted before
-/// ranking.
-pub fn merge_percentiles(
+/// key present in any input, the merged report carries `<key>_mean`
+/// over the nodes that have the key, plus a `nodes` count. Input order
+/// does not matter: values are sorted before they are summed.
+pub fn merge_means(
     label: &str,
     reports: &[IndicatorReport],
 ) -> IndicatorReport {
@@ -125,15 +123,8 @@ pub fn merge_percentiles(
     }
     for (k, mut vs) in keys {
         vs.sort_by(f64::total_cmp);
-        let n = vs.len();
-        let pick = |q: f64| vs[(((n - 1) as f64) * q).round() as usize];
-        merged.set(&format!("{k}_p10"), pick(0.10));
-        merged.set(&format!("{k}_p50"), pick(0.50));
-        merged.set(&format!("{k}_p90"), pick(0.90));
-        merged.set(
-            &format!("{k}_mean"),
-            vs.iter().sum::<f64>() / n as f64,
-        );
+        let mean = vs.iter().sum::<f64>() / vs.len() as f64;
+        merged.set(&format!("{k}_mean"), mean);
     }
     merged
 }
@@ -680,7 +671,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_percentiles_is_order_independent() {
+    fn merge_means_is_order_independent() {
         let mk = |u: f64| {
             let mut r = IndicatorReport::new("n");
             r.set("ndp_utilization", u);
@@ -688,15 +679,13 @@ mod tests {
         };
         let nodes = vec![mk(0.5), mk(0.9), mk(0.7)];
         let rev: Vec<_> = nodes.iter().rev().cloned().collect();
-        let a = merge_percentiles("m", &nodes);
-        let b = merge_percentiles("m", &rev);
+        let a = merge_means("m", &nodes);
+        let b = merge_means("m", &rev);
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.get("nodes"), Some(3.0));
-        assert_eq!(a.get("ndp_utilization_p50"), Some(0.7));
-        assert_eq!(a.get("ndp_utilization_p10"), Some(0.5));
-        assert_eq!(a.get("ndp_utilization_p90"), Some(0.9));
         let mean = a.get("ndp_utilization_mean").unwrap();
         assert!((mean - 0.7).abs() < 1e-12);
+        assert_eq!(a.values().len(), 2, "only nodes and one mean");
     }
 
     #[test]

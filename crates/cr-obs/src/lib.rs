@@ -17,9 +17,10 @@
 //!    ([`Bus::emit_with`]) so a disabled bus never allocates.
 //! 2. A flat **indicator report** ([`analyze::IndicatorReport`]): a
 //!    sorted map of named values, rendered as `indicators/v1` JSON.
-//!    [`analyze::analyze`] folds an event stream into one, and the
-//!    event-count snapshots of `crx trace --metrics-out` and
-//!    `bench_chaos` are one too.
+//!    [`analyze::analyze`] folds an event stream into one,
+//!    [`analyze::merge_means`] folds a fleet's into one, and the
+//!    model-plane snapshot of `crx report` and the event-count
+//!    snapshot of `bench_chaos` are one too.
 //!
 //! Everything here is observational: emitting an event never draws
 //! randomness, never changes control flow, and never feeds back into

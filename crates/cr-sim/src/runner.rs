@@ -37,30 +37,32 @@ impl AveragedResult {
 
     /// Mean of per-replica progress rates.
     pub fn mean_progress(&self) -> f64 {
-        let n = self.progress_rates.len() as f64;
-        self.progress_rates.iter().sum::<f64>() / n
+        mean_sem(&self.progress_rates).0
     }
 
     /// Standard error of the per-replica progress-rate mean.
     pub fn sem_progress(&self) -> f64 {
-        let n = self.progress_rates.len();
-        if n < 2 {
-            return f64::NAN;
-        }
-        let mean = self.mean_progress();
-        let var = self
-            .progress_rates
-            .iter()
-            .map(|p| (p - mean) * (p - mean))
-            .sum::<f64>()
-            / (n as f64 - 1.0);
-        (var / n as f64).sqrt()
+        mean_sem(&self.progress_rates).1
     }
 
     /// Pooled breakdown normalized to fractions of total time.
     pub fn fractions(&self) -> Breakdown {
         self.pooled.as_fractions()
     }
+}
+
+/// Mean and standard error of the mean of per-replica samples `xs`
+/// (sample variance over `n - 1`). The standard error is NaN below two
+/// samples, which have no spread to measure.
+pub fn mean_sem(xs: &[f64]) -> (f64, f64) {
+    let n = xs.len();
+    let mean = xs.iter().sum::<f64>() / n as f64;
+    if n < 2 {
+        return (mean, f64::NAN);
+    }
+    let var = xs.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>()
+        / (n as f64 - 1.0);
+    (mean, (var / n as f64).sqrt())
 }
 
 /// Runs `replicas` independent simulations (seeds `base_seed..`) in
@@ -110,8 +112,8 @@ pub fn simulate_avg_in(
 ///
 /// This is the multi-node trace-collection entry point: per-replica
 /// streams can be analyzed node by node
-/// ([`cr_obs::analyze::analyze`]), merged into percentile summaries
-/// ([`cr_obs::analyze::merge_percentiles`]), or exported as one
+/// ([`cr_obs::analyze::analyze`]), merged into per-indicator fleet
+/// means ([`cr_obs::analyze::merge_means`]), or exported as one
 /// Chrome trace with a `pid` per replica
 /// ([`cr_obs::export::chrome_trace_merged`]). Observation is private
 /// per replica, so the results are bit-identical to

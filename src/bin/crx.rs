@@ -175,11 +175,16 @@ fn strategy_from(
 }
 
 /// Reads `--replicas` or `--failures` where a simulated mean is
-/// printed: it must be at least 1, since a run with no replica or no
-/// failure measures nothing.
-fn count_from(flags: &Flags, key: &str, default: usize) -> Result<u64, String> {
+/// printed: it must be at least `min` (1 at least, since a run with no
+/// replica or no failure measures nothing).
+fn count_from(
+    flags: &Flags,
+    key: &str,
+    default: usize,
+    min: usize,
+) -> Result<u64, String> {
     match flags.get_usize(key, default)? {
-        0 => Err(format!("--{key}: 0 is not an integer >= 1")),
+        n if n < min => Err(format!("--{key}: {n} is not an integer >= {min}")),
         n => Ok(n as u64),
     }
 }
@@ -199,13 +204,15 @@ COMMANDS:
 The paper's tables and figures have their own binaries (repro_table1,
 repro_fig5, ...; see README).
 
-SYSTEM FLAGS (each > 0):
+Each command takes only the flags listed for it below (and --help).
+
+SYSTEM FLAGS (evaluate, trace, report, export; each > 0):
   --mtti MIN     system MTTI in minutes        [30]
   --size GB      checkpoint size per node      [112]
   --nvm GBPS     local NVM bandwidth           [15]
   --io MBPS      per-node global-I/O share     [100]
 
-STRATEGY FLAGS:
+STRATEGY FLAGS (evaluate, trace, report, export):
   --strategy S   io-only | local | host | ndp  [ndp]
   --p-local F    P(recover from local levels)  [0.85]
   --compress F   compression factor in (0, 1]  [off]
@@ -222,14 +229,14 @@ TRACE FLAGS:
   --sink S       off | vec | json              [vec]
   --from S       render window start, seconds  [0]
   --to S         render window end, seconds    [wall time]
-  --width N      render width in columns       [100]
+                 (--from and --to finite)
+  --width N      render width, 10..=10000      [100]
   --result-out F write the SimResult debug dump to F
-  --metrics-out F write an indicators/v1 event-count snapshot to F
-                 (needs --sink vec or json)
 
 REPORT / EXPORT FLAGS:
   --seed N       base replica seed             [42]
   --replicas N   observed replicas (fleet)     [report 4, export 2]
+                 (report needs >= 2: one replica has no SEM)
   --failures N   failures per replica          [report 400, export 25]
                  (report needs >= 1)
   --out F        write JSON to F instead of stdout summary only
@@ -251,8 +258,8 @@ fn ensure_parent_dir(path: &str) {
 fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let sys = system_from(flags)?;
     let (strat, sol) = strategy_from(flags, &sys)?;
-    let replicas = count_from(flags, "replicas", 4)?;
-    let failures = count_from(flags, "failures", 2000)?;
+    let replicas = count_from(flags, "replicas", 4, 1)?;
+    let failures = count_from(flags, "failures", 2000, 1)?;
 
     let opts = SimOptions {
         seed: 42,
@@ -301,7 +308,6 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
-    use ndp_checkpoint::cr_obs::analyze::IndicatorReport;
     use ndp_checkpoint::cr_obs::{Bus, VecSink};
     use ndp_checkpoint::cr_sim::{run_engine, Trace};
 
@@ -313,15 +319,21 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
         min_work: 0.0,
         max_wall: 1e12,
     };
+    // The render window, read before the run: a NaN or infinite edge
+    // has no column, and the width sizes three row buffers.
+    let finite = |key| flags.get_checked(key, 0.0, "a finite number", |_| true);
+    let from = finite("from")?;
+    let to = if flags.has("to") { Some(finite("to")?) } else { None };
+    let width = match flags.get_usize("width", 100)? {
+        w @ 10..=10_000 => w,
+        w => {
+            return Err(format!("--width: {w} is not an integer in [10, 10000]"))
+        }
+    };
 
     // `vec` and `json` record the same events; they differ only in
     // what stdout shows after the header: a timeline or JSON lines.
     let sink = flags.get("sink").unwrap_or("vec");
-    if sink == "off" && flags.get("metrics-out").is_some() {
-        return Err("--metrics-out needs a recording sink (vec|json), \
-                    not --sink off"
-            .into());
-    }
     let bus = match sink {
         "off" => Bus::disabled(),
         "vec" | "json" => Bus::with_sink(VecSink::new()),
@@ -344,9 +356,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     if json {
         print!("{rendered}");
     } else if !events.is_empty() {
-        let from = flags.get_f64("from", 0.0)?;
-        let to = flags.get_f64("to", result.stats.wall_time)?;
-        let width = flags.get_usize("width", 100)?.max(10);
+        let to = to.unwrap_or(result.stats.wall_time);
         if to <= from {
             return Err(format!("--to ({to}) must exceed --from ({from})"));
         }
@@ -360,18 +370,6 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
         std::fs::write(path, dump)
             .map_err(|e| format!("--result-out {path}: {e}"))?;
     }
-    if let Some(path) = flags.get("metrics-out") {
-        ensure_parent_dir(path);
-        let mut m = IndicatorReport::new("crx_trace");
-        m.set("events_total", events.len() as f64);
-        for e in &events {
-            m.add(&format!("events_{}", e.kind.name()), 1.0);
-        }
-        m.set("wall_time_s", result.stats.wall_time);
-        m.set("work_done_s", result.stats.work_done);
-        std::fs::write(path, m.to_json())
-            .map_err(|e| format!("--metrics-out {path}: {e}"))?;
-    }
     Ok(())
 }
 
@@ -379,17 +377,16 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
 type FleetRuns =
     Vec<(ndp_checkpoint::cr_sim::SimResult, Vec<ndp_checkpoint::cr_obs::Event>)>;
 
-/// Runs an observed fleet of replicas of at least `failures` failures
-/// each, with the report/export flag conventions.
+/// Runs an observed fleet of `replicas` replicas of at least
+/// `failures` failures each, with the report/export flag conventions.
 fn observed_fleet(
     flags: &Flags,
-    default_replicas: usize,
+    replicas: u64,
     failures: u64,
 ) -> Result<(CycleSolution, Strategy, SimOptions, FleetRuns), String> {
     use ndp_checkpoint::cr_sim::run_fleet_observed;
     let sys = system_from(flags)?;
     let (strat, sol) = strategy_from(flags, &sys)?;
-    let replicas = count_from(flags, "replicas", default_replicas)?;
     let opts = SimOptions {
         seed: flags.get_usize("seed", 42)? as u64,
         min_failures: failures,
@@ -400,11 +397,17 @@ fn observed_fleet(
     Ok((sol, strat, opts, fleet))
 }
 
+/// Writes the model-plane snapshot: each of the seven time buckets as
+/// the analytic fraction next to the mean and SEM of the per-replica
+/// simulated fractions, the fleet's event counts, the mean of every
+/// `analyze` indicator over the replicas, and the progress divergence.
 fn cmd_report(flags: &Flags) -> Result<(), String> {
-    use ndp_checkpoint::cr_obs::analyze::{analyze, merge_percentiles};
+    use ndp_checkpoint::cr_obs::analyze::{analyze, merge_means};
+    use ndp_checkpoint::cr_sim::mean_sem;
 
-    let (sol, strat, opts, fleet) =
-        observed_fleet(flags, 4, count_from(flags, "failures", 400)?)?;
+    let replicas = count_from(flags, "replicas", 4, 2)?;
+    let failures = count_from(flags, "failures", 400, 1)?;
+    let (sol, strat, opts, fleet) = observed_fleet(flags, replicas, failures)?;
     let per_node: Vec<_> = fleet
         .iter()
         .enumerate()
@@ -416,13 +419,29 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
         opts.seed,
         fleet.len()
     );
-    let mut report = if per_node.len() > 1 {
-        merge_percentiles(&label, &per_node)
-    } else {
-        let mut r = per_node[0].clone();
-        r.label = label;
-        r
-    };
+    let mut report = merge_means(&label, &per_node);
+
+    for (r, events) in &fleet {
+        report.add("events_total", events.len() as f64);
+        for e in events {
+            report.add(&format!("events_{}", e.kind.name()), 1.0);
+        }
+        report.add("work_done_s", r.stats.work_done);
+    }
+
+    let sim: Vec<_> = fleet
+        .iter()
+        .map(|(r, _)| r.breakdown.as_fractions().buckets())
+        .collect();
+    for (i, (bucket, analytic)) in
+        sol.breakdown.as_fractions().buckets().into_iter().enumerate()
+    {
+        let xs: Vec<f64> = sim.iter().map(|b| b[i].1).collect();
+        let (mean, sem) = mean_sem(&xs);
+        report.set(&format!("bucket_{bucket}_analytic"), analytic);
+        report.set(&format!("bucket_{bucket}_sim_mean"), mean);
+        report.set(&format!("bucket_{bucket}_sim_sem"), sem);
+    }
 
     // Analytic-model-vs-sim divergence: predicted progress rate from
     // the Markov-renewal solution against the pooled simulated rate.
@@ -456,8 +475,9 @@ fn cmd_export(flags: &Flags) -> Result<(), String> {
         chrome_trace_merged, validate_chrome_trace,
     };
 
+    let replicas = count_from(flags, "replicas", 2, 1)?;
     let failures = flags.get_usize("failures", 25)? as u64;
-    let (_, strat, opts, fleet) = observed_fleet(flags, 2, failures)?;
+    let (_, strat, opts, fleet) = observed_fleet(flags, replicas, failures)?;
     let streams: Vec<&[ndp_checkpoint::cr_obs::Event]> =
         fleet.iter().map(|(_, e)| e.as_slice()).collect();
     let text = chrome_trace_merged(&streams);
@@ -555,17 +575,29 @@ fn cmd_obs_diff(flags: &Flags) -> Result<(), String> {
 /// A subcommand: runs with the parsed flags.
 type Handler = fn(&Flags) -> Result<(), String>;
 
+/// The SYSTEM and STRATEGY flags of `USAGE`, taken by every command
+/// that builds a system and a strategy.
+const MODEL_FLAGS: [&str; 9] = [
+    "mtti", "size", "nvm", "io", "strategy", "p-local", "compress", "ratio",
+    "interval",
+];
+
 /// The handler for a COMMANDS entry of `USAGE` (`obs diff` is one
-/// name), or `None` for an unknown command.
-fn command(name: &str) -> Option<Handler> {
-    Some(match name {
-        "evaluate" => cmd_evaluate,
-        "trace" => cmd_trace,
-        "report" => cmd_report,
-        "export" => cmd_export,
-        "obs diff" => cmd_obs_diff,
+/// name) and the flags it takes, or `None` for an unknown command.
+fn command(name: &str) -> Option<(Handler, Vec<&'static str>)> {
+    const FLEET: [&str; 4] = ["seed", "replicas", "failures", "out"];
+    let (run, own): (Handler, &[&str]) = match name {
+        "evaluate" => (cmd_evaluate, &["replicas", "failures"]),
+        "trace" => (
+            cmd_trace,
+            &["seed", "failures", "sink", "from", "to", "width", "result-out"],
+        ),
+        "report" => (cmd_report, &FLEET),
+        "export" => (cmd_export, &FLEET),
+        "obs diff" => return Some((cmd_obs_diff, vec!["tol", "tol-key"])),
         _ => return None,
-    })
+    };
+    Some((run, [&MODEL_FLAGS[..], own].concat()))
 }
 
 fn run() -> Result<(), String> {
@@ -579,8 +611,16 @@ fn run() -> Result<(), String> {
         [obs, sub, ..] if obs == "obs" => format!("obs {sub}"),
         _ => flags.positional[0].clone(),
     };
-    let handler = command(&name)
+    let (handler, takes) = command(&name)
         .ok_or_else(|| format!("unknown command {name}\n\n{USAGE}"))?;
+    // A mistyped or retired flag would otherwise run with the default
+    // it meant to override.
+    let unknown = flags.named.iter().find(|(k, _)| !takes.contains(&&k[..]));
+    if let Some((key, _)) = unknown {
+        return Err(format!(
+            "--{key}: not a flag of crx {name} (see crx --help)"
+        ));
+    }
     handler(&flags)
 }
 
@@ -695,7 +735,7 @@ mod tests {
         }
         for key in ["replicas", "failures"] {
             let flag = format!("--{key}");
-            let err = count_from(&flags(&["evaluate", &flag, "0"]), key, 4);
+            let err = count_from(&flags(&["evaluate", &flag, "0"]), key, 4, 1);
             assert!(err.unwrap_err().starts_with(&flag));
         }
         // Every failure recovers locally: no I/O restore has to finish
@@ -719,7 +759,9 @@ mod tests {
         assert!(strategy_from(&edges, &sys).is_ok());
         let f = flags(&["evaluate", "--p-local", "0", "--replicas", "1"]);
         assert!(strategy_from(&f, &sys).is_ok());
-        assert_eq!(count_from(&f, "replicas", 4), Ok(1));
+        assert_eq!(count_from(&f, "replicas", 4, 1), Ok(1));
+        let err = count_from(&f, "replicas", 4, 2).unwrap_err();
+        assert!(err.starts_with("--replicas: 1 "), "{err}");
     }
 
     /// `rel > NaN` is always false, so a NaN tolerance would pass any
@@ -757,5 +799,52 @@ mod tests {
             assert!(command(name).is_some(), "{name} has no handler");
         }
         assert!(command("sweep").is_none());
+    }
+
+    /// Each command accepts exactly the flags of the USAGE blocks that
+    /// name it: every listed flag, and no flag USAGE does not list.
+    #[test]
+    fn every_usage_flag_is_accepted_by_its_commands() {
+        const MODEL: &[&str] = &["evaluate", "trace", "report", "export"];
+        let blocks: [(&str, &[&str]); 6] = [
+            ("SYSTEM FLAGS", MODEL),
+            ("STRATEGY FLAGS", MODEL),
+            ("EVALUATE FLAGS", &["evaluate"]),
+            ("TRACE FLAGS", &["trace"]),
+            ("REPORT / EXPORT FLAGS", &["report", "export"]),
+            ("OBS DIFF", &["obs diff"]),
+        ];
+        let mut listed: Vec<(&str, &str)> = Vec::new();
+        for (heading, commands) in blocks {
+            let block = USAGE
+                .split(&format!("\n{heading}"))
+                .nth(1)
+                .unwrap_or_else(|| panic!("USAGE has no {heading} block"));
+            let flags: Vec<&str> = block
+                .lines()
+                .skip(1)
+                .take_while(|l| !l.trim().is_empty())
+                .filter_map(|l| l.trim().strip_prefix("--"))
+                .map(|l| l.split(' ').next().unwrap())
+                .collect();
+            assert!(!flags.is_empty(), "{heading} lists no flag");
+            for &name in commands {
+                let takes = command(name).unwrap().1;
+                for &flag in &flags {
+                    assert!(takes.contains(&flag), "{name} refuses --{flag}");
+                    listed.push((name, flag));
+                }
+            }
+        }
+        for name in ["evaluate", "trace", "report", "export", "obs diff"] {
+            for flag in command(name).unwrap().1 {
+                assert!(
+                    listed.contains(&(name, flag)),
+                    "{name} takes --{flag}, which USAGE does not list for it"
+                );
+            }
+        }
+        assert!(!command("evaluate").unwrap().1.contains(&"mtt"));
+        assert!(!command("obs diff").unwrap().1.contains(&"mtti"));
     }
 }

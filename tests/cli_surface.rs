@@ -102,6 +102,22 @@ fn crx_rejects_out_of_range_flags() {
         (&["report", "--replicas", "0"], "--replicas"),
         (&[&self_diff[..], &["--tol", "nan"]].concat(), "--tol"),
         (&[&self_diff[..], &["--tol-key", "k=nan"]].concat(), "--tol-key"),
+        // A flag the command does not list would otherwise run with the
+        // default it meant to override, or write nothing.
+        (&["evaluate", "--mtt", "5"], "--mtt"),
+        (&["trace", "--metrics-out", "x"], "--metrics-out"),
+        (&["report", "--sink", "vec"], "--sink"),
+        (&[&self_diff[..], &["--seed", "1"]].concat(), "--seed"),
+        // One replica has no standard error to report.
+        (&["report", "--replicas", "1"], "--replicas"),
+        // The render window: a NaN edge trips the renderer's assert,
+        // an infinite one draws the run into one column, and the width
+        // sizes the row buffers.
+        (&["trace", "--from", "nan"], "--from"),
+        (&["trace", "--to", "nan"], "--to"),
+        (&["trace", "--to", "inf"], "--to"),
+        (&["trace", "--width", "100000000000"], "--width"),
+        (&["trace", "--width", "9"], "--width"),
     ];
     for (args, flag) in cases {
         let out = crx(args);

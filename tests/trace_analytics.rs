@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::process::Command;
 
 use ndp_checkpoint::cr_obs::analyze::{
-    analyze, diff_flat, flatten_numbers, merge_percentiles, IndicatorReport,
+    analyze, diff_flat, flatten_numbers, merge_means, IndicatorReport,
 };
 use ndp_checkpoint::cr_obs::export::{
     chrome_trace_merged, validate_chrome_trace,
@@ -31,7 +31,7 @@ fn fleet_report(seed: u64, replicas: u64) -> IndicatorReport {
         .enumerate()
         .map(|(i, (_, events))| analyze(&format!("node{i}"), events))
         .collect();
-    merge_percentiles("fleet", &per_node)
+    merge_means("fleet", &per_node)
 }
 
 /// Same seed, same fleet size — the indicator report must be
@@ -214,79 +214,89 @@ fn crx_obs_diff_exit_codes() {
 }
 
 /// `crx trace --sink json` records into the same bus as `--sink vec`:
-/// both write byte-equal `--metrics-out` snapshots, and the json run's
-/// stdout is two header lines followed by one JSON document per event.
+/// both headers count the same events, and the json run's stdout is two
+/// header lines followed by one JSON document per event.
 #[test]
 fn crx_trace_json_sink_snapshots_match_vec() {
-    let crx = env!("CARGO_BIN_EXE_crx");
-    let dir = std::env::temp_dir().join(format!(
-        "trace_json_sink_{}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-
     let trace = |sink: &str| {
-        let metrics = dir.join(format!("metrics_{sink}.json"));
-        let out = Command::new(crx)
-            .args([
-                "trace", "--seed", "42", "--failures", "50", "--sink", sink,
-                "--metrics-out",
-            ])
-            .arg(&metrics)
+        let out = Command::new(env!("CARGO_BIN_EXE_crx"))
+            .args(["trace", "--seed", "42", "--failures", "50", "--sink", sink])
             .output()
             .expect("run crx trace");
         assert!(out.status.success(), "crx trace --sink {sink} must succeed");
-        let snapshot = std::fs::read_to_string(&metrics).unwrap();
-        (String::from_utf8(out.stdout).unwrap(), snapshot)
+        String::from_utf8(out.stdout).unwrap()
     };
-    let (_, vec_snapshot) = trace("vec");
-    let (json_stdout, json_snapshot) = trace("json");
-    assert_eq!(json_snapshot, vec_snapshot, "json and vec sinks disagree");
-
-    let report = IndicatorReport::from_json(&json_snapshot)
-        .expect("metrics snapshot parses as indicators/v1");
-    let total = report.get("events_total").expect("events_total count");
-    assert!(total > 0.0, "the json sink must count its events");
+    // The event count that ends the second header line.
+    let events = |stdout: &str| -> usize {
+        let header = stdout.lines().nth(1).expect("two header lines");
+        let n = header.rsplit("events ").next().unwrap();
+        n.parse().unwrap_or_else(|_| panic!("no event count: {header}"))
+    };
+    let vec_stdout = trace("vec");
+    let json_stdout = trace("json");
+    let total = events(&json_stdout);
+    assert_eq!(total, events(&vec_stdout), "json and vec sinks disagree");
+    assert!(total > 0, "the json sink must count its events");
 
     let lines: Vec<&str> = json_stdout.lines().collect();
     assert!(lines[0].starts_with("strategy: "), "{}", lines[0]);
-    assert!(lines[1].ends_with(&format!("events {total}")), "{}", lines[1]);
-    assert_eq!(lines.len() - 2, total as usize, "one line per event");
+    assert_eq!(lines.len() - 2, total, "one line per event");
     for line in &lines[2..] {
         parse_json(line)
             .unwrap_or_else(|e| panic!("invalid event line {line}: {e}"));
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--sink off` records nothing, so a `--metrics-out` snapshot from it
-/// would report zero events as if that were data: the flag combination
-/// is an error, and no file is written.
+/// A pinned-seed `crx report` snapshot holds every time bucket as an
+/// analytic fraction next to the simulated mean and SEM: no key is
+/// missing or `null`, each side's fractions sum to 1, and the analytic
+/// compute fraction is the predicted progress rate.
 #[test]
-fn crx_trace_rejects_metrics_out_without_a_sink() {
-    let crx = env!("CARGO_BIN_EXE_crx");
-    let dir = std::env::temp_dir().join(format!(
-        "trace_sink_off_{}",
-        std::process::id()
-    ));
+fn crx_report_pins_every_bucket_analytic_against_simulated() {
+    const BUCKETS: [&str; 7] = [
+        "compute",
+        "checkpoint_local",
+        "checkpoint_io",
+        "restore_local",
+        "restore_io",
+        "rerun_local",
+        "rerun_io",
+    ];
+    let dir = std::env::temp_dir()
+        .join(format!("trace_report_buckets_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let metrics = dir.join("metrics_off.json");
-    let out = Command::new(crx)
-        .args([
-            "trace", "--seed", "42", "--failures", "5", "--sink", "off",
-            "--metrics-out",
-        ])
-        .arg(&metrics)
+    let path = dir.join("report.json");
+    let st = Command::new(env!("CARGO_BIN_EXE_crx"))
+        .args(["report", "--seed", "42", "--replicas", "3", "--failures"])
+        .args(["100", "--out"])
+        .arg(&path)
         .output()
-        .expect("run crx trace");
-    assert!(!out.status.success(), "--sink off --metrics-out must fail");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--metrics-out"),
-        "the error names the flag: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(!metrics.exists(), "no snapshot may be written");
-
+        .expect("run crx report");
+    assert!(st.status.success(), "{}", String::from_utf8_lossy(&st.stderr));
+    let text = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+
+    let doc = parse_json(&text).expect("snapshot parses");
+    let indicators = doc.get("indicators").expect("indicators object");
+    let num = |key: &str| -> f64 {
+        indicators
+            .get(key)
+            .unwrap_or_else(|| panic!("{key} missing"))
+            .as_f64()
+            .unwrap_or_else(|| panic!("{key} is not a number"))
+    };
+    let (mut analytic, mut simulated) = (0.0, 0.0);
+    for b in BUCKETS {
+        analytic += num(&format!("bucket_{b}_analytic"));
+        simulated += num(&format!("bucket_{b}_sim_mean"));
+        let sem = num(&format!("bucket_{b}_sim_sem"));
+        assert!(sem.is_finite() && sem >= 0.0, "bucket {b}: SEM {sem}");
+    }
+    assert!((analytic - 1.0).abs() < 1e-12, "analytic sum {analytic}");
+    assert!((simulated - 1.0).abs() < 1e-12, "simulated sum {simulated}");
+    let predicted = num("model_progress_predicted");
+    let compute = num("bucket_compute_analytic");
+    assert!((compute - predicted).abs() < 1e-15, "{compute} vs {predicted}");
+    assert!(num("events_total") > 0.0);
+    assert_eq!(num("nodes"), 3.0);
 }
