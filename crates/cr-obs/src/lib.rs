@@ -451,6 +451,7 @@ impl Bus {
     }
 
     /// True if a sink is attached.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
     }
@@ -475,6 +476,7 @@ impl Bus {
     /// Opens a *scoped* causal span: spans opened on this bus before
     /// the guard closes become its children. Returns a no-op guard on
     /// a disabled bus.
+    #[inline]
     pub fn span(
         &self,
         source: Source,
@@ -487,6 +489,7 @@ impl Bus {
     /// Opens a *leaf* causal span: parented under the current scope but
     /// never itself a parent — the right shape for overlapping
     /// activities (concurrent drain jobs are siblings, not nested).
+    #[inline]
     pub fn span_leaf(
         &self,
         source: Source,

@@ -77,7 +77,26 @@ impl SpanGuard {
         }
     }
 
+    /// Inlined down to one branch on a disabled bus, so a producer's
+    /// hot loop makes no call for it.
+    #[inline]
     pub(crate) fn open(
+        bus: &Bus,
+        source: Source,
+        name: &'static str,
+        t: f64,
+        leaf: bool,
+    ) -> Self {
+        if bus.enabled() {
+            Self::open_recorded(bus, source, name, t, leaf)
+        } else {
+            SpanGuard::noop()
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn open_recorded(
         bus: &Bus,
         source: Source,
         name: &'static str,
@@ -116,10 +135,16 @@ impl SpanGuard {
     /// Closes the span at time `t`, emitting the
     /// [`EventKind::SpanClose`]. Idempotent: only the first close
     /// emits.
+    #[inline]
     pub fn close(&mut self, t: f64) {
-        if self.id == 0 {
-            return;
+        if self.id != 0 {
+            self.close_recorded(t);
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn close_recorded(&mut self, t: f64) {
         if let Some(inner) = self.bus.inner() {
             inner.spans.lock().unwrap().close(self.id);
         }
@@ -133,6 +158,7 @@ impl SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
         let t = self.t_open;
         self.close(t);

@@ -21,13 +21,32 @@
 //! [`Breakdown`]. Compute seconds that re-execute previously completed
 //! work are *rerun*, attributed to the recovery level that caused the
 //! deficit (proportionally, when deficits from both levels overlap).
+//!
+//! Stepping: a run is a renewal process between failures (§6.1.1), and
+//! between two failures the timeline is deterministic. The engine
+//! therefore steps from failure to failure. After each recovery one loop
+//! runs every whole segment that ends before the next failure — compute
+//! `τ`, the local commit `δ`, and on every k-th segment the host I/O
+//! commit or the drain enqueue — then the segment the failure cuts. It
+//! keeps the clock, the work, the bucket sums it adds to and its
+//! counters in locals, and writes them back to the engine once per
+//! window. A whole segment needs one comparison against the failure
+//! time, and its clock advances by two additions, `now + τ` and `+ δ`,
+//! that never go through memory. Span and mark emits stay in the loop,
+//! behind the bus's own check, so the path is the same with the bus on
+//! or off. Every bit of the result is the same as a walk that stores
+//! each activity back into the engine: the loop makes the same
+//! floating-point additions in the same order (the clock, one add per
+//! bucket per activity, the drain queue job by job), random numbers are
+//! drawn only in recovery, in the same order, and the run stops at the
+//! same commit.
 
 use std::collections::VecDeque;
 
 use cr_core::breakdown::Breakdown;
 use cr_core::params::{derive_costs, DerivedCosts, Strategy, SystemParams};
 
-use cr_obs::{Bus, Event, EventKind, Source};
+use cr_obs::{Bus, Event, EventKind, Source, SpanGuard};
 
 use crate::rng::{Stream, StreamKind};
 use crate::trace::{Lane, MarkKind, SpanKind};
@@ -109,20 +128,59 @@ enum Outcome {
     Interrupted,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Bucket {
-    CkptLocal,
-    CkptIo,
-    RestoreLocal,
-    RestoreIo,
-}
-
 /// A checkpoint queued for NDP drain: its work content and the drain
 /// time still needed.
 #[derive(Debug, Clone, Copy)]
 struct DrainJob {
     content: f64,
     remaining: f64,
+}
+
+/// How much of an activity of `dur` seconds starting at `now` runs
+/// before the failure at `end`.
+#[inline]
+fn clip(now: f64, dur: f64, end: f64) -> (f64, Outcome) {
+    if now + dur <= end {
+        (dur, Outcome::Completed)
+    } else {
+        (end - now, Outcome::Interrupted)
+    }
+}
+
+/// Emits a span of `[t0, t1]` on `lane`. The event is built only
+/// behind the bus's check, so a disabled bus costs one branch.
+#[inline]
+fn emit_span(
+    bus: &Bus,
+    lane: Lane,
+    kind: SpanKind,
+    t0: f64,
+    t1: f64,
+    interrupted: bool,
+) {
+    if bus.enabled() && t1 > t0 {
+        bus.emit_with(|| Event {
+            t: t0,
+            source: Source::Sim,
+            kind: EventKind::Span {
+                lane: lane.name(),
+                span: kind.name(),
+                t0,
+                t1,
+                interrupted,
+            },
+        });
+    }
+}
+
+/// Emits a mark at `t`.
+#[inline]
+fn emit_mark(bus: &Bus, t: f64, kind: MarkKind) {
+    bus.emit_with(|| Event {
+        t,
+        source: Source::Sim,
+        kind: EventKind::Mark { mark: kind.name() },
+    });
 }
 
 struct Engine {
@@ -139,7 +197,6 @@ struct Engine {
     levels: Stream,
     // Application progress.
     work: f64,
-    work_max: f64,
     deficit_local: f64,
     deficit_io: f64,
     // Durable checkpoints.
@@ -147,6 +204,10 @@ struct Engine {
     last_io: f64,
     ckpts_since_io: u64,
     drain_queue: VecDeque<DrainJob>,
+    /// The span of a host I/O commit a failure cut: a local recovery
+    /// retries the commit inside it, an I/O recovery abandons the
+    /// commit and closes it.
+    io_commit: Option<SpanGuard>,
     // Output.
     acc: Breakdown,
     stats: SimStats,
@@ -171,50 +232,17 @@ impl Engine {
             failures,
             levels: Stream::new(seed, StreamKind::RecoveryLevel),
             work: 0.0,
-            work_max: 0.0,
             deficit_local: 0.0,
             deficit_io: 0.0,
             last_local: Some(0.0),
             last_io: 0.0,
             ckpts_since_io: 0,
             drain_queue: VecDeque::new(),
+            io_commit: None,
             acc: Breakdown::zero(),
             stats: SimStats::default(),
             bus,
         }
-    }
-
-    #[inline]
-    fn emit_span(
-        &self,
-        lane: Lane,
-        kind: SpanKind,
-        t0: f64,
-        t1: f64,
-        interrupted: bool,
-    ) {
-        if t1 > t0 {
-            self.bus.emit_with(|| Event {
-                t: t0,
-                source: Source::Sim,
-                kind: EventKind::Span {
-                    lane: lane.name(),
-                    span: kind.name(),
-                    t0,
-                    t1,
-                    interrupted,
-                },
-            });
-        }
-    }
-
-    #[inline]
-    fn emit_mark(&self, t: f64, kind: MarkKind) {
-        self.bus.emit_with(|| Event {
-            t,
-            source: Source::Sim,
-            kind: EventKind::Mark { mark: kind.name() },
-        });
     }
 
     /// Advances the NDP drain pipeline by `dt` seconds of eligible time
@@ -237,10 +265,11 @@ impl Engine {
             self.last_io = job.content;
             self.drain_queue.pop_front();
             self.stats.io_ckpts += 1;
-            self.emit_mark(base_t + consumed, MarkKind::IoDurable);
+            emit_mark(&self.bus, base_t + consumed, MarkKind::IoDurable);
         }
         if had_work {
-            self.emit_span(
+            emit_span(
+                &self.bus,
                 Lane::Ndp,
                 SpanKind::Drain,
                 base_t,
@@ -250,20 +279,25 @@ impl Engine {
         }
     }
 
-    /// Runs a compute interval of at most `dur` seconds; accounts
-    /// rerun/compute split and drives the drain pipeline.
-    fn advance_compute(&mut self, dur: f64) -> Outcome {
-        let (dt, outcome) = if self.now + dur <= self.next_failure {
-            (dur, Outcome::Completed)
-        } else {
-            (self.next_failure - self.now, Outcome::Interrupted)
-        };
+    /// Accounts `dt` seconds of compute from `now` into `compute` and
+    /// `work`: the drain progress, the split into deficit repayment
+    /// (rerun) and fresh work, and the span (`cut` if the failure ends
+    /// it).
+    #[inline(always)]
+    fn compute_slice(
+        &mut self,
+        now: f64,
+        dt: f64,
+        cut: bool,
+        compute: &mut f64,
+        work: &mut f64,
+    ) {
         if self.ndp {
-            self.progress_drains(dt, self.now);
+            self.progress_drains(dt, now);
         }
-        // Split the slice into deficit repayment (rerun) and fresh work.
         let deficit = self.deficit_local + self.deficit_io;
-        let rerun_dt = dt.min(deficit);
+        // With no deficit, `dt.min(deficit)` is 0: skip it.
+        let rerun_dt = if deficit > 0.0 { dt.min(deficit) } else { 0.0 };
         if rerun_dt > 0.0 {
             let io_share = self.deficit_io / deficit;
             let rerun_io = rerun_dt * io_share;
@@ -273,40 +307,24 @@ impl Engine {
             self.deficit_io = (self.deficit_io - rerun_io).max(0.0);
             self.deficit_local = (self.deficit_local - rerun_local).max(0.0);
         }
-        self.acc.compute += dt - rerun_dt;
-        self.work += dt;
-        self.work_max = self.work_max.max(self.work);
-        self.emit_span(
-            Lane::Host,
-            SpanKind::Compute,
-            self.now,
-            self.now + dt,
-            outcome == Outcome::Interrupted,
-        );
-        self.now += dt;
-        outcome
+        *compute += dt - rerun_dt;
+        *work += dt;
+        emit_span(&self.bus, Lane::Host, SpanKind::Compute, now, now + dt, cut);
     }
 
-    /// Runs a non-compute activity (checkpoint commit or restore).
-    fn advance_plain(&mut self, dur: f64, bucket: Bucket) -> Outcome {
-        let (dt, outcome) = if self.now + dur <= self.next_failure {
-            (dur, Outcome::Completed)
+    /// Runs a restore attempt from the local or the I/O level.
+    fn advance_restore(&mut self, local: bool) -> Outcome {
+        let (dur, sum, kind) = if local {
+            let sum = &mut self.acc.restore_local;
+            (self.d.restore_local, sum, SpanKind::RestoreLocal)
         } else {
-            (self.next_failure - self.now, Outcome::Interrupted)
+            let sum = &mut self.acc.restore_io;
+            (self.d.restore_io, sum, SpanKind::RestoreIo)
         };
-        match bucket {
-            Bucket::CkptLocal => self.acc.checkpoint_local += dt,
-            Bucket::CkptIo => self.acc.checkpoint_io += dt,
-            Bucket::RestoreLocal => self.acc.restore_local += dt,
-            Bucket::RestoreIo => self.acc.restore_io += dt,
-        }
-        let kind = match bucket {
-            Bucket::CkptLocal => SpanKind::CkptLocal,
-            Bucket::CkptIo => SpanKind::CkptIo,
-            Bucket::RestoreLocal => SpanKind::RestoreLocal,
-            Bucket::RestoreIo => SpanKind::RestoreIo,
-        };
-        self.emit_span(
+        let (dt, outcome) = clip(self.now, dur, self.next_failure);
+        *sum += dt;
+        emit_span(
+            &self.bus,
             Lane::Host,
             kind,
             self.now,
@@ -321,7 +339,7 @@ impl Engine {
     /// immediate consequences (node loss destroys local state).
     fn sample_failure_level(&mut self) -> bool {
         self.stats.failures += 1;
-        self.emit_mark(self.now, MarkKind::Failure);
+        emit_mark(&self.bus, self.now, MarkKind::Failure);
         self.next_failure = self.now + self.failures.exp(self.mtti);
         let local_ok = self.levels.uniform() < self.d.p_local
             && self.last_local.is_some();
@@ -349,12 +367,7 @@ impl Engine {
         let mut span = self.bus.span(Source::Sim, "recovery", self.now);
         let mut local = self.sample_failure_level();
         loop {
-            let (dur, bucket) = if local {
-                (self.d.restore_local, Bucket::RestoreLocal)
-            } else {
-                (self.d.restore_io, Bucket::RestoreIo)
-            };
-            match self.advance_plain(dur, bucket) {
+            match self.advance_restore(local) {
                 Outcome::Completed => {
                     let target = if local {
                         self.last_local.expect("local restore without ckpt")
@@ -379,6 +392,13 @@ impl Engine {
                         },
                     });
                     span.close(self.now);
+                    if !local {
+                        // Rewound to an I/O-consistent point: a host I/O
+                        // commit the failure cut is abandoned.
+                        if let Some(mut cut) = self.io_commit.take() {
+                            cut.close(self.now);
+                        }
+                    }
                     return;
                 }
                 Outcome::Interrupted => {
@@ -389,84 +409,151 @@ impl Engine {
         }
     }
 
-    /// True once the run has met its targets (checked at renewal-ish
-    /// points: right after a successful local commit with no outstanding
-    /// deficit).
-    fn done(&self, opts: &SimOptions) -> bool {
+    /// The I/O-level commit of `work` due at `now` on every k-th local
+    /// checkpoint: queue an NDP drain, or run the host-blocking write
+    /// inside its `io_commit` span (a retry after a local recovery stays
+    /// in the span the commit began in). Returns the new time, and
+    /// `Interrupted` if the failure at `end` cuts the write.
+    ///
+    /// Out of line, with scalars in and out: no address of the segment
+    /// loop's locals escapes, and the call comes once in k segments.
+    #[inline(never)]
+    fn commit_io(&mut self, now: f64, work: f64, end: f64) -> (f64, Outcome) {
+        if self.ndp {
+            self.drain_queue.push_back(DrainJob {
+                content: work,
+                remaining: self.d.ndp_drain_time,
+            });
+            self.stats.max_drain_queue =
+                self.stats.max_drain_queue.max(self.drain_queue.len());
+            return (now, Outcome::Completed);
+        }
+        if self.d.t_io_host <= 0.0 {
+            return (now, Outcome::Completed);
+        }
+        let bus = &self.bus;
+        let span = self
+            .io_commit
+            .get_or_insert_with(|| bus.span(Source::Sim, "io_commit", now));
+        let (dt, outcome) = clip(now, self.d.t_io_host, end);
+        self.acc.checkpoint_io += dt;
+        emit_span(
+            bus,
+            Lane::Host,
+            SpanKind::CkptIo,
+            now,
+            now + dt,
+            outcome == Outcome::Interrupted,
+        );
+        let now = now + dt;
+        if outcome == Outcome::Completed {
+            self.last_io = work;
+            self.stats.io_ckpts += 1;
+            emit_mark(bus, now, MarkKind::IoDurable);
+            span.close(now);
+            self.io_commit = None;
+        }
+        (now, outcome)
+    }
+
+    /// True once the run has met its targets at `now` with `work` done
+    /// (checked at renewal-ish points: right after a segment's commits,
+    /// with no outstanding deficit).
+    #[inline]
+    fn done(&self, now: f64, work: f64, opts: &SimOptions) -> bool {
         (self.stats.failures >= opts.min_failures
-            && self.work >= opts.min_work
+            && work >= opts.min_work
             && self.deficit_local + self.deficit_io == 0.0)
-            || self.now >= opts.max_wall
+            || now >= opts.max_wall
+    }
+
+    /// Runs the timeline from the last recovery to the next failure:
+    /// every whole segment, then the activity the failure cuts. Returns
+    /// `true` if the run met its targets first, `false` if the failure
+    /// cut an activity and the run must recover.
+    fn window(&mut self, opts: &SimOptions) -> bool {
+        let end = self.next_failure;
+        let (tau, delta, k) = (self.d.interval, self.d.delta_local, self.k);
+        let mut now = self.now;
+        let mut work = self.work;
+        let mut compute = self.acc.compute;
+        let mut checkpoint_local = self.acc.checkpoint_local;
+        let mut since_io = self.ckpts_since_io;
+        let mut local_ckpts = self.stats.local_ckpts;
+        let finished = loop {
+            // The I/O-level commit every k-th checkpoint, or the retry
+            // of a host commit that a local recovery interrupted.
+            if since_io >= k {
+                let outcome;
+                (now, outcome) = self.commit_io(now, work, end);
+                if outcome == Outcome::Interrupted {
+                    break false;
+                }
+                since_io = 0;
+                if self.done(now, work, opts) {
+                    break true;
+                }
+            }
+            let t_computed = now + tau;
+            let t_committed = t_computed + delta;
+            if t_committed > end {
+                // The failure cuts this segment, in its compute or in
+                // its local commit.
+                let cut = t_computed > end;
+                let dt = if cut { end - now } else { tau };
+                self.compute_slice(now, dt, cut, &mut compute, &mut work);
+                now += dt;
+                if !cut {
+                    let dt = end - now;
+                    checkpoint_local += dt;
+                    emit_span(
+                        &self.bus,
+                        Lane::Host,
+                        SpanKind::CkptLocal,
+                        now,
+                        now + dt,
+                        true,
+                    );
+                    now += dt;
+                }
+                break false;
+            }
+            // A whole segment: compute τ, then the local commit δ
+            // (zero-length under IoOnly, where it adds nothing and emits
+            // no span).
+            self.compute_slice(now, tau, false, &mut compute, &mut work);
+            checkpoint_local += delta;
+            emit_span(
+                &self.bus,
+                Lane::Host,
+                SpanKind::CkptLocal,
+                t_computed,
+                t_committed,
+                false,
+            );
+            now = t_committed;
+            local_ckpts += 1;
+            self.last_local = Some(work);
+            since_io += 1;
+            // With an I/O-level commit due, the check follows it.
+            if since_io < k && self.done(now, work, opts) {
+                break true;
+            }
+        };
+        self.now = now;
+        self.work = work;
+        self.acc.compute = compute;
+        self.acc.checkpoint_local = checkpoint_local;
+        self.ckpts_since_io = since_io;
+        self.stats.local_ckpts = local_ckpts;
+        finished
     }
 
     fn run(mut self, opts: &SimOptions) -> SimResult {
         let mut replica = self.bus.span(Source::Sim, "replica", 0.0);
-        let tau = self.d.interval;
-        'outer: loop {
-            // 1. Compute segment.
-            if self.advance_compute(tau) == Outcome::Interrupted {
-                self.recover();
-                continue;
-            }
-            // 2. Local commit (zero-length under IoOnly).
-            if self.d.delta_local > 0.0
-                && self.advance_plain(self.d.delta_local, Bucket::CkptLocal)
-                    == Outcome::Interrupted
-            {
-                self.recover();
-                continue;
-            }
-            self.stats.local_ckpts += 1;
-            self.last_local = Some(self.work);
-            self.ckpts_since_io += 1;
-
-            // 3. I/O-level commit every k-th checkpoint.
-            if self.ckpts_since_io >= self.k {
-                if self.ndp {
-                    self.drain_queue.push_back(DrainJob {
-                        content: self.work,
-                        remaining: self.d.ndp_drain_time,
-                    });
-                    self.stats.max_drain_queue =
-                        self.stats.max_drain_queue.max(self.drain_queue.len());
-                    self.ckpts_since_io = 0;
-                } else if self.d.t_io_host > 0.0 {
-                    // Host-blocking write; retried after local recoveries,
-                    // abandoned if an I/O recovery already rewound us.
-                    let mut io_span =
-                        self.bus.span(Source::Sim, "io_commit", self.now);
-                    loop {
-                        match self.advance_plain(self.d.t_io_host, Bucket::CkptIo)
-                        {
-                            Outcome::Completed => {
-                                self.last_io = self.work;
-                                self.stats.io_ckpts += 1;
-                                self.ckpts_since_io = 0;
-                                self.emit_mark(self.now, MarkKind::IoDurable);
-                                io_span.close(self.now);
-                                break;
-                            }
-                            Outcome::Interrupted => {
-                                self.recover();
-                                if self.ckpts_since_io == 0 {
-                                    // I/O recovery rewound to an
-                                    // I/O-consistent point; no commit due.
-                                    io_span.close(self.now);
-                                    continue 'outer;
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    self.ckpts_since_io = 0;
-                }
-            }
-
-            if self.done(opts) {
-                break;
-            }
+        while !self.window(opts) {
+            self.recover();
         }
-
         self.stats.wall_time = self.now;
         self.stats.work_done = self.work;
         self.stats.truncated = self.now >= opts.max_wall;

@@ -12,6 +12,8 @@
 //! crx --help
 //! ```
 
+use std::io::{self, Write};
+
 use ndp_checkpoint::cr_core::analytic::{self, CycleSolution};
 use ndp_checkpoint::cr_core::ratio_opt;
 use ndp_checkpoint::prelude::*;
@@ -100,6 +102,28 @@ impl Flags {
     }
 }
 
+/// Why a command stopped early: an error to report (exit 1), or a
+/// reader that closed stdout, which ends the output (exit 0).
+enum Stop {
+    Error(String),
+    Closed,
+}
+
+impl From<String> for Stop {
+    fn from(e: String) -> Self {
+        Stop::Error(e)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::BrokenPipe => Stop::Closed,
+            _ => Stop::Error(format!("stdout: {e}")),
+        }
+    }
+}
+
 /// Builds `SystemParams` from common flags (`--mtti` minutes, `--size`
 /// GB, `--nvm` GB/s, `--io` MB/s per node), each a positive number.
 fn system_from(flags: &Flags) -> Result<SystemParams, String> {
@@ -114,12 +138,22 @@ fn system_from(flags: &Flags) -> Result<SystemParams, String> {
 /// Builds a strategy from `--strategy`, `--p-local` (in [0, 1]),
 /// `--compress` (in (0, 1]), `--ratio` (in [1, MAX_RATIO]; the best
 /// ratio without it) and `--interval` (positive seconds), and solves it
-/// on `sys`. A configuration the analytic model refuses is an error
-/// that names the flag at fault.
+/// on `sys`. A flag the strategy does not use, or a configuration the
+/// analytic model refuses, is an error that names the flag at fault.
 fn strategy_from(
     flags: &Flags,
     sys: &SystemParams,
 ) -> Result<(Strategy, CycleSolution), String> {
+    let name = flags.get("strategy").unwrap_or("ndp");
+    let unused: &[&str] = match name {
+        "io-only" => &["p-local", "ratio", "interval"],
+        "local" => &["p-local", "compress", "ratio", "interval"],
+        "ndp" => &["ratio"],
+        _ => &[],
+    };
+    if let Some(key) = unused.iter().find(|k| flags.has(k)) {
+        return Err(format!("--{key}: not used by --strategy {name}"));
+    }
     let p_local = flags.get_checked("p-local", 0.85, "in [0, 1]", |v| {
         (0.0..=1.0).contains(&v)
     })?;
@@ -131,7 +165,6 @@ fn strategy_from(
     } else {
         None
     };
-    let name = flags.get("strategy").unwrap_or("ndp");
     let strat = match name {
         "io-only" => Strategy::IoOnly {
             interval: None,
@@ -218,6 +251,7 @@ STRATEGY FLAGS (evaluate, trace, report, export):
   --compress F   compression factor in (0, 1]  [off]
   --ratio K      host local:IO ratio, >= 1     [optimal]
   --interval S   local checkpoint interval     [150]
+                 (a flag the strategy does not use is refused)
 
 EVALUATE FLAGS:
   --replicas N   simulation replicas, >= 1     [4]
@@ -255,7 +289,7 @@ fn ensure_parent_dir(path: &str) {
     }
 }
 
-fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
+fn cmd_evaluate(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let sys = system_from(flags)?;
     let (strat, sol) = strategy_from(flags, &sys)?;
     let replicas = count_from(flags, "replicas", 4, 1)?;
@@ -269,33 +303,37 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     };
     let sim = simulate_avg(&sys, &strat, &opts, replicas);
 
-    println!("strategy: {}", strat.label());
+    writeln!(out, "strategy: {}", strat.label())?;
     // Only the two-level strategies keep a local:IO ratio.
     match strat {
-        Strategy::LocalIoHost { .. } | Strategy::LocalIoNdp { .. } => println!(
+        Strategy::LocalIoHost { .. } | Strategy::LocalIoNdp { .. } => writeln!(
+            out,
             "  interval {} | local:IO ratio {}",
             fmt_secs(sol.interval),
             sol.ratio
-        ),
+        )?,
         Strategy::IoOnly { .. } | Strategy::LocalOnly { .. } => {
-            println!("  interval {}", fmt_secs(sol.interval))
+            writeln!(out, "  interval {}", fmt_secs(sol.interval))?
         }
     }
-    println!(
+    writeln!(
+        out,
         "  analytic : progress {:.1}%",
         sol.progress_rate() * 100.0
-    );
+    )?;
     let spread = if replicas > 1 {
         format!("+-{:.2} s.e. over {replicas} replicas", sim.sem_progress() * 100.0)
     } else {
         "1 replica".into()
     };
-    println!(
+    writeln!(
+        out,
         "  simulated: progress {:.1}% ({spread})",
         sim.progress_rate() * 100.0
-    );
+    )?;
     let f = sim.fractions();
-    println!(
+    writeln!(
+        out,
         "  breakdown: ckpt L {:.1}% IO {:.1}% | restore L {:.1}% IO {:.1}% | rerun L {:.1}% IO {:.1}%",
         f.checkpoint_local * 100.0,
         f.checkpoint_io * 100.0,
@@ -303,11 +341,11 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
         f.restore_io * 100.0,
         f.rerun_local * 100.0,
         f.rerun_io * 100.0
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_trace(flags: &Flags) -> Result<(), String> {
+fn cmd_trace(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     use ndp_checkpoint::cr_obs::{Bus, VecSink};
     use ndp_checkpoint::cr_sim::{run_engine, Trace};
 
@@ -324,10 +362,14 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let finite = |key| flags.get_checked(key, 0.0, "a finite number", |_| true);
     let from = finite("from")?;
     let to = if flags.has("to") { Some(finite("to")?) } else { None };
+    if let Some(to) = to.filter(|&to| to <= from) {
+        return Err(format!("--to ({to}) must exceed --from ({from})").into());
+    }
     let width = match flags.get_usize("width", 100)? {
         w @ 10..=10_000 => w,
         w => {
-            return Err(format!("--width: {w} is not an integer in [10, 10000]"))
+            let want = "an integer in [10, 10000]";
+            return Err(format!("--width: {w} is not {want}").into());
         }
     };
 
@@ -337,7 +379,9 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let bus = match sink {
         "off" => Bus::disabled(),
         "vec" | "json" => Bus::with_sink(VecSink::new()),
-        other => return Err(format!("unknown --sink {other} (off|vec|json)")),
+        other => {
+            return Err(format!("unknown --sink {other} (off|vec|json)").into())
+        }
     };
     let json = sink == "json";
 
@@ -345,23 +389,26 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let rendered = if json { bus.render() } else { String::new() };
     let events = bus.drain();
 
-    println!("strategy: {} | seed {}", strat.label(), opts.seed);
-    println!(
+    writeln!(out, "strategy: {} | seed {}", strat.label(), opts.seed)?;
+    writeln!(
+        out,
         "wall {:.0} s | work {:.0} s | failures {} | events {}",
         result.stats.wall_time,
         result.stats.work_done,
         result.stats.failures,
         events.len(),
-    );
+    )?;
     if json {
-        print!("{rendered}");
+        write!(out, "{rendered}")?;
     } else if !events.is_empty() {
+        // Without --to the window ends at the wall time, which only
+        // the run knows.
         let to = to.unwrap_or(result.stats.wall_time);
         if to <= from {
-            return Err(format!("--to ({to}) must exceed --from ({from})"));
+            return Err(format!("--from ({from}) is past the wall time").into());
         }
         let trace = Trace::from_events(&events);
-        print!("{}", trace.render_ascii(from, to, width));
+        write!(out, "{}", trace.render_ascii(from, to, width))?;
     }
 
     if let Some(path) = flags.get("result-out") {
@@ -401,7 +448,7 @@ fn observed_fleet(
 /// the analytic fraction next to the mean and SEM of the per-replica
 /// simulated fractions, the fleet's event counts, the mean of every
 /// `analyze` indicator over the replicas, and the progress divergence.
-fn cmd_report(flags: &Flags) -> Result<(), String> {
+fn cmd_report(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     use ndp_checkpoint::cr_obs::analyze::{analyze, merge_means};
     use ndp_checkpoint::cr_sim::mean_sem;
 
@@ -457,20 +504,20 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
     // An admitted configuration's predicted progress is positive.
     report.set("model_divergence", (observed - predicted).abs() / predicted);
 
-    println!("indicators: {}", report.label);
+    writeln!(out, "indicators: {}", report.label)?;
     for (k, v) in report.values() {
-        println!("  {k:<34} {v}");
+        writeln!(out, "  {k:<34} {v}")?;
     }
     if let Some(path) = flags.get("out") {
         ensure_parent_dir(path);
         std::fs::write(path, report.to_json())
             .map_err(|e| format!("--out {path}: {e}"))?;
-        println!("wrote {path}");
+        writeln!(out, "wrote {path}")?;
     }
     Ok(())
 }
 
-fn cmd_export(flags: &Flags) -> Result<(), String> {
+fn cmd_export(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     use ndp_checkpoint::cr_obs::export::{
         chrome_trace_merged, validate_chrome_trace,
     };
@@ -488,28 +535,24 @@ fn cmd_export(flags: &Flags) -> Result<(), String> {
             ensure_parent_dir(path);
             std::fs::write(path, &text)
                 .map_err(|e| format!("--out {path}: {e}"))?;
-            println!(
+            writeln!(
+                out,
                 "wrote {path}: {} nodes, {} events ({} | seed {})",
                 fleet.len(),
                 fleet.iter().map(|(_, e)| e.len()).sum::<usize>(),
                 strat.label(),
                 opts.seed
-            );
+            )?;
         }
-        None => print!("{text}"),
+        None => write!(out, "{text}")?,
     }
     Ok(())
 }
 
-fn cmd_obs_diff(flags: &Flags) -> Result<(), String> {
+fn cmd_obs_diff(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     use ndp_checkpoint::cr_obs::analyze::{diff_flat, flatten_numbers};
     use ndp_checkpoint::cr_obs::json;
 
-    if flags.positional.len() < 4 {
-        return Err(format!(
-            "usage: crx obs diff <baseline.json> <current.json>\n\n{USAGE}"
-        ));
-    }
     let (base_path, cur_path) =
         (&flags.positional[2], &flags.positional[3]);
     let load = |path: &str| -> Result<_, String> {
@@ -541,39 +584,41 @@ fn cmd_obs_diff(flags: &Flags) -> Result<(), String> {
     let current = load(cur_path)?;
 
     let diff = diff_flat(&base, &current, tol, &per_key);
-    println!(
+    writeln!(
+        out,
         "compared {} keys ({} added in current), default tol {:.1}%",
         diff.compared,
         diff.added.len(),
         tol * 100.0
-    );
+    )?;
     for m in &diff.missing {
-        println!("  MISSING  {m} (in baseline, absent from current)");
+        writeln!(out, "  MISSING  {m} (in baseline, absent from current)")?;
     }
     for r in &diff.regressions {
-        println!(
+        writeln!(
+            out,
             "  REGRESSED {} : {} -> {} ({:+.2}% vs tol {:.1}%)",
             r.key,
             r.base,
             r.current,
             (r.current - r.base) / r.base.abs().max(1e-9) * 100.0,
             per_key.get(&r.key).copied().unwrap_or(tol) * 100.0
-        );
+        )?;
     }
     if diff.ok() {
-        println!("OK: within tolerance");
+        writeln!(out, "OK: within tolerance")?;
         Ok(())
     } else {
-        Err(format!(
+        Err(Stop::Error(format!(
             "{} regression(s), {} missing key(s)",
             diff.regressions.len(),
             diff.missing.len()
-        ))
+        )))
     }
 }
 
-/// A subcommand: runs with the parsed flags.
-type Handler = fn(&Flags) -> Result<(), String>;
+/// A subcommand: runs with the parsed flags, writing to `out`.
+type Handler = fn(&Flags, &mut dyn Write) -> Result<(), Stop>;
 
 /// The SYSTEM and STRATEGY flags of `USAGE`, taken by every command
 /// that builds a system and a strategy.
@@ -582,9 +627,13 @@ const MODEL_FLAGS: [&str; 9] = [
     "interval",
 ];
 
-/// The handler for a COMMANDS entry of `USAGE` (`obs diff` is one
-/// name) and the flags it takes, or `None` for an unknown command.
-fn command(name: &str) -> Option<(Handler, Vec<&'static str>)> {
+/// What a command takes: the positional arguments after its name, and
+/// its flags.
+type Takes = (&'static [&'static str], Vec<&'static str>);
+
+/// A COMMANDS entry of `USAGE` (`obs diff` is one name): its handler
+/// and what it takes; `None` for an unknown command.
+fn command(name: &str) -> Option<(Handler, Takes)> {
     const FLEET: [&str; 4] = ["seed", "replicas", "failures", "out"];
     let (run, own): (Handler, &[&str]) = match name {
         "evaluate" => (cmd_evaluate, &["replicas", "failures"]),
@@ -594,38 +643,55 @@ fn command(name: &str) -> Option<(Handler, Vec<&'static str>)> {
         ),
         "report" => (cmd_report, &FLEET),
         "export" => (cmd_export, &FLEET),
-        "obs diff" => return Some((cmd_obs_diff, vec!["tol", "tol-key"])),
+        "obs diff" => {
+            let files = &["<baseline.json>", "<current.json>"];
+            return Some((cmd_obs_diff, (files, vec!["tol", "tol-key"])));
+        }
         _ => return None,
     };
-    Some((run, [&MODEL_FLAGS[..], own].concat()))
+    Some((run, (&[], [&MODEL_FLAGS[..], own].concat())))
 }
 
-fn run() -> Result<(), String> {
+fn run(out: &mut dyn Write) -> Result<(), Stop> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags = Flags::parse(&args)?;
     if flags.has("help") || flags.positional.is_empty() {
-        print!("{USAGE}");
+        write!(out, "{USAGE}")?;
         return Ok(());
     }
     let name = match flags.positional.as_slice() {
         [obs, sub, ..] if obs == "obs" => format!("obs {sub}"),
         _ => flags.positional[0].clone(),
     };
-    let (handler, takes) = command(&name)
+    let (handler, (wants, takes)) = command(&name)
         .ok_or_else(|| format!("unknown command {name}\n\n{USAGE}"))?;
-    // A mistyped or retired flag would otherwise run with the default
-    // it meant to override.
+    // An argument the command does not read would otherwise be
+    // ignored, and a mistyped or retired flag would run with the
+    // default it meant to override.
+    let given = &flags.positional[name.split(' ').count()..];
+    if let Some(extra) = given.get(wants.len()) {
+        return Err(format!("{extra}: not an argument of crx {name}").into());
+    }
+    if given.len() < wants.len() {
+        let usage = wants.join(" ");
+        return Err(format!("usage: crx {name} {usage}\n\n{USAGE}").into());
+    }
     let unknown = flags.named.iter().find(|(k, _)| !takes.contains(&&k[..]));
     if let Some((key, _)) = unknown {
         return Err(format!(
             "--{key}: not a flag of crx {name} (see crx --help)"
-        ));
+        )
+        .into());
     }
-    handler(&flags)
+    handler(&flags, out)
 }
 
 fn main() {
-    if let Err(e) = run() {
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let result = run(&mut out).and_then(|()| out.flush().map_err(Stop::from));
+    if let Err(Stop::Error(e)) = result {
+        // What the command wrote before failing still goes out.
+        let _ = out.flush();
         eprintln!("error: {e}");
         std::process::exit(1);
     }
@@ -778,7 +844,9 @@ mod tests {
         ];
         for (args, flag) in cases {
             let f = flags(&[&["obs", "diff", "a.json", "b.json"], *args].concat());
-            let err = cmd_obs_diff(&f).unwrap_err();
+            let Err(Stop::Error(err)) = cmd_obs_diff(&f, &mut io::sink()) else {
+                panic!("{args:?} must be rejected");
+            };
             assert!(err.starts_with(flag), "{args:?}: {err}");
         }
     }
@@ -829,7 +897,7 @@ mod tests {
                 .collect();
             assert!(!flags.is_empty(), "{heading} lists no flag");
             for &name in commands {
-                let takes = command(name).unwrap().1;
+                let (_, (_, takes)) = command(name).unwrap();
                 for &flag in &flags {
                     assert!(takes.contains(&flag), "{name} refuses --{flag}");
                     listed.push((name, flag));
@@ -837,14 +905,17 @@ mod tests {
             }
         }
         for name in ["evaluate", "trace", "report", "export", "obs diff"] {
-            for flag in command(name).unwrap().1 {
+            let (_, (_, takes)) = command(name).unwrap();
+            for flag in takes {
                 assert!(
                     listed.contains(&(name, flag)),
                     "{name} takes --{flag}, which USAGE does not list for it"
                 );
             }
         }
-        assert!(!command("evaluate").unwrap().1.contains(&"mtt"));
-        assert!(!command("obs diff").unwrap().1.contains(&"mtti"));
+        let (_, (_, evaluate)) = command("evaluate").unwrap();
+        assert!(!evaluate.contains(&"mtt"));
+        let (_, (_, obs_diff)) = command("obs diff").unwrap();
+        assert!(!obs_diff.contains(&"mtti"));
     }
 }

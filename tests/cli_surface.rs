@@ -76,6 +76,7 @@ fn crx_rejects_out_of_range_flags() {
     let local = [
         "evaluate", "--strategy", "local", "--replicas", "1", "--failures", "50",
     ];
+    let io_only = ["evaluate", "--strategy", "io-only"];
     let cases: &[(&[&str], &str)] = &[
         (&["evaluate", "--interval", "0"], "--interval"),
         (&["evaluate", "--p-local", "1.5"], "--p-local"),
@@ -118,6 +119,23 @@ fn crx_rejects_out_of_range_flags() {
         (&["trace", "--to", "inf"], "--to"),
         (&["trace", "--width", "100000000000"], "--width"),
         (&["trace", "--width", "9"], "--width"),
+        // A reversed window is refused before the run, whatever the
+        // sink renders.
+        (&["trace", "--sink", "json", "--from", "5", "--to", "1"], "--to"),
+        (&["trace", "--sink", "off", "--from", "5", "--to", "1"], "--to"),
+        // Each command reads a fixed number of positional arguments.
+        (&[&self_diff[..], &["extra.json"]].concat(), "extra.json"),
+        (&["evaluate", "5", "--replicas", "2"], "5"),
+        (&["obs", "diff", snapshot], "usage: crx obs diff"),
+        // A strategy flag the chosen strategy does not use would print
+        // the run without it.
+        (&["trace", "--strategy", "ndp", "--ratio", "7"], "--ratio"),
+        (&[&local[..], &["--interval", "20000"]].concat(), "--interval"),
+        (&[&local[..], &["--compress", "0.3"]].concat(), "--compress"),
+        (&[&local[..], &["--p-local", "0.1"]].concat(), "--p-local"),
+        (&[&io_only[..], &["--p-local", "0.1"]].concat(), "--p-local"),
+        (&[&io_only[..], &["--interval", "600"]].concat(), "--interval"),
+        (&[&io_only[..], &["--ratio", "2"]].concat(), "--ratio"),
     ];
     for (args, flag) in cases {
         let out = crx(args);
@@ -128,6 +146,32 @@ fn crx_rejects_out_of_range_flags() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+/// A reader that stops early ends the output: `crx` exits 0 with
+/// nothing on stderr, rather than panicking on the broken pipe. The
+/// JSON stream of 300 failures is far larger than a pipe buffer, so
+/// `crx` is still writing when the reader goes.
+#[test]
+fn crx_exits_quietly_when_stdout_closes() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_crx"))
+        .args(["trace", "--failures", "300", "--sink", "json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run crx");
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    for _ in 0..2 {
+        lines.next().expect("a line").expect("readable");
+    }
+    drop(lines);
+    let out = child.wait_with_output().expect("crx exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }
 
 /// One replica has no standard error, so `evaluate` prints none rather

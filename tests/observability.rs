@@ -4,6 +4,7 @@
 //! across runs.
 
 use ndp_checkpoint::cr_node::faults::FaultPlaneConfig;
+use ndp_checkpoint::cr_node::integrity::Crc64;
 use ndp_checkpoint::cr_node::ndp::StepOutcome;
 use ndp_checkpoint::cr_node::node::{ComputeNode, NodeConfig};
 use ndp_checkpoint::cr_obs::analyze::IndicatorReport;
@@ -20,31 +21,67 @@ fn strat() -> Strategy {
     Strategy::local_io_ndp(0.85, None)
 }
 
+/// One strategy of each family, as in `sim_perf`'s golden-bits test.
+fn families() -> [Strategy; 4] {
+    [
+        Strategy::IoOnly {
+            interval: None,
+            compression: Some(CompressionSpec::gzip1_host()),
+        },
+        Strategy::LocalOnly { interval: None },
+        Strategy::local_io_host(12, 0.8, None),
+        Strategy::local_io_ndp(0.85, Some(CompressionSpec::gzip1_ndp())),
+    ]
+}
+
 /// The central guarantee: a pinned-seed simulation produces the same
-/// SimResult whether the bus is disabled or recording.
+/// SimResult whether the bus is disabled or recording, for every
+/// strategy family. The recorded stream is pinned too (length and
+/// CRC-64 of its JSON lines), so every span and mark is still emitted,
+/// in the same order.
 #[test]
 fn sim_results_are_identical_with_the_bus_on_or_off() {
-    let opts = SimOptions::quick(20260807);
-    let baseline = run_engine(&sys(), &strat(), &opts, &Bus::disabled());
-    let buses: Vec<(&str, Bus)> = vec![
-        ("off", Bus::disabled()),
-        ("vec", Bus::with_sink(VecSink::new())),
+    #[rustfmt::skip]
+    const STREAMS: [(usize, u64); 4] = [
+        (348638, 0x7f97380089d0a34f),
+        (1133277, 0x06f3c09bf035b66d),
+        (759700, 0x3924ceafb75c80bc),
+        (1670538, 0x3962cb1fe72ab3e8),
     ];
-    for (name, bus) in buses {
-        let r = run_engine(&sys(), &strat(), &opts, &bus);
-        assert_eq!(
-            r.breakdown, baseline.breakdown,
-            "breakdown drifted under sink {name}"
-        );
-        assert_eq!(
-            r.stats, baseline.stats,
-            "stats drifted under sink {name}"
-        );
-        assert_eq!(
-            format!("{r:?}"),
-            format!("{baseline:?}"),
-            "debug dump drifted under sink {name}"
-        );
+    let opts = SimOptions::quick(20260807);
+    for (strat, (len, crc)) in families().iter().zip(STREAMS) {
+        let name = strat.label();
+        let baseline = run_engine(&sys(), strat, &opts, &Bus::disabled());
+        let buses: Vec<(&str, Bus)> = vec![
+            ("off", Bus::disabled()),
+            ("vec", Bus::with_sink(VecSink::new())),
+        ];
+        for (sink, bus) in buses {
+            let r = run_engine(&sys(), strat, &opts, &bus);
+            assert_eq!(
+                r.breakdown, baseline.breakdown,
+                "{name}: breakdown drifted under sink {sink}"
+            );
+            assert_eq!(
+                r.stats, baseline.stats,
+                "{name}: stats drifted under sink {sink}"
+            );
+            assert_eq!(
+                format!("{r:?}"),
+                format!("{baseline:?}"),
+                "{name}: debug dump drifted under sink {sink}"
+            );
+            if bus.enabled() {
+                let json = bus.render();
+                let mut c = Crc64::new();
+                c.update(json.as_bytes());
+                assert_eq!(
+                    (json.len(), c.finish()),
+                    (len, crc),
+                    "{name}: the event stream moved"
+                );
+            }
+        }
     }
 }
 
