@@ -1,7 +1,9 @@
 //! Parallel map with deterministic output order.
 //!
-//! This is the one executor of the workspace: simulator replicas and
-//! chaos episodes fan out through [`par_map_in`]. Scoped workers claim
+//! This is the one executor of the workspace: simulator replicas, chaos
+//! episodes, the NDP drain's block compression and the restore's frame
+//! decode fan out through [`par_map_in`] (or [`par_map_init_in`], which
+//! gives each worker its own state). Scoped workers claim
 //! one index at a time from a shared counter, so a long item never
 //! strands the rest of a skewed sweep behind it. Each worker returns its
 //! `(index, result)` pairs through its join handle and the caller places
@@ -41,23 +43,44 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    par_map_init_in(threads, items, || (), |(), item| f(item))
+}
+
+/// [`par_map_in`] with per-worker state: each worker calls `init` once
+/// and passes the state to every `f` it runs, so a worker can reuse one
+/// scratch buffer across its items. The inline path (`threads <= 1`)
+/// makes one state too.
+pub fn par_map_init_in<T, S, R, I, F>(
+    threads: usize,
+    items: &[T],
+    init: I,
+    f: F,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> R + Sync,
+{
     let n = items.len();
     let threads = threads.min(n);
     if threads <= 1 {
-        return items.iter().map(f).collect();
+        let mut state = init();
+        return items.iter().map(|item| f(&mut state, item)).collect();
     }
 
     // `Relaxed` suffices: the counter only hands out indices, and the
     // results reach the caller through the join handles.
     let next = AtomicUsize::new(0);
     let work = || {
+        let mut state = init();
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 return done;
             }
-            done.push((i, f(&items[i])));
+            done.push((i, f(&mut state, &items[i])));
         }
     };
     let parts: Vec<_> = std::thread::scope(|scope| {
@@ -211,5 +234,36 @@ mod tests {
         let seq: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x)).collect();
         let par = par_map_in(8, &items, |&x| x.wrapping_mul(x));
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn each_worker_keeps_its_own_state() {
+        // Every worker builds one state and reuses it; results still
+        // come back in input order.
+        for threads in [1, 2, 4] {
+            let inits = AtomicUsize::new(0);
+            let items: Vec<usize> = (0..200).collect();
+            let out = par_map_init_in(
+                threads,
+                &items,
+                || {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                    Vec::new()
+                },
+                |seen: &mut Vec<usize>, &x| {
+                    seen.push(x);
+                    (x, seen.len())
+                },
+            );
+            assert_eq!(inits.load(Ordering::SeqCst), threads);
+            assert_eq!(out.iter().map(|&(x, _)| x).collect::<Vec<_>>(), items);
+            // Each state starts empty, so at most one item per worker
+            // saw its state hold one entry.
+            let firsts = out.iter().filter(|&&(_, n)| n == 1).count();
+            assert!((1..=threads).contains(&firsts), "threads {threads}");
+            if threads == 1 {
+                assert_eq!(out[199].1, 200, "one state on the inline path");
+            }
+        }
     }
 }

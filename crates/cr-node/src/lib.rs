@@ -10,13 +10,17 @@
 //! describes (pause, or spill to NVM), failure injection that destroys
 //! the right state, and recovery along both paths (§4.2.3).
 //!
-//! The node is single-threaded and step-driven. The host calls
+//! The node is step-driven. The host calls
 //! [`node::ComputeNode::checkpoint`] and [`node::ComputeNode::restore`];
 //! the NDP makes progress only when the caller pumps
 //! [`node::ComputeNode::ndp_step`] or [`node::ComputeNode::drain_all`].
 //! The host/NDP overlap of the paper's Figure 3 is accounted in virtual
 //! time ([`vclock::VClock`] splits critical-path from background work),
-//! not run on threads.
+//! not run on threads. Inside a step, the work the paper gives several
+//! cores runs on several: the NDP's codec frames a window of blocks
+//! ahead across `cr_core::par` workers (Table 3 sizes the NDP at a few
+//! cores), and a remote restore decodes its frames in parallel on the
+//! host (§4.3). Neither changes a step, a fault draw or a byte.
 //!
 //! The top-level type is [`node::ComputeNode`]; the operational
 //! correctness claims of §4.2 are enforced by this crate's tests:

@@ -608,7 +608,7 @@ impl ComputeNode {
 
     /// Reads one remote object and appends the raw payload its framed
     /// blocks decompress to (a full image, or an encoded incremental
-    /// delta) to `out`.
+    /// delta) to `out`, decoding straight from the store's bytes.
     fn fetch_remote_payload(
         &mut self,
         key: &crate::remote::ObjectKey,
@@ -634,8 +634,8 @@ impl ComputeNode {
             })?),
         };
         out.reserve(meta.size as usize);
-        frame::decode(&blob, codec.as_deref(), out)?;
-        Ok(meta)
+        frame::decode(blob, codec.as_deref(), out)?;
+        Ok(meta.clone())
     }
 
     /// Virtual-time accounting so far.

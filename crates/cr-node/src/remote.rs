@@ -244,11 +244,12 @@ impl IoNode {
 
     /// Reads a finalized object, verifying its checksum first — the
     /// restore path uses this so bit-rot surfaces as an error instead
-    /// of silently corrupt application state.
+    /// of silently corrupt application state. The metadata and bytes
+    /// are lent from the store, so a restore decodes them in place.
     pub fn read_verified(
         &mut self,
         key: &ObjectKey,
-    ) -> Result<(CheckpointMeta, Vec<u8>), RemoteError> {
+    ) -> Result<(&CheckpointMeta, &[u8]), RemoteError> {
         let obj = self.objects.get(key).ok_or(RemoteError::NoSuchObject)?;
         if !obj.complete {
             return Err(RemoteError::NoSuchObject);
@@ -258,8 +259,7 @@ impl IoNode {
             return Err(RemoteError::Corrupt);
         }
         self.bytes_read += obj.data.len() as u64;
-        let obj = self.objects.get(key).expect("checked above");
-        Ok((obj.meta.clone(), obj.data.clone()))
+        Ok((&obj.meta, &obj.data))
     }
 
     /// Fault injection: flips one bit of a stored object, emulating
@@ -315,8 +315,12 @@ mod tests {
         let (m2, data) = io.read_verified(&key).unwrap();
         assert_eq!(data, b"hello world");
         assert_eq!(m2.ckpt_id, 1);
+        let first = data.as_ptr();
+        // Every read lends the stored bytes themselves, never a copy.
+        let (_, again) = io.read_verified(&key).unwrap();
+        assert_eq!(again.as_ptr(), first);
         assert_eq!(io.bytes_written, 11);
-        assert_eq!(io.bytes_read, 11);
+        assert_eq!(io.bytes_read, 22, "each read counts");
     }
 
     #[test]
