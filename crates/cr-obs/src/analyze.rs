@@ -1,12 +1,14 @@
-//! Derived indicators: folds an event stream into the quantities the
-//! paper argues about — NDP utilization, compress↔DMA overlap with host
-//! compute, stall time attributable to NIC backpressure vs lock
-//! contention, and per-level recovery-time breakdown — plus the
+//! Derived indicators: folds a node-plane event stream into the
+//! quantities the paper argues about — drain throughput, stall time
+//! attributable to NIC backpressure vs lock contention, pauses,
+//! evictions and faults — plus the causal-span graph's shape and the
 //! machinery behind the `crx obs diff` regression gate.
 //!
 //! Everything here is a pure fold over an event slice: same stream in,
 //! same `indicators/v1` bytes out, so reports are directly comparable
-//! across runs, machines, and CI.
+//! across runs, machines, and CI. A simulated run's time buckets and
+//! counters are not refolded from its spans: the simulator adds them
+//! up once, and `cr_sim::fleet_report` reads them from there.
 
 use std::collections::BTreeMap;
 
@@ -135,21 +137,16 @@ pub fn merge_means(
 /// every key of a present group is emitted (zeros included) so a
 /// pinned-seed report has a stable key set:
 ///
-/// * **Simulator** (any [`Source::Sim`] event): wall time, per-kind
-///   span time, `ndp_utilization` (drain time / wall), the compress↔DMA
-///   `overlap_fraction` (drain activity overlapping host compute —
-///   that overlap is exactly what the NDP offload buys), failure and
-///   per-level recovery counts, and the per-level recovery-time
-///   breakdown.
 /// * **Node plane** (any `Ndp`/`Nvm`/`Remote`/`Faults` event): drain
 ///   job/byte/spill/retry counters, stall steps split by cause (NIC
 ///   backpressure vs spill exhaustion) with `lock_contention` counted
 ///   separately, pause windows, eviction and fault counts.
 /// * **Causal spans** (any `SpanOpen`): open/close/unclosed counts and
 ///   the maximum graph depth.
+///
+/// Timeline spans ([`EventKind::Span`]) feed neither group.
 pub fn analyze(label: &str, events: &[Event]) -> IndicatorReport {
     let mut report = IndicatorReport::new(label);
-    let has_sim = events.iter().any(|e| e.source == Source::Sim);
     let has_node = events.iter().any(|e| {
         matches!(
             e.source,
@@ -159,9 +156,6 @@ pub fn analyze(label: &str, events: &[Event]) -> IndicatorReport {
     let has_spans = events
         .iter()
         .any(|e| matches!(e.kind, EventKind::SpanOpen { .. }));
-    if has_sim {
-        analyze_sim(&mut report, events);
-    }
     if has_node {
         analyze_node(&mut report, events);
     }
@@ -169,114 +163,6 @@ pub fn analyze(label: &str, events: &[Event]) -> IndicatorReport {
         analyze_spans(&mut report, events);
     }
     report
-}
-
-fn analyze_sim(report: &mut IndicatorReport, events: &[Event]) {
-    let mut wall = 0f64;
-    let mut compute = 0f64;
-    let mut ckpt_local = 0f64;
-    let mut ckpt_io = 0f64;
-    let mut restore_local = 0f64;
-    let mut restore_io = 0f64;
-    let mut drain = 0f64;
-    let mut interrupted = 0u64;
-    let mut failures = [0u64; 2];
-    let mut recoveries = [0u64; 2];
-    let mut compute_iv: Vec<(f64, f64)> = Vec::new();
-    let mut drain_iv: Vec<(f64, f64)> = Vec::new();
-    for e in events {
-        if e.source != Source::Sim {
-            continue;
-        }
-        wall = wall.max(e.t);
-        match e.kind {
-            EventKind::Span {
-                lane,
-                span,
-                t0,
-                t1,
-                interrupted: intr,
-            } => {
-                wall = wall.max(t1);
-                let dt = t1 - t0;
-                if intr {
-                    interrupted += 1;
-                }
-                match (lane, span) {
-                    ("host", "compute") => {
-                        compute += dt;
-                        compute_iv.push((t0, t1));
-                    }
-                    ("host", "ckpt_local") => ckpt_local += dt,
-                    ("host", "ckpt_io") => ckpt_io += dt,
-                    ("host", "restore_local") => restore_local += dt,
-                    ("host", "restore_io") => restore_io += dt,
-                    ("ndp", "drain") => {
-                        drain += dt;
-                        drain_iv.push((t0, t1));
-                    }
-                    _ => {}
-                }
-            }
-            EventKind::Failure { level } => {
-                failures[(level.clamp(1, 2) - 1) as usize] += 1;
-            }
-            EventKind::Recovery { level } => {
-                recoveries[(level.clamp(1, 2) - 1) as usize] += 1;
-            }
-            _ => {}
-        }
-    }
-    let overlap = interval_overlap(&mut compute_iv, &mut drain_iv);
-    let frac = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-    report.set("wall_time_s", wall);
-    report.set("host_compute_s", compute);
-    report.set("ckpt_local_s", ckpt_local);
-    report.set("ckpt_io_s", ckpt_io);
-    report.set("restore_local_s", restore_local);
-    report.set("restore_io_s", restore_io);
-    report.set("ndp_drain_s", drain);
-    report.set("ndp_utilization", frac(drain, wall));
-    report.set("overlap_s", overlap);
-    report.set("overlap_fraction", frac(overlap, drain));
-    report.set("spans_interrupted", interrupted as f64);
-    report.set("failures", (failures[0] + failures[1]) as f64);
-    report.set("failures_l2", failures[1] as f64);
-    report.set("recoveries_l1", recoveries[0] as f64);
-    report.set("recoveries_l2", recoveries[1] as f64);
-    // Per-level recovery-time breakdown: restore time at each level,
-    // total and mean per completed recovery.
-    report.set("recovery_time_l1_s", restore_local);
-    report.set("recovery_time_l2_s", restore_io);
-    report.set(
-        "recovery_mean_l1_s",
-        frac(restore_local, recoveries[0] as f64),
-    );
-    report.set(
-        "recovery_mean_l2_s",
-        frac(restore_io, recoveries[1] as f64),
-    );
-}
-
-/// Total overlap between two interval sets (sorted in place; a
-/// two-pointer sweep after sorting, so emission order does not matter).
-fn interval_overlap(a: &mut [(f64, f64)], b: &mut [(f64, f64)]) -> f64 {
-    a.sort_by(|x, y| x.0.total_cmp(&y.0));
-    b.sort_by(|x, y| x.0.total_cmp(&y.0));
-    let (mut i, mut j, mut total) = (0usize, 0usize, 0f64);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if hi > lo {
-            total += hi - lo;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    total
 }
 
 fn analyze_node(report: &mut IndicatorReport, events: &[Event]) {
@@ -514,56 +400,6 @@ mod tests {
     use super::*;
     use crate::Source;
 
-    fn sim_span(
-        lane: &'static str,
-        span: &'static str,
-        t0: f64,
-        t1: f64,
-    ) -> Event {
-        Event {
-            t: t0,
-            source: Source::Sim,
-            kind: EventKind::Span {
-                lane,
-                span,
-                t0,
-                t1,
-                interrupted: false,
-            },
-        }
-    }
-
-    #[test]
-    fn sim_indicators_fold_utilization_and_overlap() {
-        let events = vec![
-            sim_span("host", "compute", 0.0, 100.0),
-            sim_span("ndp", "drain", 50.0, 150.0),
-            sim_span("host", "restore_local", 150.0, 160.0),
-            Event {
-                t: 150.0,
-                source: Source::Sim,
-                kind: EventKind::Failure { level: 1 },
-            },
-            Event {
-                t: 160.0,
-                source: Source::Sim,
-                kind: EventKind::Recovery { level: 1 },
-            },
-        ];
-        let r = analyze("t", &events);
-        assert_eq!(r.get("wall_time_s"), Some(160.0));
-        assert_eq!(r.get("ndp_drain_s"), Some(100.0));
-        assert_eq!(r.get("ndp_utilization"), Some(100.0 / 160.0));
-        // Drain [50,150] ∩ compute [0,100] = [50,100] → 50 s, half the
-        // drain time.
-        assert_eq!(r.get("overlap_s"), Some(50.0));
-        assert_eq!(r.get("overlap_fraction"), Some(0.5));
-        assert_eq!(r.get("recoveries_l1"), Some(1.0));
-        assert_eq!(r.get("recovery_mean_l1_s"), Some(10.0));
-        // No node events → no node keys.
-        assert_eq!(r.get("drain_jobs_started"), None);
-    }
-
     #[test]
     fn node_indicators_split_stall_causes() {
         let ev = |t: f64, kind: EventKind| Event {
@@ -615,7 +451,7 @@ mod tests {
     fn span_indicators_track_depth_and_leaks() {
         let ev = |kind: EventKind| Event {
             t: 0.0,
-            source: Source::Sim,
+            source: Source::Bench,
             kind,
         };
         let events = vec![

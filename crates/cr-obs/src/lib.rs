@@ -17,10 +17,12 @@
 //!    ([`Bus::emit_with`]) so a disabled bus never allocates.
 //! 2. A flat **indicator report** ([`analyze::IndicatorReport`]): a
 //!    sorted map of named values, rendered as `indicators/v1` JSON.
-//!    [`analyze::analyze`] folds an event stream into one,
-//!    [`analyze::merge_means`] folds a fleet's into one, and the
-//!    model-plane snapshot of `crx report` and the event-count
-//!    snapshot of `bench_chaos` are one too.
+//!    [`analyze::analyze`] folds a node-plane event stream and its
+//!    causal spans into one, [`analyze::merge_means`] averages a
+//!    fleet's into one, and the event-count snapshot of `bench_chaos`
+//!    is one too. The model-plane snapshot of `crx report`
+//!    (`cr_sim::fleet_report`) reads a simulated run's time buckets and
+//!    counters from the simulator's own result, not from its spans.
 //!
 //! Everything here is observational: emitting an event never draws
 //! randomness, never changes control flow, and never feeds back into

@@ -95,6 +95,9 @@ pub struct SimStats {
     pub work_done: f64,
     /// Failures injected.
     pub failures: u64,
+    /// Failures that escalated to I/O: the survivability draw failed or
+    /// no local checkpoint was left (`Failure { level: 2 }` events).
+    pub failures_io: u64,
     /// Recoveries that completed from locally-saved checkpoints.
     pub recoveries_local: u64,
     /// Recoveries that completed from I/O-saved checkpoints.
@@ -109,6 +112,9 @@ pub struct SimStats {
     pub drains_cancelled: u64,
     /// Largest NDP drain backlog observed.
     pub max_drain_queue: usize,
+    /// Seconds the NDP drain pipeline spent draining (the `ndp` lane's
+    /// `drain` spans).
+    pub drain_busy: f64,
     /// True if the run hit `max_wall` before meeting its targets.
     pub truncated: bool,
 }
@@ -268,6 +274,7 @@ impl Engine {
             emit_mark(&self.bus, base_t + consumed, MarkKind::IoDurable);
         }
         if had_work {
+            self.stats.drain_busy += consumed;
             emit_span(
                 &self.bus,
                 Lane::Ndp,
@@ -347,6 +354,7 @@ impl Engine {
             // Node-level loss: local NVM contents and pending drains are
             // gone.
             self.last_local = None;
+            self.stats.failures_io += 1;
             self.stats.drains_cancelled += self.drain_queue.len() as u64;
             self.drain_queue.clear();
         }

@@ -54,7 +54,7 @@ pub mod trace;
 
 pub use engine::{run_engine, SimOptions, SimResult, SimStats};
 pub use runner::{
-    mean_sem, run_fleet_observed, run_fleet_observed_in, simulate,
-    simulate_avg, simulate_avg_in, AveragedResult,
+    fleet_report, mean_sem, run_fleet_observed, run_fleet_observed_in,
+    simulate, simulate_avg, simulate_avg_in, AveragedResult,
 };
 pub use trace::Trace;

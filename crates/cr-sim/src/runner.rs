@@ -1,9 +1,11 @@
 //! High-level simulation entry points: single runs and averaged
 //! multi-replica runs.
 
+use cr_core::analytic::CycleSolution;
 use cr_core::breakdown::Breakdown;
 use cr_core::par::{default_threads, par_map_in};
 use cr_core::params::{Strategy, SystemParams};
+use cr_obs::analyze::{analyze, merge_means, IndicatorReport};
 use cr_obs::{Bus, Event, VecSink};
 
 use crate::engine::{run_engine, SimOptions, SimResult};
@@ -110,11 +112,9 @@ pub fn simulate_avg_in(
 /// returns the per-replica results alongside their event streams in
 /// seed order.
 ///
-/// This is the multi-node trace-collection entry point: per-replica
-/// streams can be analyzed node by node
-/// ([`cr_obs::analyze::analyze`]), merged into per-indicator fleet
-/// means ([`cr_obs::analyze::merge_means`]), or exported as one
-/// Chrome trace with a `pid` per replica
+/// This is the multi-node trace-collection entry point: the fleet
+/// feeds [`fleet_report`]'s model-plane snapshot, or is exported as
+/// one Chrome trace with a `pid` per replica
 /// ([`cr_obs::export::chrome_trace_merged`]). Observation is private
 /// per replica, so the results are bit-identical to
 /// [`simulate_avg`] with the same seeds.
@@ -146,6 +146,92 @@ pub fn run_fleet_observed_in(
         let result = run_engine(sys, strat, &opts, &bus);
         (result, bus.drain())
     })
+}
+
+/// Builds the `indicators/v1` model-plane snapshot of an observed
+/// fleet (from [`run_fleet_observed`]) against the analytic solution
+/// `sol` of the same configuration. Every simulated value comes from
+/// the replicas' [`SimResult`]s; the event streams give only the event
+/// counts and the causal-span keys.
+///
+/// * Per replica, averaged over the fleet as `<key>_mean`
+///   ([`merge_means`]): `wall_time_s` (`stats.wall_time`), `failures`,
+///   `failures_l2` (`stats.failures_io`), `recoveries_l1`/`_l2`
+///   (`stats.recoveries_local`/`_io`), `ndp_drain_s`
+///   (`stats.drain_busy`), `ndp_utilization` (drain busy over wall
+///   time), and the `spans_*`/`span_max_depth` keys of [`analyze`].
+/// * Fleet sums: `work_done_s` (`stats.work_done`), `events_total`
+///   and `events_<kind>`.
+/// * Per [`Breakdown`] bucket `<b>`: `bucket_<b>_analytic` (the
+///   fraction in `sol`), `bucket_<b>_sim_mean` and `_sim_sem` (over
+///   the replicas' fractions), and, where the SEM is above zero,
+///   `bucket_<b>_z`, the simulated mean's distance from the analytic
+///   fraction in SEMs.
+/// * `model_progress_predicted` (`sol`), `model_progress_observed`
+///   (pooled compute over pooled wall time) and their relative
+///   `model_divergence`.
+pub fn fleet_report(
+    label: &str,
+    sol: &CycleSolution,
+    fleet: &[(SimResult, Vec<Event>)],
+) -> IndicatorReport {
+    let per_node: Vec<_> = fleet
+        .iter()
+        .enumerate()
+        .map(|(i, (r, events))| {
+            let s = &r.stats;
+            let mut node = analyze(&format!("node{i}"), events);
+            node.set("wall_time_s", s.wall_time);
+            node.set("failures", s.failures as f64);
+            node.set("failures_l2", s.failures_io as f64);
+            node.set("recoveries_l1", s.recoveries_local as f64);
+            node.set("recoveries_l2", s.recoveries_io as f64);
+            node.set("ndp_drain_s", s.drain_busy);
+            node.set("ndp_utilization", s.drain_busy / s.wall_time);
+            node
+        })
+        .collect();
+    let mut report = merge_means(label, &per_node);
+
+    for (r, events) in fleet {
+        report.add("events_total", events.len() as f64);
+        for e in events {
+            report.add(&format!("events_{}", e.kind.name()), 1.0);
+        }
+        report.add("work_done_s", r.stats.work_done);
+    }
+
+    let sim: Vec<_> = fleet
+        .iter()
+        .map(|(r, _)| r.breakdown.as_fractions().buckets())
+        .collect();
+    for (i, (bucket, analytic)) in
+        sol.breakdown.as_fractions().buckets().into_iter().enumerate()
+    {
+        let xs: Vec<f64> = sim.iter().map(|b| b[i].1).collect();
+        let (mean, sem) = mean_sem(&xs);
+        report.set(&format!("bucket_{bucket}_analytic"), analytic);
+        report.set(&format!("bucket_{bucket}_sim_mean"), mean);
+        report.set(&format!("bucket_{bucket}_sim_sem"), sem);
+        if sem > 0.0 {
+            report.set(&format!("bucket_{bucket}_z"), (mean - analytic) / sem);
+        }
+    }
+
+    // Analytic-model-vs-sim divergence: predicted progress rate from
+    // the Markov-renewal solution against the pooled simulated rate.
+    let predicted = sol.progress_rate();
+    let (mut compute, mut wall) = (0.0, 0.0);
+    for (r, _) in fleet {
+        compute += r.breakdown.compute;
+        wall += r.breakdown.total();
+    }
+    let observed = if wall > 0.0 { compute / wall } else { 0.0 };
+    report.set("model_progress_predicted", predicted);
+    report.set("model_progress_observed", observed);
+    // An admitted configuration's predicted progress is positive.
+    report.set("model_divergence", (observed - predicted).abs() / predicted);
+    report
 }
 
 #[cfg(test)]

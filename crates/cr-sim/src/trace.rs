@@ -229,15 +229,6 @@ impl Trace {
             legend
         )
     }
-
-    /// Total traced span time per kind, seconds.
-    pub fn time_in(&self, kind: SpanKind) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.kind == kind)
-            .map(|s| s.t1 - s.t0)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -286,15 +277,6 @@ mod tests {
         assert!(s.contains('d'));
         assert!(s.contains('X'));
         assert!(s.contains("legend"));
-    }
-
-    #[test]
-    fn time_accounting() {
-        let t = sample();
-        assert_eq!(t.time_in(SpanKind::Compute), 100.0);
-        assert_eq!(t.time_in(SpanKind::CkptLocal), 10.0);
-        assert_eq!(t.time_in(SpanKind::Drain), 70.0);
-        assert_eq!(t.time_in(SpanKind::CkptIo), 0.0);
     }
 
     #[test]
@@ -371,7 +353,8 @@ mod tests {
         // timestamps).
         assert_eq!(trace.spans.len(), 1);
         assert_eq!(trace.marks.len(), 0);
-        assert_eq!(trace.time_in(SpanKind::Compute), 3.0);
+        let s = &trace.spans[0];
+        assert_eq!((s.kind, s.t0, s.t1), (SpanKind::Compute, -4.0, -1.0));
         // Rendering a window over the weird span must not panic either.
         let _ = trace.render_ascii(-5.0, 1.0, 30);
     }

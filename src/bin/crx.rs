@@ -444,65 +444,23 @@ fn observed_fleet(
     Ok((sol, strat, opts, fleet))
 }
 
-/// Writes the model-plane snapshot: each of the seven time buckets as
-/// the analytic fraction next to the mean and SEM of the per-replica
-/// simulated fractions, the fleet's event counts, the mean of every
-/// `analyze` indicator over the replicas, and the progress divergence.
+/// Writes the model-plane snapshot of `cr_sim::fleet_report`: each of
+/// the seven time buckets as the analytic fraction next to the mean and
+/// SEM of the per-replica simulated fractions, the fleet's event counts
+/// and run counters, and the progress divergence.
 fn cmd_report(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
-    use ndp_checkpoint::cr_obs::analyze::{analyze, merge_means};
-    use ndp_checkpoint::cr_sim::mean_sem;
+    use ndp_checkpoint::cr_sim::fleet_report;
 
     let replicas = count_from(flags, "replicas", 4, 2)?;
     let failures = count_from(flags, "failures", 400, 1)?;
     let (sol, strat, opts, fleet) = observed_fleet(flags, replicas, failures)?;
-    let per_node: Vec<_> = fleet
-        .iter()
-        .enumerate()
-        .map(|(i, (_, events))| analyze(&format!("node{i}"), events))
-        .collect();
     let label = format!(
         "{} seed {} x{}",
         strat.label(),
         opts.seed,
         fleet.len()
     );
-    let mut report = merge_means(&label, &per_node);
-
-    for (r, events) in &fleet {
-        report.add("events_total", events.len() as f64);
-        for e in events {
-            report.add(&format!("events_{}", e.kind.name()), 1.0);
-        }
-        report.add("work_done_s", r.stats.work_done);
-    }
-
-    let sim: Vec<_> = fleet
-        .iter()
-        .map(|(r, _)| r.breakdown.as_fractions().buckets())
-        .collect();
-    for (i, (bucket, analytic)) in
-        sol.breakdown.as_fractions().buckets().into_iter().enumerate()
-    {
-        let xs: Vec<f64> = sim.iter().map(|b| b[i].1).collect();
-        let (mean, sem) = mean_sem(&xs);
-        report.set(&format!("bucket_{bucket}_analytic"), analytic);
-        report.set(&format!("bucket_{bucket}_sim_mean"), mean);
-        report.set(&format!("bucket_{bucket}_sim_sem"), sem);
-    }
-
-    // Analytic-model-vs-sim divergence: predicted progress rate from
-    // the Markov-renewal solution against the pooled simulated rate.
-    let predicted = sol.progress_rate();
-    let (mut compute, mut wall) = (0.0, 0.0);
-    for (r, _) in &fleet {
-        compute += r.breakdown.compute;
-        wall += r.breakdown.total();
-    }
-    let observed = if wall > 0.0 { compute / wall } else { 0.0 };
-    report.set("model_progress_predicted", predicted);
-    report.set("model_progress_observed", observed);
-    // An admitted configuration's predicted progress is positive.
-    report.set("model_divergence", (observed - predicted).abs() / predicted);
+    let report = fleet_report(&label, &sol, &fleet);
 
     writeln!(out, "indicators: {}", report.label)?;
     for (k, v) in report.values() {

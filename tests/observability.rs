@@ -8,7 +8,7 @@ use ndp_checkpoint::cr_node::integrity::Crc64;
 use ndp_checkpoint::cr_node::ndp::StepOutcome;
 use ndp_checkpoint::cr_node::node::{ComputeNode, NodeConfig};
 use ndp_checkpoint::cr_obs::analyze::IndicatorReport;
-use ndp_checkpoint::cr_obs::{Bus, VecSink};
+use ndp_checkpoint::cr_obs::{Bus, EventKind, VecSink};
 use ndp_checkpoint::cr_sim::trace::{Lane, MarkKind, SpanKind};
 use ndp_checkpoint::cr_sim::{run_engine, simulate, SimOptions, Trace};
 use ndp_checkpoint::prelude::*;
@@ -103,13 +103,15 @@ fn json_event_stream_is_deterministic() {
 
 /// The Figure 3 timeline is rebuilt from the raw event stream: it must
 /// come from a run bit-identical to the unobserved one, and account for
-/// every simulated second and every counted failure and I/O commit.
+/// every simulated second, every counted failure and I/O commit, every
+/// failure escalated to I/O, and the NDP drain's busy time.
 #[test]
 fn trace_rebuilt_from_events_matches_traced_run() {
     let opts = SimOptions::quick(11);
     let bus = Bus::with_sink(VecSink::new());
     let r = run_engine(&sys(), &strat(), &opts, &bus);
-    let trace = Trace::from_events(&bus.drain());
+    let events = bus.drain();
+    let trace = Trace::from_events(&events);
     let plain = simulate(&sys(), &strat(), &opts);
     assert_eq!(r.breakdown, plain.breakdown);
     assert_eq!(r.stats, plain.stats);
@@ -141,7 +143,26 @@ fn trace_rebuilt_from_events_matches_traced_run() {
     };
     assert_eq!(marks(MarkKind::Failure), r.stats.failures);
     assert_eq!(marks(MarkKind::IoDurable), r.stats.io_ckpts);
-    assert!(trace.spans.iter().any(|s| s.lane == Lane::Ndp));
+
+    let escalated = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Failure { level: 2 }))
+        .count() as u64;
+    assert!(escalated > 0, "p_local 0.85 must escalate some failures");
+    assert_eq!(r.stats.failures_io, escalated);
+
+    let drain: f64 = trace
+        .spans
+        .iter()
+        .filter(|s| s.lane == Lane::Ndp)
+        .map(|s| s.t1 - s.t0)
+        .sum();
+    let busy = r.stats.drain_busy;
+    assert!(drain > 0.0, "an NDP run must drain");
+    assert!(
+        (busy - drain).abs() <= 1e-9 * drain,
+        "drain busy {busy} vs ndp spans {drain}"
+    );
 }
 
 fn chaos_node(bus: Option<&Bus>) -> ComputeNode {

@@ -6,32 +6,31 @@
 use std::collections::BTreeMap;
 use std::process::Command;
 
+use ndp_checkpoint::cr_core::analytic::solve_cycle;
 use ndp_checkpoint::cr_obs::analyze::{
-    analyze, diff_flat, flatten_numbers, merge_means, IndicatorReport,
+    diff_flat, flatten_numbers, IndicatorReport,
 };
 use ndp_checkpoint::cr_obs::export::{
     chrome_trace_merged, validate_chrome_trace,
 };
 use ndp_checkpoint::cr_obs::json::parse as parse_json;
 use ndp_checkpoint::cr_obs::{Event, EventKind};
-use ndp_checkpoint::cr_sim::{run_fleet_observed, SimOptions};
+use ndp_checkpoint::cr_sim::{self, run_fleet_observed, SimOptions};
 use ndp_checkpoint::prelude::*;
 
-fn fleet(seed: u64, replicas: u64) -> Vec<(ndp_checkpoint::cr_sim::SimResult, Vec<Event>)> {
-    let sys = SystemParams::exascale_default();
-    let strat = Strategy::local_io_ndp(0.85, None);
-    let opts = SimOptions::quick(seed);
-    run_fleet_observed(&sys, &strat, &opts, replicas)
+fn config() -> (SystemParams, Strategy) {
+    (SystemParams::exascale_default(), Strategy::local_io_ndp(0.85, None))
+}
+
+fn fleet(seed: u64, replicas: u64) -> Vec<(cr_sim::SimResult, Vec<Event>)> {
+    let (sys, strat) = config();
+    run_fleet_observed(&sys, &strat, &SimOptions::quick(seed), replicas)
 }
 
 fn fleet_report(seed: u64, replicas: u64) -> IndicatorReport {
-    let fleet = fleet(seed, replicas);
-    let per_node: Vec<IndicatorReport> = fleet
-        .iter()
-        .enumerate()
-        .map(|(i, (_, events))| analyze(&format!("node{i}"), events))
-        .collect();
-    merge_means("fleet", &per_node)
+    let (sys, strat) = config();
+    let sol = solve_cycle(&sys, &strat).expect("admitted configuration");
+    cr_sim::fleet_report("fleet", &sol, &fleet(seed, replicas))
 }
 
 /// Same seed, same fleet size — the indicator report must be
