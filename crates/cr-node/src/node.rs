@@ -11,7 +11,7 @@ use crate::frame;
 use crate::integrity::{fold_granules, granule_crcs};
 use crate::metadata::CheckpointMeta;
 use crate::ndp::{BackpressurePolicy, NdpEngine, StepOutcome};
-use crate::nvm::{NvmError, NvmStore, Region, SlotId};
+use crate::nvm::{NvmError, NvmStore, Region, Slot, SlotId};
 use crate::remote::IoNode;
 use crate::vclock::VClock;
 
@@ -441,75 +441,54 @@ impl ComputeNode {
         // Fast path: newest local checkpoint — verified before use, so
         // NVM bit-rot falls through to the partner/I-O levels instead
         // of restoring garbage.
-        if let Some(id) = self
-            .nvm
-            .latest(Region::Uncompressed, app_id, rank)
-            .map(|s| s.id)
-        {
-            // Injected silent bit-rot, surfacing exactly when the
-            // restore reads the slot.
-            if self.faults.fire(FaultSite::NvmReadRot) {
-                let len = self.nvm.get(id).map_or(0, |s| s.data.len());
-                let idx = self.faults.draw_index(len);
-                let _ = self.nvm.tamper(id, idx);
-            }
-            let slot = self.nvm.get(id).expect("slot just listed");
-            if slot.verify() {
-                let data = slot.data.clone();
-                let meta = slot.meta.clone();
-                VClock::charge(
-                    &mut self.clock.host_nvm,
-                    data.len(),
-                    self.cfg.nvm_bandwidth,
-                );
-                return Ok(Restored {
-                    meta,
-                    data,
-                    source: RestoreSource::LocalNvm,
-                });
-            }
-            self.corruptions_detected += 1;
+        if let Some(slot) = Self::read_nvm_level(
+            &mut self.nvm,
+            &mut self.faults,
+            &mut self.corruptions_detected,
+            app_id,
+            rank,
+        ) {
+            VClock::charge(
+                &mut self.clock.host_nvm,
+                slot.data.len(),
+                self.cfg.nvm_bandwidth,
+            );
+            return Ok(Restored {
+                meta: slot.meta.clone(),
+                data: slot.data.clone(),
+                source: RestoreSource::LocalNvm,
+            });
         }
 
         // Partner level (§3.4): the partner node's replica survives
         // loss of this node alone; fetch it over the interconnect
         // (verified, falling through to I/O on corruption).
-        let partner_id = self.partner.as_ref().and_then(|partner| {
-            partner
-                .latest(Region::Uncompressed, app_id, rank)
-                .map(|s| s.id)
-        });
-        if let Some(pid) = partner_id {
-            if self.faults.fire(FaultSite::NvmReadRot) {
-                let partner = self.partner.as_mut().expect("id implies store");
-                let len = partner.get(pid).map_or(0, |s| s.data.len());
-                let idx = self.faults.draw_index(len);
-                let _ = partner.tamper(pid, idx);
-            }
-        }
-        let partner_hit = self.partner.as_ref().and_then(|partner| {
-            let slot = partner.get(partner_id?)?;
-            Some(slot.verify().then(|| {
-                (slot.meta.clone(), slot.data.clone(), slot.crcs.clone())
-            }))
-        });
-        match partner_hit {
-            Some(Some((meta, data, crcs))) => {
+        if let Some(partner) = &mut self.partner {
+            if let Some(slot) = Self::read_nvm_level(
+                partner,
+                &mut self.faults,
+                &mut self.corruptions_detected,
+                app_id,
+                rank,
+            ) {
                 VClock::charge(
                     &mut self.clock.restore_io,
-                    data.len(),
+                    slot.data.len(),
                     self.cfg.interconnect_bw,
                 );
                 // Reseed the local NVM so later failures recover fast.
-                self.reseed_local(meta.clone(), &data, crcs);
+                Self::reseed_local(
+                    &mut self.nvm,
+                    slot.meta.clone(),
+                    &slot.data,
+                    slot.crcs.clone(),
+                );
                 return Ok(Restored {
-                    meta,
-                    data,
+                    meta: slot.meta.clone(),
+                    data: slot.data.clone(),
                     source: RestoreSource::Partner,
                 });
             }
-            Some(None) => self.corruptions_detected += 1,
-            None => {}
         }
 
         // Slow path: stream from remote I/O, decompressing block by
@@ -581,7 +560,7 @@ impl ComputeNode {
             base: None,
             ..meta
         };
-        self.reseed_local(restored_meta.clone(), &data, crcs);
+        Self::reseed_local(&mut self.nvm, restored_meta.clone(), &data, crcs);
 
         Ok(Restored {
             meta: restored_meta,
@@ -590,20 +569,44 @@ impl ComputeNode {
         })
     }
 
+    /// The newest slot of a rank on one NVM level (local or partner),
+    /// read for a restore: it is verified after the injected read rot is
+    /// drawn, and a slot that fails counts a corruption and yields `None`.
+    fn read_nvm_level<'s>(
+        store: &'s mut NvmStore,
+        faults: &mut FaultPlane,
+        corruptions: &mut u64,
+        app_id: &str,
+        rank: u32,
+    ) -> Option<&'s Slot> {
+        let id = store.latest(Region::Uncompressed, app_id, rank)?.id;
+        // Injected silent bit-rot, surfacing exactly when the restore
+        // reads the slot.
+        if faults.fire(FaultSite::NvmReadRot) {
+            let len = store.get(id).map_or(0, |s| s.data.len());
+            let idx = faults.draw_index(len);
+            let _ = store.tamper(id, idx);
+        }
+        let slot = store.get(id).expect("slot just listed");
+        if slot.verify() {
+            return Some(slot);
+        }
+        *corruptions += 1;
+        None
+    }
+
     /// Writes a copy of a verified restored image, with its granule
     /// CRCs, to a fresh local slot. Best effort: a full or locked region
     /// leaves the restore served but the local level unseeded.
     fn reseed_local(
-        &mut self,
+        nvm: &mut NvmStore,
         meta: CheckpointMeta,
         data: &[u8],
         crcs: Vec<u64>,
     ) {
-        let mut buf = self.nvm.take_buffer();
+        let mut buf = nvm.take_buffer();
         buf.extend_from_slice(data);
-        let _ = self
-            .nvm
-            .write_with_crcs(Region::Uncompressed, meta, buf, crcs);
+        let _ = nvm.write_with_crcs(Region::Uncompressed, meta, buf, crcs);
     }
 
     /// Reads one remote object and appends the raw payload its framed
