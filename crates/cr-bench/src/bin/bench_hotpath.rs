@@ -31,6 +31,7 @@
 use std::path::PathBuf;
 
 use cr_bench::perf::{mb_per_s, time_window, Timing};
+use cr_bench::{env_or, write_report};
 use cr_compress::compression_factor;
 use cr_compress::registry::study_codecs;
 use cr_node::incremental::BlockHasher;
@@ -47,17 +48,10 @@ struct Opts {
     out: PathBuf,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 impl Opts {
     fn from_env() -> Self {
         Opts {
-            image_mb: env_usize("BENCH_MB", 8).max(1),
+            image_mb: env_or("BENCH_MB", 8usize).max(1),
             out: std::env::var("BENCH_OUT")
                 .unwrap_or_else(|_| "results/BENCH_codec.json".into())
                 .into(),
@@ -268,11 +262,5 @@ fn main() {
         ("indicators".into(), indicators),
     ]);
 
-    if let Some(dir) = opts.out.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(&opts.out, doc.render()).expect("write results");
-    println!("wrote {}", opts.out.display());
+    write_report(&opts.out, &doc.render());
 }

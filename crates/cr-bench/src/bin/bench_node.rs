@@ -202,13 +202,7 @@ fn main() {
         ("rows".into(), Value::Arr(rows)),
         ("scaling".into(), Value::Arr(scaling)),
     ]);
-    if let Some(dir) = opts.out.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(&opts.out, doc.render()).expect("write results");
-    println!("wrote {}", opts.out.display());
+    cr_bench::write_report(&opts.out, &doc.render());
     if !failed.is_empty() {
         eprintln!(
             "scaling gate: per-MB drain cost grew more than {SCALING_LIMIT}x for {}",

@@ -34,6 +34,7 @@
 use std::path::PathBuf;
 
 use cr_bench::perf::time_window;
+use cr_bench::{env_or, write_report};
 use cr_core::analytic::solve_cycle;
 use cr_core::params::{CompressionSpec, Strategy, SystemParams};
 use cr_core::ratio_opt::MAX_RATIO;
@@ -56,21 +57,14 @@ struct Opts {
     quick: bool,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 impl Opts {
     fn from_env() -> Self {
         let quick = std::env::args().any(|a| a == "--quick");
-        let default_replicas = if quick { 64 } else { 256 };
+        let default_replicas: usize = if quick { 64 } else { 256 };
         Opts {
-            replicas: env_usize("BENCH_SIM_REPLICAS", default_replicas)
+            replicas: env_or("BENCH_SIM_REPLICAS", default_replicas)
                 .max(2) as u64,
-            max_threads: env_usize("BENCH_MAX_THREADS", 8).max(1),
+            max_threads: env_or("BENCH_MAX_THREADS", 8usize).max(1),
             out: std::env::var("BENCH_OUT")
                 .unwrap_or_else(|_| "results/BENCH_sim.json".into())
                 .into(),
@@ -317,16 +311,6 @@ fn indicators_section() -> Value {
     Value::Obj(fields)
 }
 
-fn write_json(path: &PathBuf, doc: &Value) {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(path, doc.render()).expect("write results");
-    println!("wrote {}", path.display());
-}
-
 fn main() {
     let opts = Opts::from_env();
     let effective_cores = cr_core::par::default_threads();
@@ -356,7 +340,7 @@ fn main() {
         ("solve".into(), solve),
         ("indicators".into(), indicators.clone()),
     ]);
-    write_json(&opts.out, &doc);
+    write_report(&opts.out, &doc.render());
 
     // The indicators alone, in a small file CI can `crx obs diff`
     // against the checked-in pinned-seed baseline.
@@ -365,5 +349,5 @@ fn main() {
         ("source".into(), Value::str("bench_sim")),
         ("indicators".into(), indicators),
     ]);
-    write_json(&opts.ind_out, &ind_doc);
+    write_report(&opts.ind_out, &ind_doc.render());
 }

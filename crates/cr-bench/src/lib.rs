@@ -10,10 +10,31 @@
 #![warn(clippy::all)]
 
 pub mod experiments;
+pub mod oracle;
 pub mod perf;
 pub mod table;
 
 use std::env;
+use std::path::Path;
+use std::str::FromStr;
+
+/// An environment knob parsed as `T`: `default` when it is unset or
+/// does not parse.
+pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
+    env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Writes a report to `path`, creating its directory, and says so.
+pub fn write_report(path: &Path, text: &str) {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create results dir");
+    }
+    std::fs::write(path, text).expect("write results");
+    println!("wrote {}", path.display());
+}
 
 /// Runtime knobs for the repro binaries, read from the environment:
 ///
@@ -37,17 +58,11 @@ impl ReproOpts {
     /// Reads the knobs from the environment with the documented
     /// defaults.
     pub fn from_env() -> Self {
-        let get = |name: &str, default: u64| -> u64 {
-            env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
         ReproOpts {
-            replicas: get("REPRO_REPLICAS", 4),
-            failures: get("REPRO_FAILURES", 2000),
-            image_mb: get("REPRO_MB", 8) as usize,
-            seed: get("REPRO_SEED", 42),
+            replicas: env_or("REPRO_REPLICAS", 4),
+            failures: env_or("REPRO_FAILURES", 2000),
+            image_mb: env_or("REPRO_MB", 8),
+            seed: env_or("REPRO_SEED", 42),
         }
     }
 
