@@ -5,7 +5,11 @@
 //! image, `drain_all`, `NodeLoss`, and a remote `restore_rank` that must
 //! return the image byte for byte. [`cr_bench::perf::time_window`] runs
 //! the cycles for at least one second; each phase is timed inside every
-//! cycle and reported as median and quartiles, next to its cost per MB.
+//! cycle and reported as median and quartiles, next to its cost per MB
+//! and the median count of minor page faults the process took in it
+//! (`<phase>_minor_faults`, read from field 10 of `/proc/self/stat`;
+//! `null` where that file does not exist). All cycles of a run share one
+//! thread, so after the first cycle the NVM buffers come from its pool.
 //!
 //! **Scaling gate.** A node whose cost grows faster than its input shows
 //! up as a per-MB cost that rises with size. For each codec the binary
@@ -70,32 +74,70 @@ fn codec_label(codec: Option<(&str, u32)>) -> String {
     codec.map_or("none".into(), |(name, level)| format!("{name}({level})"))
 }
 
-/// One cycle on a fresh node; returns the wall seconds of each phase.
-fn cycle(cfg: &NodeConfig, image: &[u8]) -> [f64; 3] {
-    let mut node = ComputeNode::new(cfg.clone());
-    node.register_app(APP);
-    let t0 = Instant::now();
-    node.checkpoint_rank(APP, 0, image).expect("checkpoint");
-    let t1 = Instant::now();
-    node.drain_all().expect("drain");
-    let t2 = Instant::now();
-    node.inject_failure(FailureKind::NodeLoss);
-    let restored = node.restore_rank(APP, 0).expect("remote restore");
-    let t3 = Instant::now();
-    assert_eq!(restored.source, RestoreSource::RemoteIo);
-    assert!(restored.data == image, "remote restore is not byte-exact");
-    [t1 - t0, t2 - t1, t3 - t2].map(|d| d.as_secs_f64())
+/// Minor page faults of this process so far: field 10 of
+/// `/proc/self/stat`, or `None` where it cannot be read.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the command name (field 2, which may hold spaces)
+    // start at field 3.
+    let fields = stat.rsplit_once(')')?.1;
+    fields.split_whitespace().nth(10 - 3)?.parse().ok()
 }
 
-/// Per-phase timings of one (size, codec) row.
-fn measure(cfg: &NodeConfig, image: &[u8]) -> (Timing, [Timing; 3]) {
-    let mut samples: [Vec<f64>; 3] = Default::default();
+/// Wall seconds and minor page faults of one phase.
+type Phase = (f64, Option<u64>);
+
+/// Runs one phase of a cycle.
+fn phase<T>(work: impl FnOnce() -> T) -> (T, Phase) {
+    let f0 = minor_faults();
+    let t0 = Instant::now();
+    let out = work();
+    let secs = t0.elapsed().as_secs_f64();
+    let faults = minor_faults().zip(f0).map(|(f1, f0)| f1 - f0);
+    (out, (secs, faults))
+}
+
+/// One cycle on a fresh node.
+fn cycle(cfg: &NodeConfig, image: &[u8]) -> [Phase; 3] {
+    let mut node = ComputeNode::new(cfg.clone());
+    node.register_app(APP);
+    let (_, ckpt) =
+        phase(|| node.checkpoint_rank(APP, 0, image).expect("checkpoint"));
+    let (_, drain) = phase(|| node.drain_all().expect("drain"));
+    let (restored, restore) = phase(|| {
+        node.inject_failure(FailureKind::NodeLoss);
+        node.restore_rank(APP, 0).expect("remote restore")
+    });
+    assert_eq!(restored.source, RestoreSource::RemoteIo);
+    assert!(restored.data == image, "remote restore is not byte-exact");
+    [ckpt, drain, restore]
+}
+
+/// Per-phase timings and median minor faults of one (size, codec) row.
+fn measure(
+    cfg: &NodeConfig,
+    image: &[u8],
+) -> (Timing, [(Timing, Option<u64>); 3]) {
+    let mut samples: [Vec<Phase>; 3] = Default::default();
     let whole = time_window(|| {
-        for (s, secs) in samples.iter_mut().zip(cycle(cfg, image)) {
-            s.push(secs);
+        for (s, p) in samples.iter_mut().zip(cycle(cfg, image)) {
+            s.push(p);
         }
     });
-    (whole, samples.map(Timing::of))
+    let phases = samples.map(|s| {
+        let secs: Vec<f64> = s.iter().map(|p| p.0).collect();
+        let faults: Option<Vec<u64>> = s.iter().map(|p| p.1).collect();
+        let median = faults.map(|mut f| {
+            f.sort_unstable();
+            f[f.len() / 2]
+        });
+        (Timing::of(secs), median)
+    });
+    (whole, phases)
+}
+
+fn faults_label(faults: Option<u64>) -> String {
+    faults.map_or("-".into(), |f| f.to_string())
 }
 
 fn main() {
@@ -120,21 +162,24 @@ fn main() {
             };
             let (whole, phases) = measure(&cfg, &image);
             let mbs = bytes as f64 / 1e6;
-            drain_per_mb[c].push(phases[1].median / mbs);
+            drain_per_mb[c].push(phases[1].0.median / mbs);
             println!(
-                "{mb:>4} MiB {:8} checkpoint {:8.2} ms  drain {:9.2} ms ({:6.1} MB/s)  restore {:8.2} ms",
+                "{mb:>4} MiB {:8} checkpoint {:8.2} ms  drain {:9.2} ms ({:6.1} MB/s)  restore {:8.2} ms  minor faults {}/{}/{}",
                 codec_label(*codec),
-                phases[0].median * 1e3,
-                phases[1].median * 1e3,
-                mbs / phases[1].median,
-                phases[2].median * 1e3,
+                phases[0].0.median * 1e3,
+                phases[1].0.median * 1e3,
+                mbs / phases[1].0.median,
+                phases[2].0.median * 1e3,
+                faults_label(phases[0].1),
+                faults_label(phases[1].1),
+                faults_label(phases[2].1),
             );
             let mut row = vec![
                 ("image_mb".into(), Value::Num(mb as f64)),
                 ("codec".into(), Value::str(codec_label(*codec))),
                 ("cycle_secs".into(), Value::Num(whole.median)),
             ];
-            for (name, t) in PHASES.iter().zip(&phases) {
+            for (name, (t, faults)) in PHASES.iter().zip(&phases) {
                 row.extend(
                     t.fields()
                         .into_iter()
@@ -143,6 +188,10 @@ fn main() {
                 row.push((
                     format!("{name}_ms_per_mb"),
                     Value::Num(t.median * 1e3 / mbs),
+                ));
+                row.push((
+                    format!("{name}_minor_faults"),
+                    faults.map_or(Value::Null, |f| Value::Num(f as f64)),
                 ));
             }
             rows.push(Value::Obj(row));

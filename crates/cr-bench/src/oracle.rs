@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use cr_node::node::{ComputeNode, NodeError, RestoreSource, Restored};
-use cr_node::nvm::{NvmStore, Region};
+use cr_node::nvm::Region;
 use cr_node::remote::{IoNode, ObjectKey};
 
 /// What the next restore must do, predicted from the node's storage.
@@ -21,11 +21,13 @@ use cr_node::remote::{IoNode, ObjectKey};
 pub enum Prediction {
     /// Serve this checkpoint from this level.
     Serve(RestoreSource, u64),
-    /// Fail with a typed error: the newest sealed remote object, or a
-    /// base on its delta chain, no longer verifies.
+    /// Fail with a typed error other than [`NodeError::NoCheckpoint`]:
+    /// some level holds a copy, but none serves it. Every NVM copy is
+    /// rotten, and no remote object is sealed, or the newest sealed one
+    /// or a base on its delta chain no longer verifies.
     Fail,
-    /// Fail with [`NodeError::NoCheckpoint`]: no level holds an intact
-    /// NVM copy or a sealed remote object.
+    /// Fail with [`NodeError::NoCheckpoint`]: no level holds an NVM
+    /// copy, intact or not, or a sealed remote object.
     NoCheckpoint,
 }
 
@@ -64,22 +66,32 @@ impl Oracle {
     /// walking a remote delta's chain back to its keyframe. Call it with
     /// the fault plane quiesced, so the restore reads what was seen.
     pub fn predict(&self, node: &ComputeNode) -> Prediction {
-        let newest_intact = |store: &NvmStore| {
-            let slot = store.latest(Region::Uncompressed, &self.app, 0)?;
-            slot.verify().then_some(slot.meta.ckpt_id)
-        };
-        if let Some(id) = newest_intact(node.nvm()) {
-            return Prediction::Serve(RestoreSource::LocalNvm, id);
-        }
-        if let Some(id) = node.partner().and_then(newest_intact) {
-            return Prediction::Serve(RestoreSource::Partner, id);
+        // A rotten NVM copy is still a copy: with nothing to serve, the
+        // restore fails `Corrupt`, not `NoCheckpoint`.
+        let mut nvm_held = false;
+        for (level, store) in [
+            (RestoreSource::LocalNvm, Some(node.nvm())),
+            (RestoreSource::Partner, node.partner()),
+        ] {
+            let newest = store
+                .and_then(|s| s.latest(Region::Uncompressed, &self.app, 0));
+            if let Some(slot) = newest {
+                if slot.verify() {
+                    return Prediction::Serve(level, slot.meta.ckpt_id);
+                }
+                nvm_held = true;
+            }
         }
         // The newest sealed object among the committed ids, not the
         // node's `latest_complete`, so a fault in that lookup shows.
         let io = node.io();
         let sealed = |id: &&u64| io.sealed(&self.key(**id)).is_some();
         let Some(&newest) = self.committed.keys().rev().find(sealed) else {
-            return Prediction::NoCheckpoint;
+            return if nvm_held {
+                Prediction::Fail
+            } else {
+                Prediction::NoCheckpoint
+            };
         };
         let mut cursor = newest;
         while let Some(meta) = io.peek_verified(&self.key(cursor)) {
@@ -121,10 +133,7 @@ impl Oracle {
                 Err(NodeError::NoCheckpoint) => Prediction::NoCheckpoint,
                 Err(_) => Prediction::Fail,
             };
-            // A predicted failure may be any typed error.
-            let kept = gave == p
-                || (p == Prediction::Fail && gave == Prediction::NoCheckpoint);
-            if !kept {
+            if gave != p {
                 v.push(format!("predicted {p:?}, restore gave {gave:?}"));
             }
         }
@@ -339,6 +348,32 @@ mod tests {
         assert_flags(
             &oracle.check_restore(&got, Some(Prediction::NoCheckpoint)),
             "restore gave Fail",
+        );
+    }
+
+    #[test]
+    fn a_rotten_only_nvm_copy_predicts_a_typed_failure() {
+        let mut oracle = Oracle::new(APP);
+        let mut n = node(NodeConfig {
+            drain_ratio: u32::MAX,
+            ..config()
+        });
+        commit(&mut n, &mut oracle, 0, image(0));
+        assert!(n.tamper_local(APP, 0));
+        assert_eq!(oracle.predict(&n), Prediction::Fail);
+        let got = n.restore(APP);
+        assert!(matches!(got, Err(NodeError::Corrupt)));
+        assert!(oracle.check_restore(&got, Some(Prediction::Fail)).is_empty());
+        // A copy was held, so `NoCheckpoint` is the wrong error, and
+        // `NoCheckpoint` is no answer to a predicted failure.
+        assert_flags(
+            &oracle.check_restore(&got, Some(Prediction::NoCheckpoint)),
+            "restore gave Fail",
+        );
+        let nothing: Result<Restored, _> = Err(NodeError::NoCheckpoint);
+        assert_flags(
+            &oracle.check_restore(&nothing, Some(Prediction::Fail)),
+            "predicted Fail, restore gave NoCheckpoint",
         );
     }
 

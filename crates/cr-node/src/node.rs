@@ -128,14 +128,17 @@ pub enum NodeError {
     UnknownApp(String),
     /// NVM store failure.
     Nvm(NvmError),
-    /// No checkpoint available at any level.
+    /// No level (local NVM, partner NVM, remote I/O) holds a checkpoint
+    /// of the rank.
     NoCheckpoint,
     /// Drain or restore codec failure.
     Codec(CodecError),
     /// Drain cannot progress (NIC blocked under `Pause`, or spill
     /// region full).
     DrainStalled,
-    /// The only recoverable checkpoint failed checksum verification.
+    /// Some level holds a checkpoint of the rank, but none can be
+    /// served: every copy failed checksum verification, or a remote
+    /// delta's chain is broken.
     Corrupt,
 }
 
@@ -279,7 +282,7 @@ impl ComputeNode {
 
         // Host owns the NVM for the commit: NDP paused (§4.2.1).
         self.ndp.pause();
-        let mut buf = self.nvm.take_buffer();
+        let mut buf = self.nvm.take_buffer(data.len());
         buf.extend_from_slice(data);
         let result = self.nvm.write_with_crcs(
             Region::Uncompressed,
@@ -337,7 +340,7 @@ impl ComputeNode {
                     self.cfg.interconnect_bw,
                 );
             } else if let Some(partner) = &mut self.partner {
-                let mut pbuf = partner.take_buffer();
+                let mut pbuf = partner.take_buffer(data.len());
                 pbuf.extend_from_slice(data);
                 partner.write_with_crcs(
                     Region::Uncompressed,
@@ -438,6 +441,14 @@ impl ComputeNode {
         app_id: &str,
         rank: u32,
     ) -> Result<Restored, NodeError> {
+        // A level that holds a copy of the rank but serves none makes a
+        // failed restore `Corrupt`; `NoCheckpoint` means no level held one.
+        let held = |store: &NvmStore| {
+            store.latest(Region::Uncompressed, app_id, rank).is_some()
+        };
+        let nvm_held =
+            held(&self.nvm) || self.partner.as_ref().is_some_and(held);
+
         // Fast path: newest local checkpoint — verified before use, so
         // NVM bit-rot falls through to the partner/I-O levels instead
         // of restoring garbage.
@@ -495,11 +506,17 @@ impl ComputeNode {
         // block on the host (pipelined restore, §4.3). Incremental
         // objects chain back to their base (§7); walk the chain to a
         // full image, then apply the deltas forward, in place.
-        let key = self
-            .io
-            .latest_complete(app_id, rank)
-            .ok_or(NodeError::NoCheckpoint)?;
-        let mut data = Vec::new();
+        let Some(key) = self.io.latest_complete(app_id, rank) else {
+            return Err(if nvm_held {
+                NodeError::Corrupt
+            } else {
+                NodeError::NoCheckpoint
+            });
+        };
+        // The decode buffer comes from the NVM pool and leaves it with
+        // the restored image.
+        let size = self.io.sealed(&key).map_or(0, |m| m.size as usize);
+        let mut data = self.nvm.take_buffer(size);
         let meta = self.fetch_remote_payload(&key, &mut data)?;
         let mut deltas: Vec<crate::incremental::IncrementalImage> =
             Vec::new();
@@ -604,7 +621,7 @@ impl ComputeNode {
         data: &[u8],
         crcs: Vec<u64>,
     ) {
-        let mut buf = nvm.take_buffer();
+        let mut buf = nvm.take_buffer(data.len());
         buf.extend_from_slice(data);
         let _ = nvm.write_with_crcs(Region::Uncompressed, meta, buf, crcs);
     }
@@ -617,14 +634,15 @@ impl ComputeNode {
         key: &crate::remote::ObjectKey,
         out: &mut Vec<u8>,
     ) -> Result<CheckpointMeta, NodeError> {
-        let (meta, blob) = match self.io.read_verified(key) {
-            Ok(x) => x,
-            Err(crate::remote::RemoteError::Corrupt) => {
+        // The newest object is sealed, so a read error is rot, or a
+        // base of its delta chain that is gone: either way a copy was
+        // held and cannot be served.
+        let (meta, blob) = self.io.read_verified(key).map_err(|e| {
+            if e == crate::remote::RemoteError::Corrupt {
                 self.corruptions_detected += 1;
-                return Err(NodeError::Corrupt);
             }
-            Err(_) => return Err(NodeError::NoCheckpoint),
-        };
+            NodeError::Corrupt
+        })?;
         VClock::charge(
             &mut self.clock.restore_io,
             blob.len(),

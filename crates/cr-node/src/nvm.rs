@@ -6,6 +6,7 @@
 //! **locked** so a future checkpoint write cannot overwrite it, and the
 //! capacity is unlocked (reusable) once the drain completes.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
@@ -165,24 +166,56 @@ impl RegionBuf {
     }
 }
 
-/// Upper bound on spare buffers kept for reuse.
+/// Upper bound on the buffers one thread's pool keeps for reuse.
 const SPARE_CAP: usize = 16;
+
+thread_local! {
+    /// Payload buffers retired by every [`NvmStore`] on this thread, by
+    /// eviction, [`NvmStore::wipe`] and dropping the store. They serve
+    /// the thread's next host commit, partner copy, reseed and remote
+    /// restore decode ([`NvmStore::take_buffer`]), as the paper's NVM is
+    /// one fixed, pre-mapped device (§4.3) whose pages are written, not
+    /// faulted in, by each checkpoint. Most recently pooled last.
+    ///
+    /// Measured on a 2-vCPU machine with the repository benchmark's
+    /// `ckpt_local` workload (5 pairs of 8 s runs, one CRC pass per
+    /// commit), removing the per-store pool this replaced raised
+    /// `setup_s` from 51.9 to 60.1 ms (+16 %, higher in every pair)
+    /// while lowering `peak_heap_mb` from 168.5 to 160.5 (−4.7 %) and
+    /// leaving `op_ms_p50` and `cycle_ms_p50` within 1.3 %, so it stayed.
+    /// A per-store pool emptied with its store, so every node a thread
+    /// built, and every restore after a node loss, faulted its slots in
+    /// again (620–640 minor page faults per 4 MiB commit on average,
+    /// 1024 at the median, in `drain_incr`'s pattern). This thread
+    /// pool, fed by `wipe` and by dropping a store too, took
+    /// `drain_incr`'s `op_ms_p50` from 2.64 to 0.79 ms (10 of 10
+    /// alternating 20 s pairs on a 2-vCPU Xeon, seed 1; 2.46 to 0.70 ms
+    /// on seed 7) and its `peak_heap_mb` from 31.8 to 33.1.
+    static SPARE: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Pools a retired payload buffer on this thread, freeing the oldest
+/// pooled buffer if the pool is full. During thread teardown the buffer
+/// is freed instead.
+fn recycle(mut data: Vec<u8>) {
+    if data.capacity() == 0 {
+        return;
+    }
+    data.clear();
+    let _ = SPARE.try_with(|pool| {
+        let mut pool = pool.borrow_mut();
+        if pool.len() == SPARE_CAP {
+            pool.remove(0);
+        }
+        pool.push(data);
+    });
+}
 
 /// The node-local NVM store.
 pub struct NvmStore {
     uncompressed: RegionBuf,
     compressed: RegionBuf,
     next_id: u64,
-    /// Recycled payload buffers from evicted slots, handed out via
-    /// [`NvmStore::take_buffer`] so the host checkpoint commit (local
-    /// and partner copy) reuses wraparound capacity instead of
-    /// allocating fresh. Measured on a 2-vCPU machine with the
-    /// repository benchmark's `ckpt_local` workload (5 pairs of 8 s
-    /// runs, one CRC pass per commit), removing this pool raised
-    /// `setup_s` from 51.9 to 60.1 ms (+16 %, higher in every pair)
-    /// while lowering `peak_heap_mb` from 168.5 to 160.5 (−4.7 %) and
-    /// leaving `op_ms_p50` and `cycle_ms_p50` within 1.3 %, so it stays.
-    spare: Vec<Vec<u8>>,
     /// Total evictions performed (wraparound count).
     pub evictions: u64,
     /// Observability bus (disabled by default; see [`NvmStore::set_bus`]).
@@ -196,7 +229,6 @@ impl NvmStore {
             uncompressed: RegionBuf::new(uncompressed_capacity),
             compressed: RegionBuf::new(compressed_capacity),
             next_id: 1,
-            spare: Vec::new(),
             evictions: 0,
             bus: Bus::disabled(),
         }
@@ -208,22 +240,25 @@ impl NvmStore {
         self.bus = bus;
     }
 
-    /// Hands out a cleared buffer, reusing an evicted slot's allocation
-    /// when one is available.
-    pub fn take_buffer(&mut self) -> Vec<u8> {
-        let mut buf = self.spare.pop().unwrap_or_default();
+    /// Hands out a cleared buffer for an image of `len` bytes: the most
+    /// recently pooled buffer on this thread that holds `len` bytes
+    /// without growing (growing would copy its stale capacity), or a
+    /// new one.
+    pub fn take_buffer(&self, len: usize) -> Vec<u8> {
+        let pooled = SPARE.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            let i = pool.iter().rposition(|b| b.capacity() >= len)?;
+            Some(pool.remove(i))
+        });
+        let mut buf = pooled
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| Vec::with_capacity(len));
         // `recycle` clears before pooling, but the cleared-contract is
         // what keeps stale checkpoint bytes out of a new commit, so
         // enforce it here too rather than trusting every producer.
         buf.clear();
         buf
-    }
-
-    fn recycle(&mut self, mut data: Vec<u8>) {
-        if self.spare.len() < SPARE_CAP {
-            data.clear();
-            self.spare.push(data);
-        }
     }
 
     fn region_mut(&mut self, r: Region) -> &mut RegionBuf {
@@ -289,7 +324,7 @@ impl NvmStore {
                     bytes: slot.data.len() as u64,
                 },
             });
-            self.recycle(slot.data);
+            recycle(slot.data);
         }
         let id = SlotId(self.next_id);
         self.next_id += 1;
@@ -390,12 +425,19 @@ impl NvmStore {
         Ok(())
     }
 
-    /// Destroys all contents (node-loss failure).
+    /// Destroys all contents (node-loss failure). The payload buffers
+    /// go to this thread's pool, the image slots last.
     pub fn wipe(&mut self) {
-        self.uncompressed.slots.clear();
-        self.uncompressed.used = 0;
-        self.compressed.slots.clear();
-        self.compressed.used = 0;
+        for region in [&mut self.compressed, &mut self.uncompressed] {
+            region.used = 0;
+            region.slots.drain(..).for_each(|slot| recycle(slot.data));
+        }
+    }
+}
+
+impl Drop for NvmStore {
+    fn drop(&mut self) {
+        self.wipe();
     }
 }
 
@@ -534,11 +576,39 @@ mod tests {
         assert_eq!(nvm.lock(SlotId(99)).unwrap_err(), NvmError::NoSuchSlot);
     }
 
+    /// Empties this thread's pool, so a test sees only what it pools.
+    fn clear_pool() {
+        SPARE.with(|pool| pool.borrow_mut().clear());
+    }
+
+    /// Capacity and address of each pooled buffer, oldest first.
+    fn pooled() -> Vec<(usize, *const u8)> {
+        SPARE.with(|pool| {
+            pool.borrow().iter().map(|b| (b.capacity(), b.as_ptr())).collect()
+        })
+    }
+
+    /// Pools `n` buffers of `len` bytes of 0xAB, bypassing `recycle`'s
+    /// clear, as a producer that forgot to clear would.
+    fn dirty_pool(n: usize, len: usize) {
+        clear_pool();
+        SPARE.with(|pool| pool.borrow_mut().resize(n, vec![0xAB; len]));
+    }
+
+    /// A host commit as `ComputeNode::checkpoint_rank` makes it.
+    fn commit(nvm: &mut NvmStore, id: u64, data: &[u8]) -> SlotId {
+        let mut buf = nvm.take_buffer(data.len());
+        buf.extend_from_slice(data);
+        nvm.write(Region::Uncompressed, meta(id, data.len() as u64), buf)
+            .unwrap()
+    }
+
     #[test]
     fn evicted_buffers_are_recycled() {
+        clear_pool();
         let mut nvm = NvmStore::new(250, 0);
         // Pool starts empty: fresh allocation.
-        assert_eq!(nvm.take_buffer().capacity(), 0);
+        assert_eq!(nvm.take_buffer(0).capacity(), 0);
         nvm.write(Region::Uncompressed, meta(1, 100), vec![1; 100])
             .unwrap();
         nvm.write(Region::Uncompressed, meta(2, 100), vec![2; 100])
@@ -547,9 +617,11 @@ mod tests {
         // back out of the pool, cleared.
         nvm.write(Region::Uncompressed, meta(3, 100), vec![3; 100])
             .unwrap();
-        let buf = nvm.take_buffer();
+        assert_eq!(pooled().len(), 1);
+        let buf = nvm.take_buffer(100);
         assert!(buf.is_empty());
         assert!(buf.capacity() >= 100, "capacity {}", buf.capacity());
+        assert!(pooled().is_empty());
     }
 
     #[test]
@@ -558,11 +630,128 @@ mod tests {
         // recycled eviction payload must never leak prior checkpoint
         // bytes into a new commit, even if a buffer reached the pool
         // without going through `recycle`'s clear.
-        let mut nvm = NvmStore::new(100, 0);
-        nvm.spare.push(vec![0xAB; 64]);
-        let buf = nvm.take_buffer();
+        dirty_pool(1, 64);
+        let buf = NvmStore::new(100, 0).take_buffer(64);
         assert!(buf.is_empty(), "leaked {} stale bytes", buf.len());
         assert!(buf.capacity() >= 64, "recycling lost the allocation");
+    }
+
+    #[test]
+    fn wiped_and_dropped_buffers_serve_the_next_store_on_the_thread() {
+        clear_pool();
+        let image = vec![5u8; 1000];
+        let mut lost = NvmStore::new(4000, 0);
+        let id = commit(&mut lost, 1, &image);
+        let slot = lost.get(id).unwrap();
+        let wiped = (slot.data.capacity(), slot.data.as_ptr());
+        lost.wipe();
+        assert_eq!(pooled(), [wiped]);
+        let mut next = NvmStore::new(4000, 0);
+        let id = commit(&mut next, 1, &image);
+        let slot = next.get(id).unwrap();
+        assert_eq!((slot.data.capacity(), slot.data.as_ptr()), wiped);
+        assert_eq!(slot.data, image);
+        drop(next);
+        assert_eq!(pooled(), [wiped], "dropping a store pools its slots");
+        let mut after = NvmStore::new(4000, 0);
+        let id = commit(&mut after, 1, &image);
+        let slot = after.get(id).unwrap();
+        assert_eq!((slot.data.capacity(), slot.data.as_ptr()), wiped);
+        // Another thread has its own pool.
+        let other = std::thread::spawn(|| pooled().len()).join().unwrap();
+        assert_eq!(other, 0);
+    }
+
+    #[test]
+    fn a_pooled_buffer_smaller_than_the_image_is_not_used() {
+        clear_pool();
+        recycle(Vec::with_capacity(1000));
+        recycle(Vec::with_capacity(50));
+        let pool = pooled();
+        let nvm = NvmStore::new(0, 0);
+        // The newest buffer is too small: the older one that fits serves.
+        let buf = nvm.take_buffer(100);
+        assert_eq!((buf.capacity(), buf.as_ptr()), pool[0]);
+        assert_eq!(pooled(), [pool[1]]);
+        // Nothing fits: a new buffer, the small one stays pooled.
+        let buf = nvm.take_buffer(100);
+        assert!(buf.capacity() >= 100);
+        assert_ne!(buf.as_ptr(), pool[1].1);
+        assert_eq!(pooled(), [pool[1]]);
+        let small = nvm.take_buffer(50);
+        assert_eq!((small.capacity(), small.as_ptr()), pool[1]);
+    }
+
+    #[test]
+    fn the_pool_keeps_at_most_spare_cap_buffers_the_newest() {
+        clear_pool();
+        let mut nvm = NvmStore::new(1 << 20, 0);
+        for i in 0..SPARE_CAP as u64 + 5 {
+            commit(&mut nvm, i + 1, &vec![1u8; 10 + i as usize]);
+        }
+        nvm.wipe();
+        let pool = pooled();
+        assert_eq!(pool.len(), SPARE_CAP);
+        // The five oldest slots were freed; the newest is taken first.
+        assert_eq!(pool[0].0, 15);
+        assert_eq!(pool[SPARE_CAP - 1].0, 10 + SPARE_CAP + 4);
+        // Empty buffers own nothing and are not pooled.
+        recycle(Vec::new());
+        assert_eq!(pooled(), pool);
+    }
+
+    #[test]
+    fn a_store_dropped_during_thread_teardown_frees_its_buffers() {
+        thread_local! {
+            static KEPT: RefCell<Option<NvmStore>> =
+                const { RefCell::new(None) };
+        }
+        let teardown = std::thread::spawn(|| {
+            KEPT.with(|kept| {
+                let mut nvm = NvmStore::new(1000, 0);
+                nvm.write(Region::Uncompressed, meta(1, 100), vec![7; 100])
+                    .unwrap();
+                *kept.borrow_mut() = Some(nvm);
+            });
+            // Touched after `KEPT`, the pool is torn down before it, so
+            // the store's drop finds the pool gone.
+            clear_pool();
+        });
+        assert!(teardown.join().is_ok());
+    }
+
+    #[test]
+    fn a_dirty_pool_never_leaks_into_a_commit_copy_reseed_or_restore() {
+        use crate::node::{
+            ComputeNode, FailureKind, NodeConfig, RestoreSource,
+        };
+        let image: Vec<u8> = (0..300_000).map(|i| (i % 251) as u8).collect();
+        let mut node = ComputeNode::new(NodeConfig {
+            drain_ratio: 1,
+            partner_ratio: 1,
+            ..NodeConfig::small_test()
+        });
+        node.register_app("app");
+        let newest = |nvm: &NvmStore| {
+            nvm.latest(Region::Uncompressed, "app", 0).unwrap().data.clone()
+        };
+        // Before each step, every buffer the step can take is dirty.
+        dirty_pool(4, 1 << 20);
+        node.checkpoint("app", &image).unwrap();
+        assert_eq!(newest(node.nvm()), image, "commit");
+        assert_eq!(newest(node.partner().unwrap()), image, "partner copy");
+        node.drain_all().unwrap();
+        for (loss, source) in [
+            (FailureKind::NodeLoss, RestoreSource::Partner),
+            (FailureKind::PairLoss, RestoreSource::RemoteIo),
+        ] {
+            node.inject_failure(loss);
+            dirty_pool(4, 1 << 20);
+            let restored = node.restore("app").unwrap();
+            assert_eq!(restored.source, source);
+            assert_eq!(restored.data, image, "{source:?} restore");
+            assert_eq!(newest(node.nvm()), image, "{source:?} reseed");
+        }
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! corruption, and surface a typed error — never stale or torn data —
 //! when no intact copy survives.
 
+use ndp_checkpoint::cr_node::faults::{FaultPlaneConfig, FaultSite};
+use ndp_checkpoint::cr_node::nvm::Region;
 use ndp_checkpoint::cr_node::node::{
     ComputeNode, FailureKind, NodeConfig, NodeError, RestoreSource,
 };
@@ -142,5 +144,45 @@ fn double_rot_with_no_partner_falls_through_to_remote() {
     let r = node.restore("fe").unwrap();
     assert_eq!(r.source, RestoreSource::RemoteIo);
     assert_eq!(r.data, newest);
+    assert_eq!(node.corruptions_detected(), 1);
+}
+
+/// Nothing drains, so an NVM copy is the only one.
+fn undrained() -> NodeConfig {
+    NodeConfig {
+        drain_ratio: u32::MAX,
+        ..NodeConfig::small_test()
+    }
+}
+
+#[test]
+fn a_rotten_only_local_copy_fails_corrupt_not_no_checkpoint() {
+    // Rotten, the local copy is still a copy: the restore says
+    // `Corrupt`, not "nothing stored".
+    let mut node = ComputeNode::new(undrained());
+    node.register_app("fe");
+    node.checkpoint("fe", &image(1)).unwrap();
+    assert!(node.tamper_local("fe", 0));
+    let err = node.restore("fe").unwrap_err();
+    assert!(matches!(err, NodeError::Corrupt), "got {err}");
+    assert_eq!(node.corruptions_detected(), 1);
+}
+
+#[test]
+fn a_rotten_only_partner_copy_fails_corrupt_after_node_loss() {
+    // The partner replica rots when the restore reads it.
+    let mut node = ComputeNode::new(NodeConfig {
+        partner_ratio: 1,
+        faults: Some(
+            FaultPlaneConfig::disabled(1).with(FaultSite::NvmReadRot, 1.0),
+        ),
+        ..undrained()
+    });
+    node.register_app("fe");
+    node.checkpoint("fe", &image(1)).unwrap();
+    node.inject_failure(FailureKind::NodeLoss);
+    assert_eq!(node.nvm().used(Region::Uncompressed), 0);
+    let err = node.restore("fe").unwrap_err();
+    assert!(matches!(err, NodeError::Corrupt), "got {err}");
     assert_eq!(node.corruptions_detected(), 1);
 }
