@@ -382,7 +382,7 @@ mod tests {
         let mut oracle = Oracle::new(APP);
         oracle.commit(0, image(0));
         oracle.commit(1, image(1));
-        let mut io = IoNode::new(1e9);
+        let mut io = IoNode::new();
         let seal = |io: &mut IoNode, meta: CheckpointMeta| {
             let key = ObjectKey::of(&meta);
             io.begin(meta).unwrap();

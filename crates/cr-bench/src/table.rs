@@ -60,34 +60,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as comma-separated values.
-    pub fn render_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(
-                &row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","),
-            );
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a ratio as a percentage with one decimal.
@@ -95,14 +67,10 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Prints a titled table, honoring `REPRO_CSV=1` for CSV output.
+/// Prints a titled table.
 pub fn emit(title: &str, table: &TextTable) {
     println!("== {title} ==");
-    if std::env::var("REPRO_CSV").as_deref() == Ok("1") {
-        print!("{}", table.render_csv());
-    } else {
-        print!("{}", table.render());
-    }
+    print!("{}", table.render());
     println!();
 }
 
@@ -121,14 +89,6 @@ mod tests {
         // Right alignment of the numeric column.
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[2].ends_with("51.0%"));
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = TextTable::new(vec!["a", "b"]);
-        t.row(vec!["x,y", "2"]);
-        let csv = t.render_csv();
-        assert!(csv.contains("\"x,y\""));
     }
 
     #[test]

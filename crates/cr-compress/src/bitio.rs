@@ -60,11 +60,6 @@ impl BitWriter {
         }
         self.out
     }
-
-    /// Number of complete bytes in the output so far.
-    pub fn byte_len(&self) -> usize {
-        self.out.len()
-    }
 }
 
 /// Reads bits LSB-first from a byte slice.
@@ -160,12 +155,6 @@ impl<'a> BitReader<'a> {
         Ok(self.take_fast(count))
     }
 
-    /// Reads a single bit.
-    #[inline]
-    pub fn read_bit(&mut self) -> Result<u32, CodecError> {
-        Ok(self.read_bits(1)? as u32)
-    }
-
     /// Returns the next `count` bits without consuming them, zero-padded
     /// if the stream ends early (table-based Huffman decode needs a
     /// fixed-width peek near end of stream).
@@ -231,7 +220,7 @@ mod tests {
         let bytes = BitWriter::new().finish();
         assert!(bytes.is_empty());
         let mut r = BitReader::new(&bytes);
-        assert!(r.read_bit().is_err());
+        assert!(r.read_bits(1).is_err());
     }
 
     #[test]
@@ -245,17 +234,16 @@ mod tests {
         assert_eq!(bytes.len(), 125);
         let mut r = BitReader::new(&bytes);
         for &b in &pattern {
-            assert_eq!(r.read_bit().unwrap() as u64, b);
+            assert_eq!(r.read_bits(1).unwrap(), b);
         }
     }
 
     #[test]
-    fn byte_len_tracks_flushed_bytes() {
+    fn finish_pads_the_pending_bits_to_a_byte() {
         let mut w = BitWriter::new();
         w.write_bits(0xFF, 8);
         w.write_bits(0b1, 1);
-        assert_eq!(w.byte_len(), 1); // one full byte flushed, 1 bit pending
-        let bytes = w.finish();
-        assert_eq!(bytes.len(), 2);
+        // One full byte flushed, one bit pending and padded with zeros.
+        assert_eq!(w.finish(), [0xFF, 0x01]);
     }
 }

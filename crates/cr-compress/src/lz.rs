@@ -384,24 +384,6 @@ pub fn tokenize_with(
     state.advance(input.len());
 }
 
-/// Reconstructs bytes from tokens (shared by decoder tests; the real
-/// decoders copy matches with `copy_match` against their output
-/// buffers).
-pub fn detokenize(tokens: &[Token], out: &mut Vec<u8>) -> Result<(), String> {
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => out.push(b),
-            Token::Match { len, dist } => {
-                let at = out.len();
-                copy_match(out, 0, dist as usize, len as usize).map_err(|_| {
-                    format!("invalid distance {dist} at output {at}")
-                })?;
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Appends the `len` bytes that start `dist` bytes back, which must lie
 /// at or after `start` (the first output byte of the current block or
 /// stream). A match clear of the bytes it writes is one
@@ -434,6 +416,25 @@ pub(crate) fn copy_match(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reconstructs bytes from tokens (the tests' reference; the real
+    /// decoders copy matches with `copy_match` against their output
+    /// buffers).
+    fn detokenize(tokens: &[Token], out: &mut Vec<u8>) -> Result<(), String> {
+        for t in tokens {
+            match *t {
+                Token::Literal(b) => out.push(b),
+                Token::Match { len, dist } => {
+                    let at = out.len();
+                    copy_match(out, 0, dist as usize, len as usize)
+                        .map_err(|_| {
+                            format!("invalid distance {dist} at output {at}")
+                        })?;
+                }
+            }
+        }
+        Ok(())
+    }
 
     fn params() -> LzParams {
         LzParams {

@@ -705,7 +705,7 @@ mod tests {
             compression: None,
         };
         let sol = solve_cycle(&sys, &strat).unwrap();
-        let t_io = sys.t_io_uncompressed();
+        let t_io = sys.checkpoint_bytes / sys.io_bw_per_node;
         let tau = sol.interval;
         let m = sys.mtti;
         let daly = m * (t_io / m).exp() * (((tau + t_io) / m).exp() - 1.0);
@@ -890,7 +890,7 @@ mod tests {
             solve_cycle(&s, &Strategy::local_io_host(k, 0.8, None)).unwrap();
         let tau = 150.0;
         let delta = s.delta_local();
-        let t_io = s.t_io_uncompressed();
+        let t_io = s.checkpoint_bytes / s.io_bw_per_node;
         let expected =
             (k as f64 * tau) / (k as f64 * (tau + delta) + t_io);
         assert!(

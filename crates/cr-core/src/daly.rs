@@ -49,17 +49,6 @@ pub fn expected_time_before_interrupt(a: f64, mtti: f64) -> f64 {
     mtti - a * q / one_minus_q
 }
 
-/// Daly's first-order optimum checkpoint interval `sqrt(2 δ M) - δ`.
-///
-/// Valid for `δ < M/2`; for larger `δ` Daly recommends `τ = M`.
-pub fn optimum_interval_first_order(mtti: f64, delta: f64) -> f64 {
-    debug_assert!(mtti > 0.0 && delta >= 0.0);
-    if delta >= 2.0 * mtti {
-        return mtti;
-    }
-    ((2.0 * delta * mtti).sqrt() - delta).max(delta.min(mtti))
-}
-
 /// Daly's higher-order optimum checkpoint interval (FGCS 2006, eq. 37):
 ///
 /// ```text
@@ -168,6 +157,18 @@ pub fn ratio_for_progress(target: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Daly's first-order optimum checkpoint interval `sqrt(2 δ M) - δ`.
+    ///
+    /// Valid for `δ < M/2`; for larger `δ` Daly recommends `τ = M`. The
+    /// tests check [`optimum_interval`] against it.
+    fn optimum_interval_first_order(mtti: f64, delta: f64) -> f64 {
+        debug_assert!(mtti > 0.0 && delta >= 0.0);
+        if delta >= 2.0 * mtti {
+            return mtti;
+        }
+        ((2.0 * delta * mtti).sqrt() - delta).max(delta.min(mtti))
+    }
 
     const TOL: f64 = 1e-9;
 

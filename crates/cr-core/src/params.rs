@@ -42,12 +42,6 @@ impl SystemParams {
         self.checkpoint_bytes / self.local_bw
     }
 
-    /// Time to move one *uncompressed* checkpoint over the per-node I/O
-    /// bandwidth.
-    pub fn t_io_uncompressed(&self) -> f64 {
-        self.checkpoint_bytes / self.io_bw_per_node
-    }
-
     /// Returns a copy with a different MTTI (sensitivity sweeps, Fig. 9).
     pub fn with_mtti(mut self, mtti: f64) -> Self {
         self.mtti = mtti;
@@ -57,13 +51,6 @@ impl SystemParams {
     /// Returns a copy with a different checkpoint size (Fig. 8).
     pub fn with_checkpoint_bytes(mut self, bytes: f64) -> Self {
         self.checkpoint_bytes = bytes;
-        self
-    }
-
-    /// Returns a copy with a different local NVM bandwidth
-    /// (`L-2GBps` vs `L-15GBps` configurations of §6.5).
-    pub fn with_local_bw(mut self, bw: f64) -> Self {
-        self.local_bw = bw;
         self
     }
 }
@@ -461,7 +448,8 @@ mod tests {
         // delta_local = 112/15 ~ 7.47 s.
         assert!((s.delta_local() - 7.4667).abs() < 1e-3);
         // Uncompressed I/O write: 1120 s = 18.67 min (Sec. 3.4).
-        assert!((s.t_io_uncompressed() - 1120.0).abs() < 1e-9);
+        let t_io = s.checkpoint_bytes / s.io_bw_per_node;
+        assert!((t_io - 1120.0).abs() < 1e-9);
     }
 
     #[test]
@@ -558,11 +546,10 @@ mod tests {
     fn sensitivity_builders_modify_single_field() {
         let s = SystemParams::exascale_default()
             .with_mtti(60.0 * MINUTE)
-            .with_checkpoint_bytes(14.0 * GB)
-            .with_local_bw(2.0 * GB);
+            .with_checkpoint_bytes(14.0 * GB);
         assert_eq!(s.mtti, 3600.0);
         assert_eq!(s.checkpoint_bytes, 14.0 * GB);
-        assert_eq!(s.local_bw, 2.0 * GB);
+        assert_eq!(s.local_bw, 15.0 * GB);
         assert_eq!(s.io_bw_per_node, 100.0 * MB);
     }
 }

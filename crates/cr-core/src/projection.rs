@@ -197,17 +197,6 @@ impl ExascaleProjection {
     pub fn t_io_per_node(&self) -> f64 {
         self.checkpoint_bytes / self.io_bw_per_node
     }
-
-    /// Converts the projection into the [`crate::params::SystemParams`]
-    /// used by the models, with the evaluation's 15 GB/s local NVM.
-    pub fn to_system_params(&self) -> crate::params::SystemParams {
-        crate::params::SystemParams {
-            mtti: self.mtti,
-            checkpoint_bytes: self.checkpoint_bytes,
-            local_bw: 15.0 * GB,
-            io_bw_per_node: self.io_bw_per_node,
-        }
-    }
 }
 
 /// Rounds `x` to `digits` significant decimal digits (used to mimic the
@@ -284,17 +273,6 @@ mod tests {
             "t_io = {} min",
             p.t_io_per_node() / MINUTE
         );
-    }
-
-    #[test]
-    fn to_system_params_round_trips() {
-        let p = ExascaleProjection::paper_default();
-        let s = p.to_system_params();
-        let table4 = crate::params::SystemParams::exascale_default();
-        assert_eq!(s.mtti, table4.mtti);
-        assert_eq!(s.checkpoint_bytes, table4.checkpoint_bytes);
-        assert_eq!(s.io_bw_per_node, table4.io_bw_per_node);
-        assert_eq!(s.local_bw, table4.local_bw);
     }
 
     #[test]

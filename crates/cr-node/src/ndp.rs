@@ -39,7 +39,7 @@ use crate::incremental::IncrementalEncoder;
 use crate::metadata::CheckpointMeta;
 use crate::nvm::{NvmStore, Region, SlotId};
 use crate::remote::{IoNode, ObjectKey};
-use crate::vclock::VClock;
+use crate::vclock::{VClock, IO_BW, NDP_COMPRESS_BW};
 
 /// Consecutive transient failures a drain job absorbs; one more cancels
 /// it.
@@ -300,9 +300,6 @@ pub struct NdpEngine {
     queue: VecDeque<DrainJob>,
     paused: bool,
     next_spill_id: u64,
-    /// Modeled NDP compression throughput, bytes/s (virtual-time
-    /// charging).
-    pub compress_bw: f64,
     /// Event counters.
     pub stats: NdpStats,
     /// Monotonic step counter (the engine's clock; backoff deadlines are
@@ -324,7 +321,6 @@ impl NdpEngine {
         policy: BackpressurePolicy,
         block_size: usize,
         nic_capacity: usize,
-        compress_bw: f64,
         incremental: Option<IncrementalPolicy>,
     ) -> Self {
         assert!(block_size >= 1024, "block size unreasonably small");
@@ -345,7 +341,6 @@ impl NdpEngine {
             queue: VecDeque::new(),
             paused: false,
             next_spill_id: 0,
-            compress_bw,
             stats: NdpStats::default(),
             steps: 0,
             bus: Bus::disabled(),
@@ -576,7 +571,7 @@ impl NdpEngine {
             // The transfer was lost in flight: the block stays queued for
             // retransmission, but the link time is spent.
             let len = self.nic.queue.front().map_or(0, |b| b.data.len());
-            VClock::charge(&mut clock.io_link, len, io.bandwidth);
+            VClock::charge(&mut clock.io_link, len, IO_BW);
             self.stats.blocks_retransmitted += 1;
             return Ok(StepOutcome::Retrying);
         }
@@ -586,7 +581,7 @@ impl NdpEngine {
         }
         let block = self.nic.queue.pop_front().expect("selected head block");
         let block_len = block.data.len() as u64;
-        VClock::charge(&mut clock.io_link, block.data.len(), io.bandwidth);
+        VClock::charge(&mut clock.io_link, block.data.len(), IO_BW);
         io.append_block(&block.key, &block.data).map_err(io_err)?;
         self.stats.blocks_shipped += 1;
         let job = &mut self.queue[pos];
@@ -736,7 +731,7 @@ impl NdpEngine {
             job.ahead = offsets.into_iter().zip(frames).collect();
         }
         let (_, framed) = job.ahead.pop_front().expect("window starts here");
-        VClock::charge(&mut clock.ndp_compute, chunk_len, self.compress_bw);
+        VClock::charge(&mut clock.ndp_compute, chunk_len, NDP_COMPRESS_BW);
 
         // Blocks must ship in order: once any block of this job has been
         // spilled, later blocks go to the spill queue too.
@@ -1025,10 +1020,10 @@ mod tests {
             let codec = codec.then(|| registry::by_name("gz", 1).unwrap());
             Rig {
                 engine: NdpEngine::new(
-                    codec, policy, 4096, nic_cap, 440e6, None,
+                    codec, policy, 4096, nic_cap, None,
                 ),
                 nvm: NvmStore::new(1 << 22, 1 << 20),
-                io: IoNode::new(100e6),
+                io: IoNode::new(),
                 clock: VClock::default(),
                 plane: FaultPlane::disabled(),
             }
@@ -1504,7 +1499,6 @@ mod tests {
             BackpressurePolicy::Pause,
             2 * GRANULE,
             4,
-            440e6,
             None,
         );
         let (slot, meta) = rig.enqueue(1, granule_image(6));
@@ -1532,7 +1526,6 @@ mod tests {
                 BackpressurePolicy::Pause,
                 4096,
                 4,
-                440e6,
                 Some(IncrementalPolicy::default()),
             );
             let mut data = granule_image(3);
@@ -1567,7 +1560,6 @@ mod tests {
             BackpressurePolicy::Pause,
             4096,
             4,
-            440e6,
             Some(IncrementalPolicy::default()),
         );
         let base = granule_image(3);
@@ -1656,7 +1648,7 @@ mod tests {
         let mut rig = Rig::new(policy, false, 2).with_faults(faults);
         let codec = codec.map(|(name, level)| registry::by_name(name, level).unwrap());
         rig.engine =
-            NdpEngine::new(codec, policy, LOOKAHEAD_BLOCK, 2, 440e6, incremental);
+            NdpEngine::new(codec, policy, LOOKAHEAD_BLOCK, 2, incremental);
         rig.engine.window = window;
         rig.nvm = NvmStore::new(16 << 20, 1 << 20);
         let (mut outcomes, mut blobs) = (Vec::new(), Vec::new());
@@ -1756,7 +1748,6 @@ mod tests {
             BackpressurePolicy::Pause,
             GRANULE,
             4,
-            440e6,
             None,
         );
         rig.engine.window = window;
@@ -1812,7 +1803,6 @@ mod tests {
             BackpressurePolicy::Pause,
             GRANULE,
             4,
-            440e6,
             None,
         );
         let (slot, _) = rig.enqueue(1, granule_image(12));

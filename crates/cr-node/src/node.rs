@@ -11,9 +11,11 @@ use crate::frame;
 use crate::integrity::{fold_granules, granule_crcs};
 use crate::metadata::CheckpointMeta;
 use crate::ndp::{BackpressurePolicy, NdpEngine, StepOutcome};
-use crate::nvm::{NvmError, NvmStore, Region, Slot, SlotId};
+use crate::nvm::{take_buffer, NvmError, NvmStore, Region, Slot, SlotId};
 use crate::remote::IoNode;
-use crate::vclock::VClock;
+use crate::vclock::{
+    VClock, HOST_DECOMPRESS_BW, INTERCONNECT_BW, IO_BW, NVM_BW,
+};
 
 /// Node configuration.
 #[derive(Debug, Clone)]
@@ -41,16 +43,6 @@ pub struct NodeConfig {
     /// replicated to a partner node's NVM, surviving loss of this node
     /// alone. `0` disables the partner level.
     pub partner_ratio: u32,
-    /// Modeled node-to-partner interconnect bandwidth, bytes/s.
-    pub interconnect_bw: f64,
-    /// Modeled host↔NVM bandwidth, bytes/s.
-    pub nvm_bandwidth: f64,
-    /// Modeled per-node global-I/O bandwidth, bytes/s.
-    pub io_bandwidth: f64,
-    /// Modeled NDP compression throughput, bytes/s.
-    pub ndp_compress_bw: f64,
-    /// Modeled host decompression throughput on restore, bytes/s.
-    pub host_decompress_bw: f64,
     /// Deterministic fault injection (`None` = no faults): the node
     /// threads this plane through NVM commits/reads, partner
     /// replication, the NDP drain engine, the NIC and the remote I/O
@@ -73,11 +65,6 @@ impl NodeConfig {
             drain_ratio: 2,
             incremental: None,
             partner_ratio: 0,
-            interconnect_bw: 50e9,
-            nvm_bandwidth: 15e9,
-            io_bandwidth: 100e6,
-            ndp_compress_bw: 440.4e6,
-            host_decompress_bw: 16e9,
             faults: None,
         }
     }
@@ -212,7 +199,6 @@ impl ComputeNode {
             cfg.policy,
             cfg.block_size,
             cfg.nic_blocks,
-            cfg.ndp_compress_bw,
             cfg.incremental,
         );
         let partner = (cfg.partner_ratio > 0)
@@ -225,7 +211,7 @@ impl ComputeNode {
             nvm: NvmStore::new(cfg.nvm_uncompressed, cfg.nvm_compressed),
             partner,
             ndp,
-            io: IoNode::new(cfg.io_bandwidth),
+            io: IoNode::new(),
             apps: HashMap::new(),
             clock: VClock::default(),
             faults,
@@ -282,19 +268,13 @@ impl ComputeNode {
 
         // Host owns the NVM for the commit: NDP paused (§4.2.1).
         self.ndp.pause();
-        let mut buf = self.nvm.take_buffer(data.len());
-        buf.extend_from_slice(data);
-        let result = self.nvm.write_with_crcs(
+        let result = self.nvm.write_copy(
             Region::Uncompressed,
             meta.clone(),
-            buf,
+            data,
             crcs.clone(),
         );
-        VClock::charge(
-            &mut self.clock.host_nvm,
-            data.len(),
-            self.cfg.nvm_bandwidth,
-        );
+        VClock::charge(&mut self.clock.host_nvm, data.len(), NVM_BW);
         self.ndp.resume();
         let slot = result?;
 
@@ -337,21 +317,19 @@ impl ComputeNode {
                 VClock::charge(
                     &mut self.clock.host_nvm,
                     data.len(),
-                    self.cfg.interconnect_bw,
+                    INTERCONNECT_BW,
                 );
             } else if let Some(partner) = &mut self.partner {
-                let mut pbuf = partner.take_buffer(data.len());
-                pbuf.extend_from_slice(data);
-                partner.write_with_crcs(
+                partner.write_copy(
                     Region::Uncompressed,
                     meta.clone(),
-                    pbuf,
+                    data,
                     crcs,
                 )?;
                 VClock::charge(
                     &mut self.clock.host_nvm,
                     data.len(),
-                    self.cfg.interconnect_bw,
+                    INTERCONNECT_BW,
                 );
             }
         }
@@ -459,11 +437,7 @@ impl ComputeNode {
             app_id,
             rank,
         ) {
-            VClock::charge(
-                &mut self.clock.host_nvm,
-                slot.data.len(),
-                self.cfg.nvm_bandwidth,
-            );
+            VClock::charge(&mut self.clock.host_nvm, slot.data.len(), NVM_BW);
             return Ok(Restored {
                 meta: slot.meta.clone(),
                 data: slot.data.clone(),
@@ -485,11 +459,13 @@ impl ComputeNode {
                 VClock::charge(
                     &mut self.clock.restore_io,
                     slot.data.len(),
-                    self.cfg.interconnect_bw,
+                    INTERCONNECT_BW,
                 );
                 // Reseed the local NVM so later failures recover fast.
-                Self::reseed_local(
-                    &mut self.nvm,
+                // Best effort: a full or locked region leaves the
+                // restore served but the local level unseeded.
+                let _ = self.nvm.write_copy(
+                    Region::Uncompressed,
                     slot.meta.clone(),
                     &slot.data,
                     slot.crcs.clone(),
@@ -516,7 +492,7 @@ impl ComputeNode {
         // The decode buffer comes from the NVM pool and leaves it with
         // the restored image.
         let size = self.io.sealed(&key).map_or(0, |m| m.size as usize);
-        let mut data = self.nvm.take_buffer(size);
+        let mut data = take_buffer(size);
         let meta = self.fetch_remote_payload(&key, &mut data)?;
         let mut deltas: Vec<crate::incremental::IncrementalImage> =
             Vec::new();
@@ -567,17 +543,23 @@ impl ComputeNode {
         VClock::charge(
             &mut self.clock.restore_io,
             data.len(),
-            self.cfg.host_decompress_bw,
+            HOST_DECOMPRESS_BW,
         );
 
         // The restored image is written back to a fresh local
-        // checkpoint so subsequent failures recover locally.
+        // checkpoint so subsequent failures recover locally (best
+        // effort, as for a partner restore).
         let restored_meta = CheckpointMeta {
             codec: None,
             base: None,
             ..meta
         };
-        Self::reseed_local(&mut self.nvm, restored_meta.clone(), &data, crcs);
+        let _ = self.nvm.write_copy(
+            Region::Uncompressed,
+            restored_meta.clone(),
+            &data,
+            crcs,
+        );
 
         Ok(Restored {
             meta: restored_meta,
@@ -612,20 +594,6 @@ impl ComputeNode {
         None
     }
 
-    /// Writes a copy of a verified restored image, with its granule
-    /// CRCs, to a fresh local slot. Best effort: a full or locked region
-    /// leaves the restore served but the local level unseeded.
-    fn reseed_local(
-        nvm: &mut NvmStore,
-        meta: CheckpointMeta,
-        data: &[u8],
-        crcs: Vec<u64>,
-    ) {
-        let mut buf = nvm.take_buffer(data.len());
-        buf.extend_from_slice(data);
-        let _ = nvm.write_with_crcs(Region::Uncompressed, meta, buf, crcs);
-    }
-
     /// Reads one remote object and appends the raw payload its framed
     /// blocks decompress to (a full image, or an encoded incremental
     /// delta) to `out`, decoding straight from the store's bytes.
@@ -643,11 +611,7 @@ impl ComputeNode {
             }
             NodeError::Corrupt
         })?;
-        VClock::charge(
-            &mut self.clock.restore_io,
-            blob.len(),
-            self.cfg.io_bandwidth,
-        );
+        VClock::charge(&mut self.clock.restore_io, blob.len(), IO_BW);
         let codec = match &meta.codec {
             None => None,
             Some(label) => Some(registry::by_label(label).ok_or_else(|| {
@@ -963,6 +927,69 @@ mod tests {
         // NDP time dwarfs host time at these bandwidths (that is the
         // point of the offload).
         assert!(c.background() > c.critical_path());
+    }
+
+    /// Asserts each `VClock` field against its expected sum, to a
+    /// relative 1e-12.
+    fn assert_clock(got: &VClock, want: &VClock, at: &str) {
+        let fields = [
+            ("host_nvm", got.host_nvm, want.host_nvm),
+            ("ndp_compute", got.ndp_compute, want.ndp_compute),
+            ("io_link", got.io_link, want.io_link),
+            ("restore_io", got.restore_io, want.restore_io),
+        ];
+        for (name, got, want) in fields {
+            assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "{at}: {name} {got} != {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn each_transfer_is_charged_bytes_over_its_rate() {
+        use crate::vclock::NDP_COMPRESS_BW;
+        let mut n = ComputeNode::new(NodeConfig {
+            drain_ratio: 1,
+            partner_ratio: 1,
+            ..NodeConfig::small_test()
+        });
+        n.register_app("app");
+        let data = payload(3, 1 << 20);
+        let len = data.len() as f64;
+        n.checkpoint("app", &data).unwrap();
+        n.drain_all().unwrap();
+        let wire = n.io().bytes_written as f64;
+        let mut want = VClock {
+            host_nvm: len / NVM_BW + len / INTERCONNECT_BW,
+            ndp_compute: len / NDP_COMPRESS_BW,
+            io_link: wire / IO_BW,
+            restore_io: 0.0,
+        };
+        assert_clock(n.clock(), &want, "commit, partner copy and drain");
+
+        let steps = [
+            (FailureKind::LocalSurvivable, RestoreSource::LocalNvm),
+            (FailureKind::NodeLoss, RestoreSource::Partner),
+            (FailureKind::PairLoss, RestoreSource::RemoteIo),
+        ];
+        for (failure, source) in steps {
+            n.inject_failure(failure);
+            let r = n.restore("app").unwrap();
+            assert_eq!((r.source, &r.data), (source, &data));
+            match source {
+                RestoreSource::LocalNvm => want.host_nvm += len / NVM_BW,
+                RestoreSource::Partner => {
+                    want.restore_io += len / INTERCONNECT_BW;
+                }
+                RestoreSource::RemoteIo => {
+                    assert_eq!(n.io().bytes_read as f64, wire);
+                    want.restore_io += wire / IO_BW;
+                    want.restore_io += len / HOST_DECOMPRESS_BW;
+                }
+            }
+            assert_clock(n.clock(), &want, &format!("{source:?} restore"));
+        }
     }
 
     #[test]

@@ -173,9 +173,9 @@ thread_local! {
     /// Payload buffers retired by every [`NvmStore`] on this thread, by
     /// eviction, [`NvmStore::wipe`] and dropping the store. They serve
     /// the thread's next host commit, partner copy, reseed and remote
-    /// restore decode ([`NvmStore::take_buffer`]), as the paper's NVM is
-    /// one fixed, pre-mapped device (§4.3) whose pages are written, not
-    /// faulted in, by each checkpoint. Most recently pooled last.
+    /// restore decode (`take_buffer`), as the paper's NVM is one fixed,
+    /// pre-mapped device (§4.3) whose pages are written, not faulted
+    /// in, by each checkpoint. Most recently pooled last.
     ///
     /// Measured on a 2-vCPU machine with the repository benchmark's
     /// `ckpt_local` workload (5 pairs of 8 s runs, one CRC pass per
@@ -211,6 +211,26 @@ fn recycle(mut data: Vec<u8>) {
     });
 }
 
+/// Hands out a cleared buffer for an image of `len` bytes: the most
+/// recently pooled buffer on this thread that holds `len` bytes without
+/// growing (growing would copy its stale capacity), or a new one.
+pub(crate) fn take_buffer(len: usize) -> Vec<u8> {
+    let pooled = SPARE.try_with(|pool| {
+        let mut pool = pool.borrow_mut();
+        let i = pool.iter().rposition(|b| b.capacity() >= len)?;
+        Some(pool.remove(i))
+    });
+    let mut buf = pooled
+        .ok()
+        .flatten()
+        .unwrap_or_else(|| Vec::with_capacity(len));
+    // `recycle` clears before pooling, but the cleared-contract is what
+    // keeps stale checkpoint bytes out of a new commit, so enforce it
+    // here too rather than trusting every producer.
+    buf.clear();
+    buf
+}
+
 /// The node-local NVM store.
 pub struct NvmStore {
     uncompressed: RegionBuf,
@@ -238,27 +258,6 @@ impl NvmStore {
     /// reported on it. The store starts with a disabled bus.
     pub fn set_bus(&mut self, bus: Bus) {
         self.bus = bus;
-    }
-
-    /// Hands out a cleared buffer for an image of `len` bytes: the most
-    /// recently pooled buffer on this thread that holds `len` bytes
-    /// without growing (growing would copy its stale capacity), or a
-    /// new one.
-    pub fn take_buffer(&self, len: usize) -> Vec<u8> {
-        let pooled = SPARE.try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            let i = pool.iter().rposition(|b| b.capacity() >= len)?;
-            Some(pool.remove(i))
-        });
-        let mut buf = pooled
-            .ok()
-            .flatten()
-            .unwrap_or_else(|| Vec::with_capacity(len));
-        // `recycle` clears before pooling, but the cleared-contract is
-        // what keeps stale checkpoint bytes out of a new commit, so
-        // enforce it here too rather than trusting every producer.
-        buf.clear();
-        buf
     }
 
     fn region_mut(&mut self, r: Region) -> &mut RegionBuf {
@@ -336,6 +335,21 @@ impl NvmStore {
             crcs,
         });
         Ok(id)
+    }
+
+    /// [`NvmStore::write_with_crcs`] of a copy of `data`, made in a
+    /// buffer from this thread's pool. The buffer is taken before the
+    /// write evicts, so the slots this write evicts serve the next one.
+    pub fn write_copy(
+        &mut self,
+        region: Region,
+        meta: CheckpointMeta,
+        data: &[u8],
+        crcs: Vec<u64>,
+    ) -> Result<SlotId, NvmError> {
+        let mut buf = take_buffer(data.len());
+        buf.extend_from_slice(data);
+        self.write_with_crcs(region, meta, buf, crcs)
     }
 
     /// Looks up a slot by ID in either region.
@@ -597,9 +611,8 @@ mod tests {
 
     /// A host commit as `ComputeNode::checkpoint_rank` makes it.
     fn commit(nvm: &mut NvmStore, id: u64, data: &[u8]) -> SlotId {
-        let mut buf = nvm.take_buffer(data.len());
-        buf.extend_from_slice(data);
-        nvm.write(Region::Uncompressed, meta(id, data.len() as u64), buf)
+        let meta = meta(id, data.len() as u64);
+        nvm.write_copy(Region::Uncompressed, meta, data, granule_crcs(data))
             .unwrap()
     }
 
@@ -608,7 +621,7 @@ mod tests {
         clear_pool();
         let mut nvm = NvmStore::new(250, 0);
         // Pool starts empty: fresh allocation.
-        assert_eq!(nvm.take_buffer(0).capacity(), 0);
+        assert_eq!(take_buffer(0).capacity(), 0);
         nvm.write(Region::Uncompressed, meta(1, 100), vec![1; 100])
             .unwrap();
         nvm.write(Region::Uncompressed, meta(2, 100), vec![2; 100])
@@ -618,10 +631,23 @@ mod tests {
         nvm.write(Region::Uncompressed, meta(3, 100), vec![3; 100])
             .unwrap();
         assert_eq!(pooled().len(), 1);
-        let buf = nvm.take_buffer(100);
+        let buf = take_buffer(100);
         assert!(buf.is_empty());
         assert!(buf.capacity() >= 100, "capacity {}", buf.capacity());
         assert!(pooled().is_empty());
+    }
+
+    #[test]
+    fn write_copy_takes_its_buffer_before_evicting() {
+        clear_pool();
+        let mut nvm = NvmStore::new(100, 0);
+        let old = commit(&mut nvm, 1, &[1; 100]);
+        let old = nvm.get(old).unwrap().data.as_ptr();
+        // The copy is made in a fresh buffer; the slot it evicts is
+        // pooled for the next write, not reused by this one.
+        let new = commit(&mut nvm, 2, &[2; 100]);
+        assert_ne!(nvm.get(new).unwrap().data.as_ptr(), old);
+        assert_eq!(pooled().iter().map(|p| p.1).collect::<Vec<_>>(), [old]);
     }
 
     #[test]
@@ -631,7 +657,7 @@ mod tests {
         // bytes into a new commit, even if a buffer reached the pool
         // without going through `recycle`'s clear.
         dirty_pool(1, 64);
-        let buf = NvmStore::new(100, 0).take_buffer(64);
+        let buf = take_buffer(64);
         assert!(buf.is_empty(), "leaked {} stale bytes", buf.len());
         assert!(buf.capacity() >= 64, "recycling lost the allocation");
     }
@@ -668,17 +694,16 @@ mod tests {
         recycle(Vec::with_capacity(1000));
         recycle(Vec::with_capacity(50));
         let pool = pooled();
-        let nvm = NvmStore::new(0, 0);
         // The newest buffer is too small: the older one that fits serves.
-        let buf = nvm.take_buffer(100);
+        let buf = take_buffer(100);
         assert_eq!((buf.capacity(), buf.as_ptr()), pool[0]);
         assert_eq!(pooled(), [pool[1]]);
         // Nothing fits: a new buffer, the small one stays pooled.
-        let buf = nvm.take_buffer(100);
+        let buf = take_buffer(100);
         assert!(buf.capacity() >= 100);
         assert_ne!(buf.as_ptr(), pool[1].1);
         assert_eq!(pooled(), [pool[1]]);
-        let small = nvm.take_buffer(50);
+        let small = take_buffer(50);
         assert_eq!((small.capacity(), small.as_ptr()), pool[1]);
     }
 

@@ -80,11 +80,9 @@ impl std::fmt::Display for RemoteError {
 impl std::error::Error for RemoteError {}
 
 /// The remote I/O node.
+#[derive(Default)]
 pub struct IoNode {
     objects: HashMap<ObjectKey, RemoteObject>,
-    /// Modeled per-node share of global-I/O bandwidth, bytes/s (for
-    /// virtual-time charging by the owner).
-    pub bandwidth: f64,
     /// Total bytes received.
     pub bytes_written: u64,
     /// Total bytes served during recovery reads.
@@ -94,15 +92,9 @@ pub struct IoNode {
 }
 
 impl IoNode {
-    /// Creates a remote node with the given modeled bandwidth.
-    pub fn new(bandwidth: f64) -> Self {
-        IoNode {
-            objects: HashMap::new(),
-            bandwidth,
-            bytes_written: 0,
-            bytes_read: 0,
-            bus: Bus::disabled(),
-        }
+    /// Creates an empty remote node.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Attaches an observability bus; object begin/seal/abort are
@@ -303,7 +295,7 @@ mod tests {
 
     #[test]
     fn object_lifecycle() {
-        let mut io = IoNode::new(100e6);
+        let mut io = IoNode::new();
         let m = meta(1);
         let key = ObjectKey::of(&m);
         io.begin(m).unwrap();
@@ -326,14 +318,14 @@ mod tests {
 
     #[test]
     fn duplicate_begin_rejected() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         io.begin(meta(1)).unwrap();
         assert_eq!(io.begin(meta(1)).unwrap_err(), RemoteError::AlreadyExists);
     }
 
     #[test]
     fn append_to_missing_object_rejected() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         let key = ObjectKey::of(&meta(9));
         assert_eq!(
             io.append_block(&key, b"x").unwrap_err(),
@@ -344,7 +336,7 @@ mod tests {
 
     #[test]
     fn latest_complete_ignores_incomplete() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         for id in 1..=3 {
             io.begin(meta(id)).unwrap();
         }
@@ -357,7 +349,7 @@ mod tests {
 
     #[test]
     fn abort_incomplete_keeps_durable_objects() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         io.begin(meta(1)).unwrap();
         io.finalize(&ObjectKey::of(&meta(1))).unwrap();
         io.begin(meta(2)).unwrap();
@@ -368,7 +360,7 @@ mod tests {
 
     #[test]
     fn abort_incomplete_mid_upload_forgets_partial_bytes() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         let m = meta(1);
         let key = ObjectKey::of(&m);
         io.begin(m.clone()).unwrap();
@@ -391,14 +383,14 @@ mod tests {
 
     #[test]
     fn finalize_unknown_key_is_typed_error() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         let key = ObjectKey::of(&meta(42));
         assert_eq!(io.finalize(&key).unwrap_err(), RemoteError::NoSuchObject);
     }
 
     #[test]
     fn double_begin_same_key_rejected_even_when_partial() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         let m = meta(3);
         let key = ObjectKey::of(&m);
         io.begin(m.clone()).unwrap();
@@ -413,7 +405,7 @@ mod tests {
 
     #[test]
     fn append_after_finalize_rejected() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         let m = meta(4);
         let key = ObjectKey::of(&m);
         io.begin(m).unwrap();
@@ -430,7 +422,7 @@ mod tests {
 
     #[test]
     fn partial_object_is_never_readable() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         let m = meta(5);
         let key = ObjectKey::of(&m);
         io.begin(m).unwrap();
@@ -446,7 +438,7 @@ mod tests {
 
     #[test]
     fn abort_object_is_targeted_and_spares_durable() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         io.begin(meta(1)).unwrap();
         io.finalize(&ObjectKey::of(&meta(1))).unwrap();
         io.begin(meta(2)).unwrap();
@@ -463,7 +455,7 @@ mod tests {
 
     #[test]
     fn peek_verified_detects_rot_without_counting_a_read() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         let m = meta(7);
         let key = ObjectKey::of(&m);
         io.begin(m).unwrap();
@@ -481,7 +473,7 @@ mod tests {
 
     #[test]
     fn ranks_are_separate() {
-        let mut io = IoNode::new(1.0);
+        let mut io = IoNode::new();
         let m0 = CheckpointMeta::new("app", 0, 5, 10, 0);
         let m1 = CheckpointMeta::new("app", 1, 9, 10, 0);
         io.begin(m0.clone()).unwrap();

@@ -2,10 +2,26 @@
 //!
 //! The functional emulation executes as fast as the machine allows, but
 //! each data movement is *charged* to the resource that would perform it
-//! (host↔NVM, NDP compression, NIC/global-I/O link), using the modeled
-//! bandwidths of the configuration. This keeps the mechanism tests fast
+//! (host↔NVM, NDP compression, NIC/global-I/O link), at the paper's node
+//! rates: the constants below. This keeps the mechanism tests fast
 //! while still exposing the timing relationships (e.g. host-visible time
 //! vs background drain time) that the paper's Figure 3 illustrates.
+
+use cr_core::units::{GB, MB};
+
+/// Host↔NVM bandwidth, bytes/s: 15 GB/s (Table 4's `L-15GBps`).
+pub const NVM_BW: f64 = 15.0 * GB;
+/// Per-node share of global-I/O bandwidth, bytes/s: 100 MB/s (Table 4).
+pub const IO_BW: f64 = 100.0 * MB;
+/// NDP compression throughput, bytes/s: gzip(1) on 4 NDP cores,
+/// 440.4 MB/s (Tables 3–4).
+pub const NDP_COMPRESS_BW: f64 = 440.4 * MB;
+/// Host decompression throughput on restore, bytes/s: 16 GB/s
+/// (Table 4).
+pub const HOST_DECOMPRESS_BW: f64 = 16.0 * GB;
+/// Node-to-partner interconnect bandwidth, bytes/s: the projected
+/// 50 GB/s (Table 1).
+pub const INTERCONNECT_BW: f64 = 50.0 * GB;
 
 /// Accumulated virtual busy-time per resource, in seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -43,6 +59,20 @@ impl VClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rates_match_the_model_plane() {
+        use cr_core::params::{CompressionSpec, SystemParams};
+        use cr_core::projection::ExascaleProjection;
+        let sys = SystemParams::exascale_default();
+        let gz = CompressionSpec::gzip1_ndp();
+        let proj = ExascaleProjection::paper_default();
+        assert_eq!(NVM_BW, sys.local_bw);
+        assert_eq!(IO_BW, sys.io_bw_per_node);
+        assert_eq!(NDP_COMPRESS_BW, gz.compress_rate);
+        assert_eq!(HOST_DECOMPRESS_BW, gz.decompress_rate);
+        assert_eq!(INTERCONNECT_BW, proj.interconnect_bw);
+    }
 
     #[test]
     fn charge_accumulates() {

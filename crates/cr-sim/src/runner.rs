@@ -37,11 +37,6 @@ impl AveragedResult {
         self.pooled.progress_rate()
     }
 
-    /// Mean of per-replica progress rates.
-    pub fn mean_progress(&self) -> f64 {
-        mean_sem(&self.progress_rates).0
-    }
-
     /// Standard error of the per-replica progress-rate mean.
     pub fn sem_progress(&self) -> f64 {
         mean_sem(&self.progress_rates).1
@@ -251,7 +246,8 @@ mod tests {
         assert!(avg.sem_progress() < 0.01, "sem = {}", avg.sem_progress());
         // Pooled and mean estimates agree closely.
         assert!(
-            (avg.progress_rate() - avg.mean_progress()).abs() < 0.01
+            (avg.progress_rate() - mean_sem(&avg.progress_rates).0).abs()
+                < 0.01
         );
     }
 
